@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .liealg import Element, LieAlgebra, UsageError, simple_lie_algebra
 from .report import Report
@@ -22,11 +22,6 @@ from .report import Report
 
 class SamplingError(RuntimeError):
     """All sampled elements were degenerate; signals a bug, not bad luck."""
-
-
-# admissible types for the quartic proportionality identity
-ADMISSIBLE = {("A", 1), ("A", 2), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
-              ("F", 4), ("G", 2)}
 
 
 def expected_alpha(dim: int) -> Fraction:
@@ -84,35 +79,7 @@ def quartic_trace(L: LieAlgebra, a: Element, b: Element, c: Element, d: Element)
     return trace_mul(m1, m2)
 
 
-class QuarticForm:
-    """Cache of quartic traces on basis 4-tuples.
-
-    Keys are canonicalized with the dihedral symmetry (cyclic rotations and
-    reversal leave the trace invariant), so at most one of the 8 equivalent
-    tuples is ever computed.
-    """
-
-    def __init__(self, algebra: LieAlgebra):
-        self.algebra = algebra
-        self._ad = [algebra.ad_matrix(algebra.basis_element(i))
-                    for i in range(algebra.dim)]
-        self.cache: Dict[Tuple[int, int, int, int], object] = {}
-
-    def basis_trace(self, i: int, j: int, k: int, l: int):
-        key = min(tuple((i, j, k, l)[p] for p in perm) for perm in DIHEDRAL)
-        if key not in self.cache:
-            p, q, r, s = key
-            m1 = mat_mul(self._ad[p], self._ad[q])
-            m2 = mat_mul(self._ad[r], self._ad[s])
-            self.cache[key] = trace_mul(m1, m2)
-        return self.cache[key]
-
-
 # --- identity checks ---------------------------------------------------------
-
-def _as_list(x) -> list:
-    return list(x)
-
 
 def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
                             c: Element) -> Report:

@@ -459,45 +459,40 @@ def _apply_outer(rules, gen: GenSymbol, inner: LambdaPoly, transpose: bool,
                 lp_iadd(acc, key, ws2, s_scale(sc, sign) if sign != 1 else sc)
 
 
-def defect_poly(rules: RuleSet, a: GenSymbol, b: GenSymbol,
-                c: GenSymbol) -> LambdaPoly:
-    """(1) - (2) - (3) for the triple, as a polynomial in (lambda, mu)."""
+def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
+                  acc1: LambdaPoly, acc2: LambdaPoly, acc3: LambdaPoly,
+                  sign2: int, sign3: int) -> None:
+    """acc1 += (1), acc2 += sign2 * (2), acc3 += sign3 * (3): the three terms
+    (1) = [a_lambda [b_mu c]], (2) = [b_mu [a_lambda c]] and
+    (3) = [[a_lambda b]_{lambda+mu} c] of the Jacobi identity of the triple.
+    """
     try:
-        acc: LambdaPoly = {}
-        _apply_outer(rules, a, bracket_words(rules, (b,), (c,)), False, acc, 1)
-        _apply_outer(rules, b, bracket_words(rules, (a,), (c,)), True, acc, -1)
-        inner_ab = bracket_words(rules, (a,), (b,))
-        for (k, _), ws in inner_ab.items():
+        _apply_outer(rules, a, bracket_words(rules, (b,), (c,)), False, acc1, 1)
+        _apply_outer(rules, b, bracket_words(rules, (a,), (c,)), True, acc2, sign2)
+        for (k, _), ws in bracket_words(rules, (a,), (b,)).items():
             for word, sc in ws.items():
                 outer = substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
                 for (i, j), ws2 in outer.items():
-                    lp_iadd(acc, (i + k, j), ws2, s_scale(sc, -1))
-        return lp_cleanup(acc)
+                    lp_iadd(acc3, (i + k, j), ws2, s_scale(sc, sign3) if sign3 != 1 else sc)
     except UndefinedBracket as exc:
         raise exc.add_context(f"computing the Jacobi defect of ({a}, {b}, {c})")
+
+
+def defect_poly(rules: RuleSet, a: GenSymbol, b: GenSymbol,
+                c: GenSymbol) -> LambdaPoly:
+    """(1) - (2) - (3) for the triple, as a polynomial in (lambda, mu)."""
+    acc: LambdaPoly = {}
+    _jacobi_terms(rules, a, b, c, acc, acc, acc, -1, -1)
+    return lp_cleanup(acc)
 
 
 def jacobi_defect(rules: RuleSet, a: GenSymbol, b: GenSymbol,
                   c: GenSymbol) -> JacobiDefect:
-    try:
-        return _jacobi_defect_terms(rules, a, b, c)
-    except UndefinedBracket as exc:
-        raise exc.add_context(f"computing the Jacobi defect of ({a}, {b}, {c})")
-
-
-def _jacobi_defect_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol,
-                         c: GenSymbol) -> JacobiDefect:
+    """The three Jacobi terms of the triple and their defect (1) - (2) - (3)."""
     t1: LambdaPoly = {}
-    _apply_outer(rules, a, bracket_words(rules, (b,), (c,)), False, t1, 1)
     t2: LambdaPoly = {}
-    _apply_outer(rules, b, bracket_words(rules, (a,), (c,)), True, t2, 1)
     t3: LambdaPoly = {}
-    inner_ab = bracket_words(rules, (a,), (b,))
-    for (k, _), ws in inner_ab.items():
-        for word, sc in ws.items():
-            outer = substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
-            for (i, j), ws2 in outer.items():
-                lp_iadd(t3, (i + k, j), ws2, sc)
+    _jacobi_terms(rules, a, b, c, t1, t2, t3, 1, 1)
     defect: LambdaPoly = {}
     for term, sign in ((t1, 1), (t2, -1), (t3, -1)):
         for key, ws in term.items():

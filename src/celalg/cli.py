@@ -151,15 +151,9 @@ def _status(flag: bool) -> str:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    rows = []
-    t0 = time.time()
-    for series, rank in adinv.classification_types(cfg.max_rank, cfg.enable_e78):
-        L = simple_lie_algebra(series, rank)
-        alpha = adinv.quartic_alpha(L, samples=max(24, cfg.samples // 4),
-                                    master_seed=cfg.master_seed)
-        rows.append((L.name, alpha is not None, alpha))
-        print(f"[{time.time() - t0:7.1f}s] scanned {L.name} (dim {L.dim})",
-              file=sys.stderr)
+    rows = adinv.classify(cfg.max_rank, cfg.enable_e78,
+                          samples=max(24, cfg.samples // 4),
+                          master_seed=cfg.master_seed)
     expected = {f"{s}{r}" for s, r in ADMISSIBLE_TYPES}
     ok = all((name in expected) == found for name, found, _ in rows)
     lines = [f"{'type':<6} {'member':<8} alpha"]

@@ -371,21 +371,6 @@ def _left_extension(rules, left: Word, right: Word) -> LambdaPoly:
     return lp_cleanup(out)
 
 
-def wick(rules, a: GenSymbol, word: Word) -> LambdaPoly:
-    """Bracket of one generator against a word (unit word gives zero)."""
-    return bracket_words(rules, (a,), word)
-
-
-def left_bracket(rules, word: Word, c: GenSymbol) -> LambdaPoly:
-    """Bracket of a word against one generator.
-
-    For multi-letter words this runs the shift-extension recursion and
-    asserts it against the skew image of the reversed bracket; a mismatch
-    raises InternalConsistencyError.
-    """
-    return bracket_words(rules, word, (c,))
-
-
 def nproduct(rules, left: Word, right: Word) -> WordSum:
     """Product N(left, right) reduced to canonical ordered form."""
     return normal_order(rules, _nproduct_raw(rules, left, right))

@@ -94,9 +94,13 @@ class RootSystem:
     simple_roots: Tuple[Coeffs, ...]
     positive_roots: Tuple[Coeffs, ...]  # ordered by (height, lexicographic)
     cartan_matrix: Tuple[Tuple[int, ...], ...]
+    # (root, root) for every positive and negative root, computed once
+    norms: Dict[Coeffs, Fraction] = field(default_factory=dict, compare=False,
+                                          repr=False)
 
     def norm2(self, root: Coeffs) -> Fraction:
-        return self.inner(root, root)
+        """(root, root) of a positive or negative root, read from the table."""
+        return self.norms[root]
 
     def inner(self, a: Coeffs, b: Coeffs) -> Fraction:
         g = self.gram
@@ -113,6 +117,17 @@ class RootSystem:
         if v.denominator != 1:
             raise ConstructionError(f"non-integral Cartan pairing {v}")
         return int(v)
+
+    def coroot(self, root: Coeffs) -> Coeffs:
+        """root^vee = 2 root / (root, root) over the simple coroots, always integral."""
+        n2 = self.norm2(root)
+        out = []
+        for i, k in enumerate(root):
+            c = k * self.gram[i][i] / n2
+            if c.denominator != 1:
+                raise ConstructionError(f"non-integral coroot of {root}")
+            out.append(int(c))
+        return tuple(out)
 
     @property
     def highest_root(self) -> Coeffs:
@@ -158,18 +173,14 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     if heights.count(max(heights)) != 1:
         raise ConstructionError("highest root is not unique")
 
-    cartan = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            v = 2 * interim.inner(simple[i], simple[j]) / gram[j][j]
-            if v.denominator != 1:
-                raise ConstructionError("non-integral Cartan matrix")
-            row.append(int(v))
-        cartan.append(tuple(row))
+    cartan = tuple(tuple(interim.cartan_pairing(simple[i], j) for j in range(rank))
+                   for i in range(rank))
+    norms = {}
+    for r in positive:
+        norms[r] = norms[_vneg(r)] = interim.inner(r, r)
 
-    rs = RootSystem(series, rank, tuple(map(tuple, gram)), tuple(simple),
-                    tuple(positive), tuple(cartan))
+    rs = RootSystem(series, rank, interim.gram, interim.simple_roots,
+                    tuple(positive), cartan, norms)
     n2 = rs.norm2(rs.highest_root)
     if n2 != 2:
         raise ConstructionError(f"highest-root norm {n2} != 2: bad normalization")
@@ -385,16 +396,7 @@ class LieAlgebra:
 
     def coroot_element(self, root: Coeffs) -> Element:
         """h_alpha = alpha^vee expressed in the Cartan part of the basis."""
-        rs = self.root_system
-        n2 = rs.norm2(root)
-        coeffs = [0] * self.dim
-        for i, k in enumerate(root):
-            if k:
-                c = k * rs.gram[i][i] / n2
-                if c.denominator != 1:
-                    raise ConstructionError("non-integral coroot")
-                coeffs[i] = int(c)
-        return tuple(coeffs)
+        return self.root_system.coroot(root) + (0,) * (self.dim - self.rank)
 
     def highest_root_triple(self) -> Tuple[Element, Element, Element]:
         """(e, h, f) for the sl2 spanned by the highest-root vectors."""
@@ -452,11 +454,7 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     # Cartan against root vectors
     for i in range(rank):
         for idx in range(rank, dim):
-            root = signed[idx]
-            c = 2 * rs.inner(root, rs.simple_roots[i]) / rs.gram[i][i]
-            if c.denominator != 1:
-                raise ConstructionError("non-integral Cartan action")
-            c = int(c)
+            c = rs.cartan_pairing(signed[idx], i)
             if c:
                 put(i, idx, {idx: c})
                 put(idx, i, {idx: -c})
@@ -471,14 +469,7 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
             tot = _vadd(ra, rb)
             if all(c == 0 for c in tot):
                 if ra in const.pos_index:
-                    h = {}
-                    n2 = rs.norm2(ra)
-                    for i, k in enumerate(ra):
-                        if k:
-                            v = k * rs.gram[i][i] / n2
-                            if v.denominator != 1:
-                                raise ConstructionError("non-integral coroot")
-                            h[i] = int(v)
+                    h = dict(enumerate(rs.coroot(ra)))
                     put(ia, ib, h)
                     put(ib, ia, {i: -v for i, v in h.items()})
             elif const._is_root(tot):
@@ -591,18 +582,23 @@ def _verify_pairing_blocks(L: LieAlgebra) -> None:
                 raise ConstructionError("root pairing block mismatch")
 
 
-def chevalley_basis(rs: RootSystem) -> LieAlgebra:
-    """Construct the algebra with integer structure constants and verify it."""
+def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
+    """Verify integer structure constants and derive the rest of the algebra.
+
+    Shared by fresh builds and cache loads: the Jacobi identity on all basis
+    triples, the ad entries, the dual Coxeter number from adjoint traces, the
+    pairing with its verified inverse, and the pairing block check.
+    """
     rank = rs.rank
     npos = len(rs.positive_roots)
     dim = rank + 2 * npos
-    f = _build_f(rs)
     _jacobi_check(dim, f)
 
+    # sorted, so the entries do not depend on the order f was filled in
     entry_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(dim)]
-    for (a, b), comp in f.items():
+    for (a, b), comp in sorted(f.items()):
         lst = entry_lists[a]
-        for k, c in comp.items():
+        for k, c in sorted(comp.items()):
             lst.append((b, k, c))
     ad_entries = [tuple(lst) for lst in entry_lists]
 
@@ -610,34 +606,31 @@ def chevalley_basis(rs: RootSystem) -> LieAlgebra:
 
     # dual Coxeter number from the highest-root coroot: (t, t) = 2 in the
     # target normalization, so Tr(ad_t ad_t) = 2h * 2.
-    theta = rs.highest_root
-    ctheta = {}
-    n2 = rs.norm2(theta)
-    for i, k in enumerate(theta):
-        if k:
-            v = k * rs.gram[i][i] / n2
-            ctheta[i] = v
-    kval = sum(ci * cj * killing[i][j] for i, ci in ctheta.items()
-               for j, cj in ctheta.items())
+    ctheta = rs.coroot(rs.highest_root)
+    kval = sum(ci * cj * killing[i][j] for i, ci in enumerate(ctheta)
+               for j, cj in enumerate(ctheta))
     hdc = Fraction(kval, 4)
     if hdc.denominator != 1 or hdc <= 0:
         raise ConstructionError(f"dual Coxeter number {hdc} is not a positive integer")
     hdc = int(hdc)
 
     pairing = [[Fraction(killing[i][j], 2 * hdc) for j in range(dim)] for i in range(dim)]
+    pairing_inv = _invert_exact(pairing)
+    _verify_inverse(pairing, pairing_inv)
 
     labels = tuple([f"h{i + 1}" for i in range(rank)]
                    + [f"e{k}" for k in range(npos)]
                    + [f"f{k}" for k in range(npos)])
-
-    pairing_inv = _invert_exact(pairing)
-    _verify_inverse(pairing, pairing_inv)
-
     L = LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
                    pairing=pairing, pairing_inv=pairing_inv,
                    h_dual_coxeter=hdc, ad_entries=ad_entries)
     _verify_pairing_blocks(L)
     return L
+
+
+def chevalley_basis(rs: RootSystem) -> LieAlgebra:
+    """Construct the algebra with integer structure constants and verify it."""
+    return _finish(rs, _build_f(rs))
 
 
 _ALGEBRA_CACHE: Dict[Tuple[str, int], LieAlgebra] = {}
@@ -651,24 +644,24 @@ def simple_lie_algebra(series: str, rank: int) -> LieAlgebra:
     return _ALGEBRA_CACHE[key]
 
 
-def dual_coxeter(L: LieAlgebra) -> int:
-    return L.h_dual_coxeter
-
-
 # ---------------------------------------------------------------------------
 # structure-constant cache files
 #
 # Format: header line "dim rank h_dual_coxeter", then one line "i j k p/q"
 # per nonzero constant (0-based indices, exact rational, sorted by (i,j,k)).
 
-def save_structure_constants(L: LieAlgebra, path: str) -> None:
+def _format_structure_constants(L: LieAlgebra) -> str:
     lines = [f"{L.dim} {L.rank} {L.h_dual_coxeter}"]
     for (i, j) in sorted(L.f):
         comp = L.f[(i, j)]
         for k in sorted(comp):
-            lines.append(f"{i} {j} {k} {Fraction(comp[k])}")
+            lines.append(f"{i} {j} {k} {comp[k]}")
+    return "\n".join(lines) + "\n"
+
+
+def save_structure_constants(L: LieAlgebra, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_format_structure_constants(L))
 
 
 def load_structure_constants(path: str) -> Tuple[int, int, int,
@@ -677,7 +670,7 @@ def load_structure_constants(path: str) -> Tuple[int, int, int,
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
-        raise ConfigurationError(f"empty structure-constant file {path}")
+        raise ConfigurationError("empty structure-constant file")
     head = lines[0].split()
     if len(head) != 3:
         raise ConfigurationError("malformed header in structure-constant file")
@@ -698,65 +691,32 @@ def load_structure_constants(path: str) -> Tuple[int, int, int,
 def algebra_from_cache(series: str, rank: int, path: str) -> LieAlgebra:
     """Rebuild an algebra from a cache file, skipping the constant derivation.
 
-    The root system is re-enumerated (cheap); structure constants come from
-    the file and the stored dual Coxeter number is cross-checked against the
-    one recomputed from adjoint traces.
+    The root system is re-enumerated (cheap); the structure constants from
+    the file go through the same verified finisher as a fresh build, and the
+    stored dual Coxeter number is cross-checked against the recomputed one.
+    A file that fails any of this raises ConfigurationError naming it.
     """
     rs = build_root_system(series, rank)
-    dim, rank_in, hdc_in, f_raw = load_structure_constants(path)
-    npos = len(rs.positive_roots)
-    if dim != rank + 2 * npos or rank_in != rank:
-        raise ConfigurationError(
-            f"cache file {path} does not match type {series}{rank}")
-    f: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for key, comp in f_raw.items():
-        out = {}
-        for k, v in comp.items():
-            if v.denominator != 1:
+    try:
+        dim, rank_in, hdc_in, f_raw = load_structure_constants(path)
+        if dim != rs.rank + 2 * len(rs.positive_roots) or rank_in != rs.rank:
+            raise ConfigurationError(f"shape does not match type {rs.series}{rs.rank}")
+        f: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for key, comp in f_raw.items():
+            if any(v.denominator != 1 for v in comp.values()):
                 raise ConfigurationError("non-integral cached structure constant")
-            out[k] = int(v)
-        f[key] = out
-
-    entry_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(dim)]
-    for (a, b), comp in f.items():
-        lst = entry_lists[a]
-        for k, c in comp.items():
-            lst.append((b, k, c))
-    ad_entries = [tuple(lst) for lst in entry_lists]
-
-    killing = _killing_matrix(dim, f, ad_entries)
-    theta = rs.highest_root
-    n2 = rs.norm2(theta)
-    ctheta = {i: k * rs.gram[i][i] / n2 for i, k in enumerate(theta) if k}
-    kval = sum(ci * cj * killing[i][j] for i, ci in ctheta.items()
-               for j, cj in ctheta.items())
-    hdc = Fraction(kval, 4)
-    if hdc.denominator != 1 or int(hdc) != hdc_in:
-        raise ConfigurationError(
-            f"cached dual Coxeter number {hdc_in} disagrees with traces ({hdc})")
-    hdc = int(hdc)
-    pairing = [[Fraction(killing[i][j], 2 * hdc) for j in range(dim)]
-               for i in range(dim)]
-    pairing_inv = _invert_exact(pairing)
-    _verify_inverse(pairing, pairing_inv)
-    labels = tuple([f"h{i + 1}" for i in range(rank)]
-                   + [f"e{k}" for k in range(npos)]
-                   + [f"f{k}" for k in range(npos)])
-    L = LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
-                   pairing=pairing, pairing_inv=pairing_inv,
-                   h_dual_coxeter=hdc, ad_entries=ad_entries)
-    _verify_pairing_blocks(L)
+            f[key] = {k: int(v) for k, v in comp.items()}
+        L = _finish(rs, f)
+        if L.h_dual_coxeter != hdc_in:
+            raise ConfigurationError(
+                f"cached dual Coxeter number {hdc_in} disagrees with traces "
+                f"({L.h_dual_coxeter})")
+    except (ConstructionError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"cache file {path}: {exc}") from exc
     return L
 
 
 def verify_cached_algebra(L: LieAlgebra, path: str) -> bool:
     """True iff the file round-trips bit-exactly against L."""
-    import io
-    buf = io.StringIO()
-    lines = [f"{L.dim} {L.rank} {L.h_dual_coxeter}"]
-    for (i, j) in sorted(L.f):
-        comp = L.f[(i, j)]
-        for k in sorted(comp):
-            lines.append(f"{i} {j} {k} {Fraction(comp[k])}")
     with open(path) as fh:
-        return fh.read() == "\n".join(lines) + "\n"
+        return fh.read() == _format_structure_constants(L)

@@ -25,10 +25,6 @@ DCOEF: Exponent = (0, 1, 0)
 CCOEF: Exponent = (0, 0, 1)
 
 
-def s_zero() -> Scalar:
-    return {}
-
-
 def s_rational(value: Rat) -> Scalar:
     """Constant polynomial (empty dict for zero)."""
     if value == 0:
@@ -40,14 +36,6 @@ def s_monomial(exp: Exponent, coeff: Rat = 1) -> Scalar:
     if coeff == 0:
         return {}
     return {exp: coeff}
-
-
-def s_beta() -> Scalar:
-    return {BETA: 1}
-
-
-def s_is_zero(s: Scalar) -> bool:
-    return not s
 
 
 def s_add(a: Scalar, b: Scalar) -> Scalar:
@@ -73,10 +61,6 @@ def s_iadd(out: Scalar, b: Scalar) -> None:
             out[exp] = v
 
 
-def s_neg(a: Scalar) -> Scalar:
-    return {exp: -c for exp, c in a.items()}
-
-
 def s_scale(a: Scalar, factor: Rat) -> Scalar:
     if factor == 0:
         return {}
@@ -96,15 +80,6 @@ def s_mul(a: Scalar, b: Scalar) -> Scalar:
             else:
                 out[exp] = v
     return out
-
-
-def s_equal(a: Scalar, b: Scalar) -> bool:
-    if len(a) != len(b):
-        return False
-    for exp, c in a.items():
-        if exp not in b or b[exp] != c:
-            return False
-    return True
 
 
 def s_substitute(a: Scalar, beta: Rat = None, d: Rat = None, c: Rat = None) -> Scalar:

@@ -13,7 +13,6 @@ import pytest
 from celalg import adinv
 from celalg.adinv import (
     DefiningRep,
-    QuarticForm,
     check_classical_table,
     check_commutator_identity,
     check_contract_identity,
@@ -61,20 +60,19 @@ def test_quartic_trace_multilinearity():
         assert lhs == rhs
 
 
-def test_quartic_form_cache_dihedral_invariance():
+def test_quartic_trace_basis_dihedral_invariance():
     L = simple_lie_algebra("A", 2)
-    qf = QuarticForm(L)
     rng = _rng("cache")
+
+    def basis_trace(*idx):
+        return quartic_trace(L, *(L.basis_element(i) for i in idx))
+
     for _ in range(10):
         i, j, k, l = (rng.randrange(L.dim) for _ in range(4))
-        v = qf.basis_trace(i, j, k, l)
-        assert v == qf.basis_trace(j, k, l, i)    # rotation
-        assert v == qf.basis_trace(i, l, k, j)    # reversal
-        assert v == qf.basis_trace(j, i, l, k)    # (12)(34)
-    # only canonical representatives are stored
-    for key in qf.cache:
-        assert key == min(tuple(key[p] for p in adinv.DIHEDRAL[r])
-                          for r in range(8))
+        v = basis_trace(i, j, k, l)
+        assert v == basis_trace(j, k, l, i)    # rotation
+        assert v == basis_trace(i, l, k, j)    # reversal
+        assert v == basis_trace(j, i, l, k)    # (12)(34)
 
 
 def test_contract_identity_sl2_hhh():

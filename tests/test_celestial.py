@@ -36,6 +36,7 @@ from celalg.lambdacalc import (
     bracket_words,
     format_lambda_poly,
     lp_equal,
+    lp_iadd,
     normal_order_poly,
     skew,
 )
@@ -222,12 +223,29 @@ def test_defect_terms_structure(sl2):
     jd = jacobi_defect(rd, J(1, 1, 0), J(2, 0, 1), J(0, 0, 0))
     # defect = (1) - (2) - (3) in canonical form
     recombined = {}
-    from celalg.lambdacalc import lp_iadd
     for term, sign in ((jd.term1, 1), (jd.term2, -1), (jd.term3, -1)):
         for key, ws in term.items():
             lp_iadd(recombined, key, ws, sign)
     assert lp_equal(recombined, jd.defect)
     assert jd.defect  # nonzero for generic D, C
+
+
+def test_jacobi_defect_terms_match_defect_poly(sl3):
+    rd = rules_deformed(sl3)
+    rng = random.Random("jacobi-defect-a2")
+    nonzero = 0
+    for _ in range(40):
+        la, lb, lc = (rng.randrange(sl3.dim) for _ in range(3))
+        triple = (J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0))
+        jd = jacobi_defect(rd, *triple)
+        recombined = {}
+        for term, sign in ((jd.term1, 1), (jd.term2, -1), (jd.term3, -1)):
+            for key, ws in term.items():
+                lp_iadd(recombined, key, ws, sign)
+        assert lp_equal(recombined, jd.defect)
+        assert lp_equal(jd.defect, defect_poly(rd, *triple))
+        nonzero += bool(jd.defect)
+    assert nonzero >= 10
 
 
 def test_defect_extended_jje_grid(sl2):

@@ -140,6 +140,28 @@ def test_cache_file_format(tmp_path):
         Fraction(v)  # parses exactly
 
 
+@pytest.mark.parametrize("corrupt", ["flip_sign", "non_numeric_header"])
+def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
+    from celalg.liealg import save_structure_constants, simple_lie_algebra
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A2.sc"
+    save_structure_constants(simple_lie_algebra("A", 2), str(path))
+    lines = path.read_text().splitlines()
+    if corrupt == "flip_sign":
+        i, j, k, v = lines[1].split()
+        lines[1] = f"{i} {j} {k} {-int(v)}"
+    else:
+        lines[0] = "8 2 x"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["solve", "A2", "--cache-dir", str(cache)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: cache file ")
+    assert "A2.sc" in err
+
+
 def test_classify_via_main_inprocess(capsys):
     # in-process invocation for speed; full default scan through E6
     code = main(["classify", "--json"])

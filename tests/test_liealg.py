@@ -13,9 +13,9 @@ import pytest
 from celalg.liealg import (
     ConfigurationError,
     UsageError,
+    algebra_from_cache,
     build_root_system,
     chevalley_basis,
-    dual_coxeter,
     load_structure_constants,
     save_structure_constants,
     simple_lie_algebra,
@@ -71,8 +71,17 @@ def test_closed_form_tables(series, rank):
 
 
 def test_dual_coxeter_accessor():
-    assert dual_coxeter(simple_lie_algebra("G", 2)) == 4
-    assert dual_coxeter(simple_lie_algebra("A", 1)) == 2
+    assert simple_lie_algebra("G", 2).h_dual_coxeter == 4
+    assert simple_lie_algebra("A", 1).h_dual_coxeter == 2
+
+
+@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM) + [("E", 7), ("E", 8)])
+def test_norm_table_matches_inner_product(series, rank):
+    rs = build_root_system(series, rank)
+    for root in rs.positive_roots:
+        neg = tuple(-c for c in root)
+        assert rs.norm2(root) == rs.inner(root, root)
+        assert rs.norm2(neg) == rs.inner(neg, neg)
 
 
 @pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM))
@@ -275,17 +284,51 @@ def test_structure_constant_cache_round_trip(tmp_path):
     assert verify_cached_algebra(L, str(path))
 
 
-def test_algebra_from_cache_matches_fresh(tmp_path):
-    from celalg.liealg import algebra_from_cache
-    fresh = simple_lie_algebra("G", 2)
-    path = tmp_path / "g2.sc"
+@pytest.mark.parametrize("series,rank", [("A", 1), ("B", 3), ("C", 3), ("D", 4),
+                                         ("G", 2), ("F", 4), ("E", 6)])
+def test_algebra_from_cache_matches_fresh(tmp_path, series, rank):
+    fresh = simple_lie_algebra(series, rank)
+    path = tmp_path / f"{series}{rank}.sc"
     save_structure_constants(fresh, str(path))
-    loaded = algebra_from_cache("G", 2, str(path))
+    loaded = algebra_from_cache(series, rank, str(path))
     assert loaded.dim == fresh.dim
     assert loaded.h_dual_coxeter == fresh.h_dual_coxeter
     assert loaded.f == fresh.f
     assert loaded.pairing == fresh.pairing
     assert loaded.pairing_inv == fresh.pairing_inv
+    assert loaded.ad_entries == fresh.ad_entries
+    assert loaded.basis_labels == fresh.basis_labels
+
+
+def test_cache_load_runs_jacobi_check(tmp_path, monkeypatch):
+    from celalg import liealg
+    path = tmp_path / "a2.sc"
+    save_structure_constants(simple_lie_algebra("A", 2), str(path))
+
+    def failing_check(dim, f):
+        raise liealg.ConstructionError("Jacobi identity fails")
+
+    monkeypatch.setattr(liealg, "_jacobi_check", failing_check)
+    with pytest.raises(ConfigurationError, match="a2.sc: Jacobi identity fails"):
+        algebra_from_cache("A", 2, str(path))
+
+
+@pytest.mark.parametrize("header,entry,error", [
+    ("8 2 4", None, "dual Coxeter number 4 disagrees"),
+    ("15 3 4", None, "shape does not match type A2"),
+    (None, "1/2", "non-integral"),
+])
+def test_corrupt_cache_is_configuration_error(tmp_path, header, entry, error):
+    path = tmp_path / "a2.sc"
+    save_structure_constants(simple_lie_algebra("A", 2), str(path))
+    lines = path.read_text().splitlines()
+    if header:
+        lines[0] = header
+    if entry:
+        lines[1] = " ".join(lines[1].split()[:3] + [entry])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"a2.sc: .*{error}"):
+        algebra_from_cache("A", 2, str(path))
 
 
 def test_chevalley_constants_are_integers():
