@@ -51,6 +51,9 @@ from .lambdacalc import (
 from .liealg import LieAlgebra, simple_lie_algebra
 from .report import Report
 from .scalar import (
+    BETA,
+    CCOEF,
+    DCOEF,
     Scalar,
     s_monomial,
     s_rational,
@@ -90,7 +93,7 @@ class RuleSet:
         self.algebra = algebra
         self.level = level
         self.beta_formal = beta is None
-        self.beta = s_monomial((1, 0, 0)) if beta is None else s_rational(beta)
+        self.beta = s_monomial(BETA) if beta is None else s_rational(beta)
         self.families: List[Tuple[str, Matcher, Builder]] = []
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
@@ -362,8 +365,8 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
     any other J-J bidegree pattern raise UndefinedBracket.
     """
     rs = RuleSet(L, "deformed", beta)
-    rs.d_const = _as_scalar(d_const, (0, 1, 0))
-    rs.c_const = _as_scalar(c_const, (0, 0, 1))
+    rs.d_const = _as_scalar(d_const, DCOEF)
+    rs.c_const = _as_scalar(c_const, CCOEF)
 
     def is_jj_main(a, b):
         return (a.kind == KIND_J and b.kind == KIND_J
@@ -522,38 +525,135 @@ def grid_generators(L: LieAlgebra, grid_max: int,
     return gens
 
 
+# sampled triples whose shortcuts every grid run recomputes directly
+_SPOT_CHECKS = 512
+
+
+def _pair_table(rules: RuleSet, gens: Sequence[GenSymbol]) -> List[List[bool]]:
+    """table[x][y] is True iff the bracket [gens[x] gens[y]] is nonzero."""
+    try:
+        return [[bool(bracket_words(rules, (x,), (y,))) for y in gens] for x in gens]
+    except UndefinedBracket as exc:
+        raise exc.add_context("tabulating the generator pairs of the Jacobi grid")
+
+
+def _swap_lambda_mu(p: LambdaPoly) -> LambdaPoly:
+    """-p(mu, lambda).
+
+    Skew-symmetry and sesquilinearity give the swap identity
+    defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda), so a triple
+    and its a <-> b mirror vanish together.
+    """
+    return {(j, i): {w: s_scale(sc, -1) for w, sc in ws.items()}
+            for (i, j), ws in p.items()}
+
+
+def _spot_sample(L: LieAlgebra, level: str, grid_max: int,
+                 n: int) -> List[Tuple[int, int, int]]:
+    """Seeded index triples (ia, ib, ic), ia <= ib, drawn from the n^3 grid."""
+    rng = random.Random(f"jacobi-spot:{L.name}:{level}:{grid_max}")
+    picks = set()
+    for idx in rng.sample(range(n ** 3), min(_SPOT_CHECKS, n ** 3)):
+        ia, ib, ic = idx // (n * n), idx // n % n, idx % n
+        picks.add((min(ia, ib), max(ia, ib), ic))
+    return sorted(picks)
+
+
+def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol],
+                pairs: List[List[bool]], ia: int, ib: int,
+                ic: int) -> Optional[dict]:
+    """Compute a triple and its mirror directly; None when the swap identity
+    holds on them and the zero-pair skip, if it applies, is right."""
+    a, b, c = gens[ia], gens[ib], gens[ic]
+    d = defect_poly(rules, a, b, c)
+    mirror = defect_poly(rules, b, a, c)
+    inferred = _swap_lambda_mu(d)
+    if not lp_equal(mirror, inferred):
+        return {"triple": [str(b), str(a), str(c)],
+                "defect": format_lambda_poly(mirror),
+                "shortcut": "swap identity",
+                "inferred": format_lambda_poly(inferred)}
+    if d and not (pairs[ia][ib] or pairs[ia][ic] or pairs[ib][ic]):
+        return {"triple": [str(a), str(b), str(c)],
+                "defect": format_lambda_poly(d),
+                "shortcut": "zero-pair skip"}
+    return None
+
+
 def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol],
-                  first_range: range, limit: int) -> Tuple[int, List[dict]]:
-    count = 0
-    failures: List[dict] = []
+                  pairs: List[List[bool]], first_range: range,
+                  samples: Sequence[Tuple[int, int, int]],
+                  limit: int) -> Tuple[int, int, int, List[dict]]:
+    """Decide every triple whose first index lies in first_range, and its
+    a <-> b mirror.
+
+    Only triples with index(a) <= index(b) are visited; the mirror follows by
+    the swap identity.  A triple whose pairs [a b], [a c] and [b c] all
+    vanish is zero without a defect computation, since each Jacobi term is
+    an outer bracket of one of them.  The sampled triples in first_range
+    check both shortcuts first.  Returns (covered, computed, spot_checked,
+    failures); the scan stops at `limit` nonzero defects.
+    """
+    n = len(gens)
+    spot = [t for t in samples if t[0] in first_range]
+    failures = [fail for fail in (_spot_check(rules, gens, pairs, *t) for t in spot)
+                if fail is not None]
+    found = covered = computed = 0
     for ia in first_range:
         a = gens[ia]
-        for b in gens:
-            for c in gens:
-                count += 1
+        row_a = pairs[ia]
+        for ib in range(ia, n):
+            b = gens[ib]
+            row_b = pairs[ib]
+            if row_a[ib]:
+                todo = range(n)
+            else:
+                todo = [ic for ic in range(n) if row_a[ic] or row_b[ic]]
+            for ic in todo:
+                c = gens[ic]
+                computed += 1
                 d = defect_poly(rules, a, b, c)
                 if d:
                     failures.append({
                         "triple": [str(a), str(b), str(c)],
                         "defect": format_lambda_poly(d),
                     })
-                    if len(failures) >= limit:
-                        return count, failures
-    return count, failures
+                    found += 1
+                    if found >= limit:
+                        return covered, computed, len(spot), failures
+            covered += n if ia == ib else 2 * n
+    return covered, computed, len(spot), failures
+
+
+def _balanced_spans(n: int, parts: int) -> List[Tuple[int, int]]:
+    """Contiguous spans of range(n) with about equal triangular weight: the
+    scan visits n - ia pairs in row ia."""
+    total = n * (n + 1) // 2
+    spans: List[Tuple[int, int]] = []
+    start = weight = 0
+    for ia in range(n):
+        weight += n - ia
+        if weight * parts >= total * (len(spans) + 1):
+            spans.append((start, ia + 1))
+            start = ia + 1
+    return spans
 
 
 _WORKER = {}
 
 
-def _grid_worker_init(series: str, rank: int, level: str, beta, grid_max: int):
+def _grid_worker_init(series: str, rank: int, level: str, beta, grid_max: int,
+                      samples: List[Tuple[int, int, int]]):
     L = simple_lie_algebra(series, rank)
-    _WORKER["rules"] = _rules_for_level(L, level, beta)
-    _WORKER["gens"] = grid_generators(L, grid_max, with_ef=level != "base")
+    rules = _rules_for_level(L, level, beta)
+    gens = grid_generators(L, grid_max, with_ef=level != "base")
+    _WORKER.update(rules=rules, gens=gens, pairs=_pair_table(rules, gens),
+                   samples=samples)
 
 
-def _grid_worker_run(span: Tuple[int, int]) -> Tuple[int, List[dict]]:
-    return _scan_triples(_WORKER["rules"], _WORKER["gens"],
-                         range(span[0], span[1]), limit=3)
+def _grid_worker_run(span: Tuple[int, int]) -> Tuple[int, int, int, List[dict]]:
+    return _scan_triples(_WORKER["rules"], _WORKER["gens"], _WORKER["pairs"],
+                         range(*span), _WORKER["samples"], limit=3)
 
 
 def _rules_for_level(L: LieAlgebra, level: str, beta) -> RuleSet:
@@ -571,39 +671,38 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     """Zero Jacobi defect for every generator triple on the bidegree grid.
 
     Triples where two or three slots lie in the abelian sector are included;
-    their defects are trivially zero and serve as plumbing checks.
+    their defects are trivially zero and serve as plumbing checks.  The
+    details count the triples covered (all n^3), the defects computed by the
+    scan (see _scan_triples for the two exact shortcuts) and the sampled
+    triples on which the shortcuts were recomputed; a shortcut that fails on
+    a sample is listed before any nonzero defect.
     """
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     n = len(gens)
+    samples = _spot_sample(L, level, grid_max, n)
     if jobs > 1 and n >= 8:
         import concurrent.futures as cf
-        spans = []
-        step = max(1, (n + 4 * jobs - 1) // (4 * jobs))
-        start = 0
-        while start < n:
-            spans.append((start, min(n, start + step)))
-            start += step
-        count = 0
-        failures: List[dict] = []
         with cf.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_grid_worker_init,
-                initargs=(L.series, L.rank, level, beta, grid_max)) as ex:
-            for c, fails in ex.map(_grid_worker_run, spans):
-                count += c
-                failures.extend(fails)
-        failures = failures[:3]
+                initargs=(L.series, L.rank, level, beta, grid_max, samples)) as ex:
+            parts = list(ex.map(_grid_worker_run, _balanced_spans(n, 4 * jobs)))
     else:
         rules = _rules_for_level(L, level, beta)
-        count, failures = _scan_triples(rules, gens, range(n), limit=3)
+        parts = [_scan_triples(rules, gens, _pair_table(rules, gens), range(n),
+                               samples, limit=3)]
+    covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))
+    failures = sorted((f for p in parts for f in p[3]),
+                      key=lambda f: "shortcut" not in f)[:3]
     return Report(check="jacobi_grid", algebra=L.name, passed=not failures,
                   first_counterexample=failures[0] if failures else None,
                   details={"level": level, "grid_max": grid_max,
-                           "generators": n, "triples": count})
+                           "generators": n, "triples": covered,
+                           "computed": computed, "spot_checked": spot_checked})
 
 
 # --- constant solving -------------------------------------------------------------
 
-_DEFECT_SPAN = {(2, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
+_DEFECT_SPAN = {(2, 0, 0): 0, DCOEF: 1, CCOEF: 2}
 
 
 @dataclass

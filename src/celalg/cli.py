@@ -121,8 +121,15 @@ def _resolve(cli_value, key: str, cast, default):
     return default
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
 def _bool_cast(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    try:
+        return _BOOL_WORDS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected 1/0, true/false, yes/no or on/off") from None
 
 
 def get_algebra(series: str, rank: int, cache_dir: Optional[str]) -> LieAlgebra:
@@ -307,6 +314,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.jobs = _resolve(args.jobs, "jobs", int, 1)
         if cfg.jobs < 1:
             raise ConfigurationError("--jobs must be at least 1")
+        cpus = os.cpu_count() or 1
+        if cfg.jobs > cpus:
+            raise ConfigurationError(
+                f"--jobs {cfg.jobs} exceeds the {cpus} available CPUs")
     if hasattr(args, "max_rank"):
         cfg.max_rank = _resolve(args.max_rank, "max_rank", int, 4)
         if cfg.max_rank < 4:

@@ -18,6 +18,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -394,10 +395,6 @@ class LieAlgebra:
     def dual_basis(self) -> List[Tuple[Element, Element]]:
         return [(self.basis_element(i), self.dual_element(i)) for i in range(self.dim)]
 
-    def coroot_element(self, root: Coeffs) -> Element:
-        """h_alpha = alpha^vee expressed in the Cartan part of the basis."""
-        return self.root_system.coroot(root) + (0,) * (self.dim - self.rank)
-
     def highest_root_triple(self) -> Tuple[Element, Element, Element]:
         """(e, h, f) for the sl2 spanned by the highest-root vectors."""
         k = len(self.root_system.positive_roots) - 1
@@ -660,8 +657,17 @@ def _format_structure_constants(L: LieAlgebra) -> str:
 
 
 def save_structure_constants(L: LieAlgebra, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(_format_structure_constants(L))
+    """Write the cache file through a temp file in the same directory and
+    os.replace, so a concurrent reader sees the old file or the whole new one."""
+    text = _format_structure_constants(L)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_structure_constants(path: str) -> Tuple[int, int, int,

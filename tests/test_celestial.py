@@ -32,6 +32,7 @@ from celalg.lambdacalc import (
     F,
     I,
     J,
+    KIND_J,
     UndefinedBracket,
     bracket_words,
     format_lambda_poly,
@@ -264,6 +265,9 @@ def test_verify_jacobi_grid_sl2(sl2):
     assert rep.passed
     assert rep.details["triples"] == 71 ** 3
     assert rep.details["generators"] == 71
+    # the swap identity and the zero-pair skip leave 127,365 of 71^3 triples
+    assert rep.details["computed"] == 127365
+    assert rep.details["spot_checked"] == 511
 
 
 def test_verify_jacobi_grid_base_level_small(sl3):
@@ -275,7 +279,42 @@ def test_verify_jacobi_grid_parallel_matches_serial(sl2):
     serial = verify_jacobi_grid(sl2, 1)
     parallel = verify_jacobi_grid(sl2, 1, jobs=2)
     assert serial.passed and parallel.passed
+    assert 0 < serial.details["computed"] < serial.details["triples"] == 31 ** 3
+    assert serial.details["spot_checked"] > 0
     assert serial.details == parallel.details
+
+
+@pytest.mark.parametrize("n,parts", [(1, 4), (7, 4), (31, 8), (71, 8), (287, 8)])
+def test_balanced_spans_partition_rows(n, parts):
+    spans = celestial._balanced_spans(n, parts)
+    assert 1 <= len(spans) <= parts
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
+    weights = [sum(n - i for i in range(lo, hi)) for lo, hi in spans]
+    # no span exceeds its share of the weight by more than one row
+    share = n * (n + 1) / (2 * parts)
+    assert all(w <= share + n for w in weights)
+
+
+def _swapped(p):
+    """-p(mu, lambda), written out independently of the library helper."""
+    return {(j, i): {w: s_scale(sc, -1) for w, sc in ws.items()}
+            for (i, j), ws in p.items()}
+
+
+def test_swap_identity_on_deformed_triples(sl3):
+    # defect(b, a, c)(lambda, mu) == -defect(a, b, c)(mu, lambda), exactly
+    rd = rules_deformed(sl3)
+    rng = random.Random("swap-identity-a2")
+    bids = [(1, 0), (0, 1), (0, 0)]
+    nonzero = 0
+    for _ in range(60):
+        rng.shuffle(bids)
+        a, b, c = (J(rng.randrange(sl3.dim), *bid) for bid in bids)
+        d = defect_poly(rd, a, b, c)
+        assert lp_equal(defect_poly(rd, b, a, c), _swapped(d)), (a, b, c)
+        assert lp_equal(celestial._swap_lambda_mu(d), _swapped(d))
+        nonzero += bool(d)
+    assert nonzero >= 10
 
 
 # --- constant solving ----------------------------------------------------------------
@@ -389,9 +428,48 @@ def test_tampered_jf_rule_fails_with_jjf_triple(sl2, monkeypatch):
     monkeypatch.setattr(celestial, "jf_rule_poly", tampered)
     rep = verify_jacobi_grid(sl2, 1)
     assert not rep.passed
+    # a real nonzero defect found by the scan, not a broken shortcut
+    assert "shortcut" not in rep.first_counterexample
     names = rep.first_counterexample["triple"]
     kinds = [next(ch for ch in n if ch in "JIEF") for n in names]
     assert sorted(kinds) == ["F", "J", "J"], names
+
+
+def _fake_mirror_defect(index, a, b, c):
+    # nonzero only where index(a) > index(b): the triples the scan infers
+    return {(0, 0): {(c,): s_rational(1)}} if index[a] > index[b] else {}
+
+
+def _fake_abelian_defect(index, a, b, c):
+    # nonzero only off the J sector, where every pair bracket vanishes; the
+    # term lambda - mu is its own swap image, so the identity still holds
+    if KIND_J in (a.kind, b.kind, c.kind):
+        return {}
+    return {(1, 0): {(c,): s_rational(1)}, (0, 1): {(c,): s_rational(-1)}}
+
+
+@pytest.mark.parametrize("fake,shortcut", [
+    (_fake_mirror_defect, "swap identity"),
+    (_fake_abelian_defect, "zero-pair skip"),
+])
+def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, shortcut):
+    # the defects the scan computes stay zero, so only the spot check can
+    # see the fault, and it must fail the report
+    index = {g: i for i, g in enumerate(grid_generators(sl2, 1))}
+    orig = celestial.defect_poly
+
+    def faulty(rules, a, b, c):
+        d = orig(rules, a, b, c)
+        extra = fake(index, a, b, c)
+        for key, ws in extra.items():
+            lp_iadd(d, key, ws)
+        return d
+
+    monkeypatch.setattr(celestial, "defect_poly", faulty)
+    rep = verify_jacobi_grid(sl2, 1)
+    assert not rep.passed
+    assert rep.first_counterexample["shortcut"] == shortcut
+    assert len(rep.first_counterexample["triple"]) == 3
 
 
 def test_rule_integrity_negative_bidegree_guard(sl2):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from celalg.cli import main, parse_algebra, parse_beta
+from celalg.cli import build_parser, config_from_args, main, parse_algebra, parse_beta
 from celalg.liealg import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +115,44 @@ def test_env_var_json_toggle():
     code, out, _ = run_cli(["solve", "A1"], env_extra={"CELALG_JSON": "1"})
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("true", True), ("YES", True), (" on ", True),
+    ("0", False), ("false", False), ("No", False), ("off", False),
+])
+def test_bool_env_words(monkeypatch, raw, value):
+    monkeypatch.setenv("CELALG_JSON", raw)
+    cfg = config_from_args(build_parser().parse_args(["solve", "A1"]))
+    assert cfg.json_output is value
+
+
+def test_unknown_bool_env_exit_two(monkeypatch, capsys):
+    # an unknown word is a configuration error, never a silent false
+    monkeypatch.setenv("CELALG_JSON", "maybe")
+    assert main(["solve", "A1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "CELALG_JSON='maybe'" in captured.err
+    monkeypatch.delenv("CELALG_JSON")
+    monkeypatch.setenv("CELALG_ENABLE_E78", "2")
+    assert main(["classify"]) == 2
+
+
+def test_jobs_above_cpu_count_rejected(monkeypatch, capsys):
+    # parsing only: a rejected value never reaches the process pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("CELALG_JOBS", raising=False)
+    parser = build_parser()
+    assert config_from_args(parser.parse_args(["verify", "A1", "--jobs", "2"])).jobs == 2
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        config_from_args(parser.parse_args(["verify", "A1", "--jobs", "3"]))
+    monkeypatch.setenv("CELALG_JOBS", "64")
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        config_from_args(parser.parse_args(["verify", "A1"]))
+    assert main(["verify", "A1", "--grid", "0"]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_cache_dir_round_trip(tmp_path):

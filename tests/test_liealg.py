@@ -282,6 +282,26 @@ def test_structure_constant_cache_round_trip(tmp_path):
     save_structure_constants(L, str(path2))
     assert path.read_bytes() == path2.read_bytes()
     assert verify_cached_algebra(L, str(path))
+    # written through a temp file that does not outlive the save
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b2.sc", "b2_again.sc"]
+
+
+def test_structure_constant_save_is_atomic(tmp_path, monkeypatch):
+    # a save that fails before the final rename keeps the old file whole
+    # and leaves no temp file behind
+    import os
+    path = tmp_path / "A2.sc"
+    save_structure_constants(simple_lie_algebra("A", 1), str(path))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_structure_constants(simple_lie_algebra("A", 2), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["A2.sc"]
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("B", 3), ("C", 3), ("D", 4),
