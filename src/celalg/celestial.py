@@ -12,10 +12,13 @@ Three nested levels of rule tables over a simple Lie algebra g:
                and anything else raises UndefinedBracket instead of falling
                back, so modeling mistakes surface immediately.
 
-On top of the tables: the Jacobi defect (1) - (2) - (3) of a generator
-triple, a grid verifier asserting zero defect, and the exact linear solver
-that extracts the unique (D, C) as multiples of beta^2 from the defect of
-the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero solution exists.
+Each level is one dict from a generator kind pair to its rule; a pair the
+table leaves out is the skew image of its reverse.  On top of the tables:
+the Jacobi defect (1) - (2) - (3) of a generator triple, a grid verifier
+asserting zero defect at the base and extended levels, and the exact
+linear solver that extracts the unique (D, C) as multiples of beta^2 from
+the defect of the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero
+solution exists.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .lambdacalc import (
     skew,
     substitute_lambda_plus_mu,
     weight,
+    ws_iadd,
 )
 from .liealg import LieAlgebra, simple_lie_algebra
 from .report import Report
@@ -76,33 +80,31 @@ class DomainError(ValueError):
 ADMISSIBLE_TYPES = {("A", 1), ("A", 2), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
                     ("F", 4), ("G", 2)}
 
-Matcher = Callable[[GenSymbol, GenSymbol], bool]
-Builder = Callable[[GenSymbol, GenSymbol], LambdaPoly]
+# rule(rs, a, b): the bracket [a b] of one kind pair, or None where the level
+# leaves the bidegree pattern undefined
+Rule = Callable[["RuleSet", GenSymbol, GenSymbol], Optional[LambdaPoly]]
 
 
 class RuleSet:
     """Immutable-after-construction bracket table with skew fallback.
 
-    Direct queries try the registered families in order; a miss retries the
-    reversed pair and returns the skew image.  Values are memoized and are
-    checked on first build to strictly decrease total weight, the guarantee
-    the reordering algorithm depends on.
+    `rules` maps a kind pair (a.kind, b.kind) to its rule.  A pair without a
+    value of its own retries the reversed pair and returns the skew image.
+    Values are memoized and are checked on first build to strictly decrease
+    total weight, the guarantee the reordering algorithm depends on.
     """
 
-    def __init__(self, algebra: LieAlgebra, level: str, beta: Optional[Fraction]):
+    def __init__(self, algebra: LieAlgebra, level: str, beta: Optional[Fraction],
+                 rules: Dict[Tuple[int, int], Rule]):
         self.algebra = algebra
         self.level = level
-        self.beta_formal = beta is None
         self.beta = s_monomial(BETA) if beta is None else s_rational(beta)
-        self.families: List[Tuple[str, Matcher, Builder]] = []
+        self.rules = rules
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self._dual_brackets: Optional[List[List[Dict[int, Fraction]]]] = None
         self.d_const: Scalar = {}
         self.c_const: Scalar = {}
-
-    def register(self, name: str, matcher: Matcher, builder: Builder) -> None:
-        self.families.append((name, matcher, builder))
 
     def dual_brackets(self) -> List[List[Dict[int, Fraction]]]:
         """table[x][i] = coefficients of [e_x, e^i] over the basis."""
@@ -127,23 +129,24 @@ class RuleSet:
             self._dual_brackets = table
         return self._dual_brackets
 
+    def direct(self, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly]:
+        """The table's own value of [a b], or None where it defines none."""
+        rule = self.rules.get((a.kind, b.kind))
+        return None if rule is None else rule(self, a, b)
+
     def resolve(self, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
-        key = (a, b)
-        cached = self.base_memo.get(key)
+        cached = self.base_memo.get((a, b))
         if cached is not None:
             return cached
-        val = None
-        for _, matcher, builder in self.families:
-            if matcher(a, b):
-                val = builder(a, b)
-                break
+        val = self.direct(a, b)
         if val is None:
-            for _, matcher, builder in self.families:
-                if matcher(b, a):
-                    val = normal_order_poly(self, skew(builder(b, a)))
-                    break
-        if val is None:
-            raise UndefinedBracket(a, b)
+            val = self.direct(b, a)
+            if val is None:
+                raise UndefinedBracket(a, b)
+            val = normal_order_poly(self, skew(val))
+        return self._remember(a, b, val)
+
+    def _remember(self, a: GenSymbol, b: GenSymbol, val: LambdaPoly) -> LambdaPoly:
         bound = weight((a,)) + weight((b,))
         for ws in val.values():
             for word in ws:
@@ -151,38 +154,22 @@ class RuleSet:
                     raise RuleIntegrityError(
                         f"rule output {format_lambda_poly(val)} for [{a}, {b}] "
                         f"does not decrease total weight")
-        self.base_memo[key] = val
+        self.base_memo[(a, b)] = val
         return val
 
 
-# --- rule builders ------------------------------------------------------------
+# --- rules ----------------------------------------------------------------------
 
-def _label_bracket_words(L: LieAlgebra, kind: int, la: int, lb: int,
-                         bidegree: Tuple[int, int], factor: Scalar,
-                         dpow: int = 0) -> Dict[Word, Scalar]:
-    out: Dict[Word, Scalar] = {}
-    for k, c in L.bracket_basis(la, lb).items():
-        sc = s_scale(factor, c)
-        if sc:
-            out[(GenSymbol(kind, k, bidegree, dpow),)] = sc
-    return out
-
-
-def _jj_current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
+def _current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
+    """[J_a[n,m] Y_b[p,q]] = Y_[a,b][n+p, m+q], Y being J or I."""
     bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    ws = _label_bracket_words(rs.algebra, KIND_J, a.label, b.label, bid,
-                              s_rational(1))
+    ws: Dict[Word, Scalar] = {}
+    for k, c in rs.algebra.bracket_basis(a.label, b.label).items():
+        ws[(GenSymbol(b.kind, k, bid, 0),)] = s_rational(c)
     return {(0, 0): ws} if ws else {}
 
 
-def _ji_current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
-    bid = (a.bidegree[0] + b.bidegree[0], a.bidegree[1] + b.bidegree[1])
-    ws = _label_bracket_words(rs.algebra, KIND_I, a.label, b.label, bid,
-                              s_rational(1))
-    return {(0, 0): ws} if ws else {}
-
-
-def _zero_rule(a: GenSymbol, b: GenSymbol) -> LambdaPoly:
+def _zero_rule(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     return {}
 
 
@@ -213,24 +200,6 @@ def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     return out
 
 
-def _deformed_jj_low(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
-    """[J_a[n,m] J_b[0,0]] = J_[a,b][n,m] - beta (a,b)(n+m)(l+T) E[n,m]."""
-    n, m = a.bidegree
-    out: LambdaPoly = {}
-    ws = _label_bracket_words(rs.algebra, KIND_J, a.label, b.label, (n, m),
-                              s_rational(1))
-    if ws:
-        out[(0, 0)] = ws
-    total = n + m
-    if total:
-        pair = rs.algebra.pairing[a.label][b.label]
-        if pair:
-            coeff = s_scale(rs.beta, -total * pair)
-            lp_iadd(out, (1, 0), {(E(n, m),): coeff})
-            lp_iadd(out, (0, 0), {(E(n, m, 1),): coeff})
-    return out
-
-
 def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
                      coeff: Scalar) -> Dict[Word, Scalar]:
     """coeff * sum_i X_[a,e_i][0,0] I_[b,e^i][0,0] over the concrete basis,
@@ -250,103 +219,85 @@ def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
             for l, cl in right.items():
                 gl = GenSymbol(KIND_I, l, (0, 0), 0)
                 word = (gk, gl) if gk <= gl else (gl, gk)
-                sc = s_scale(coeff, ck * cl)
-                cur = out.get(word)
-                if cur is None:
-                    out[word] = sc
-                else:
-                    for exp, v in sc.items():
-                        nv = cur.get(exp, 0) + v
-                        if nv:
-                            cur[exp] = nv
-                        else:
-                            del cur[exp]
-                    if not cur:
-                        del out[word]
+                ws_iadd(out, word, s_scale(coeff, ck * cl))
     return out
 
 
-def _deformed_jj_main(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
-    """The deformed [J_a[1,0] J_b[0,1]] with the D and C terms."""
+def _deformed_jj(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly]:
+    """The J-J brackets at the deformed patterns, each the current bracket
+    plus its correction; every other pattern is undefined.
+
+      [J_a[1,0] J_b[0,1]]: - beta (a,b) (2 l E[1,1] + dE[1,1] + F[0,0])
+                           + D (2 l + T) I_[a,b][0,0] + C quadratic words
+      [J_a[n,m] J_b[0,0]], n + m <= 2: - beta (a,b) (n+m) (l+T) E[n,m]
+    """
     L = rs.algebra
     la, lb = a.label, b.label
-    out: LambdaPoly = {}
-    ws = _label_bracket_words(L, KIND_J, la, lb, (1, 1), s_rational(1))
-    if ws:
-        out[(0, 0)] = ws
     pair = L.pairing[la][lb]
-    if pair:
-        coeff = s_scale(rs.beta, -pair)
-        lp_iadd(out, (1, 0), {(E(1, 1),): s_scale(coeff, 2)})
-        lp_iadd(out, (0, 0), {(E(1, 1, 1),): coeff})
-        lp_iadd(out, (0, 0), {(F(0, 0),): coeff})
-    d_sc = rs.d_const
-    for k, c in L.bracket_basis(la, lb).items():
-        lp_iadd(out, (1, 0), {(I(k, 0, 0),): s_scale(d_sc, 2 * c)})
-        lp_iadd(out, (0, 0), {(I(k, 0, 0, 1),): s_scale(d_sc, c)})
-    cw = _quadratic_words(rs, KIND_J, la, lb, rs.c_const)
-    if cw:
-        lp_iadd(out, (0, 0), cw)
-    cw = _quadratic_words(rs, KIND_J, lb, la, rs.c_const)
-    if cw:
-        lp_iadd(out, (0, 0), cw)
+    if a.bidegree == (1, 0) and b.bidegree == (0, 1):
+        out = _current(rs, a, b)
+        if pair:
+            coeff = s_scale(rs.beta, -pair)
+            lp_iadd(out, (1, 0), {(E(1, 1),): s_scale(coeff, 2)})
+            lp_iadd(out, (0, 0), {(E(1, 1, 1),): coeff})
+            lp_iadd(out, (0, 0), {(F(0, 0),): coeff})
+        d_sc = rs.d_const
+        for k, c in L.bracket_basis(la, lb).items():
+            lp_iadd(out, (1, 0), {(I(k, 0, 0),): s_scale(d_sc, 2 * c)})
+            lp_iadd(out, (0, 0), {(I(k, 0, 0, 1),): s_scale(d_sc, c)})
+        lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_J, la, lb, rs.c_const))
+        lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_J, lb, la, rs.c_const))
+        return lp_cleanup(out)
+    if b.bidegree == (0, 0) and sum(a.bidegree) <= 2:
+        out = _current(rs, a, b)
+        total = sum(a.bidegree)
+        if total and pair:
+            coeff = s_scale(rs.beta, -total * pair)
+            lp_iadd(out, (1, 0), {(E(*a.bidegree),): coeff})
+            lp_iadd(out, (0, 0), {(E(*a.bidegree, 1),): coeff})
+        return out
+    return None
+
+
+def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
+    """The current J-I bracket, plus -C (quadratic I-I words) on
+    [J_a[1,0] I_b[0,1]] and +C on [J_a[0,1] I_b[1,0]]."""
+    out = _current(rs, a, b)
+    sign = {((1, 0), (0, 1)): -1, ((0, 1), (1, 0)): 1}.get((a.bidegree, b.bidegree))
+    if sign is None:
+        return out
+    lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_I, a.label, b.label,
+                                          s_scale(rs.c_const, sign)))
     return lp_cleanup(out)
 
 
-def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol, sign: int) -> LambdaPoly:
-    """[J_a[1,0] I_b[0,1]] (sign -1) and [J_a[0,1] I_b[1,0]] (sign +1)."""
-    L = rs.algebra
-    out: LambdaPoly = {}
-    ws = _label_bracket_words(L, KIND_I, a.label, b.label, (1, 1), s_rational(1))
-    if ws:
-        out[(0, 0)] = ws
-    cw = _quadratic_words(rs, KIND_I, a.label, b.label, s_scale(rs.c_const, sign))
-    if cw:
-        lp_iadd(out, (0, 0), cw)
-    return lp_cleanup(out)
-
-
-# --- rule set constructors ------------------------------------------------------
-
-def _kind_pair_matcher(ka: int, kb: int) -> Matcher:
-    return lambda a, b: a.kind == ka and b.kind == kb
-
-
-def _register_zero_sector(rs: RuleSet) -> None:
-    # brackets among I, E, F all vanish (the pair (E, F) spans an abelian
-    # algebra, and I couples to nothing but J)
-    zero_kinds = {KIND_I, KIND_E, KIND_F}
-    rs.register("abelian_sector",
-                lambda a, b: a.kind in zero_kinds and b.kind in zero_kinds,
-                _zero_rule)
-
+# --- rule tables ------------------------------------------------------------------
 
 def rules_base(L: LieAlgebra) -> RuleSet:
-    rs = RuleSet(L, "base", beta=None)
-    rs.register("current_jj", _kind_pair_matcher(KIND_J, KIND_J),
-                lambda a, b: _jj_current(rs, a, b))
-    rs.register("current_ji", _kind_pair_matcher(KIND_J, KIND_I),
-                lambda a, b: _ji_current(rs, a, b))
-    rs.register("current_ii",
-                lambda a, b: a.kind == KIND_I and b.kind == KIND_I,
-                _zero_rule)
-    _registration_probes(rs)
-    return rs
+    return _probed(RuleSet(L, "base", None, {
+        (KIND_J, KIND_J): _current,
+        (KIND_J, KIND_I): _current,
+        (KIND_I, KIND_I): _zero_rule,
+    }))
+
+
+def _extended_rules() -> Dict[Tuple[int, int], Rule]:
+    # brackets among I, E, F all vanish (the pair (E, F) spans an abelian
+    # algebra, and I couples to nothing but J)
+    zero_kinds = (KIND_I, KIND_E, KIND_F)
+    rules: Dict[Tuple[int, int], Rule] = {
+        (ka, kb): _zero_rule for ka in zero_kinds for kb in zero_kinds}
+    rules.update({
+        (KIND_J, KIND_J): _current,
+        (KIND_J, KIND_I): _current,
+        (KIND_J, KIND_E): je_rule_poly,
+        (KIND_J, KIND_F): jf_rule_poly,
+    })
+    return rules
 
 
 def rules_extended(L: LieAlgebra, beta: Optional[Fraction] = None) -> RuleSet:
-    rs = RuleSet(L, "extended", beta)
-    rs.register("current_jj", _kind_pair_matcher(KIND_J, KIND_J),
-                lambda a, b: _jj_current(rs, a, b))
-    rs.register("current_ji", _kind_pair_matcher(KIND_J, KIND_I),
-                lambda a, b: _ji_current(rs, a, b))
-    rs.register("coupling_je", _kind_pair_matcher(KIND_J, KIND_E),
-                lambda a, b: je_rule_poly(rs, a, b))
-    rs.register("coupling_jf", _kind_pair_matcher(KIND_J, KIND_F),
-                lambda a, b: jf_rule_poly(rs, a, b))
-    _register_zero_sector(rs)
-    _registration_probes(rs)
-    return rs
+    return _probed(RuleSet(L, "extended", beta, _extended_rules()))
 
 
 def _as_scalar(value, formal_exp) -> Scalar:
@@ -361,48 +312,16 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
                    d_const=None, c_const=None) -> RuleSet:
     """Deformed table; d_const and c_const default to formal parameters.
 
-    Only the deformed index patterns are registered for J-J, so queries for
-    any other J-J bidegree pattern raise UndefinedBracket.
+    J-J brackets are defined only at the deformed patterns (and their skew
+    images), so queries for any other J-J bidegree pattern raise
+    UndefinedBracket.
     """
-    rs = RuleSet(L, "deformed", beta)
+    rules = _extended_rules()
+    rules.update({(KIND_J, KIND_J): _deformed_jj, (KIND_J, KIND_I): _deformed_ji})
+    rs = RuleSet(L, "deformed", beta, rules)
     rs.d_const = _as_scalar(d_const, DCOEF)
     rs.c_const = _as_scalar(c_const, CCOEF)
-
-    def is_jj_main(a, b):
-        return (a.kind == KIND_J and b.kind == KIND_J
-                and a.bidegree == (1, 0) and b.bidegree == (0, 1))
-
-    def is_jj_low(a, b):
-        return (a.kind == KIND_J and b.kind == KIND_J
-                and b.bidegree == (0, 0) and sum(a.bidegree) <= 2)
-
-    def is_ji_main(a, b):
-        return (a.kind == KIND_J and b.kind == KIND_I
-                and a.bidegree == (1, 0) and b.bidegree == (0, 1))
-
-    def is_ji_alt(a, b):
-        return (a.kind == KIND_J and b.kind == KIND_I
-                and a.bidegree == (0, 1) and b.bidegree == (1, 0))
-
-    rs.register("deformed_jj_main", is_jj_main,
-                lambda a, b: _deformed_jj_main(rs, a, b))
-    rs.register("deformed_jj_low", is_jj_low,
-                lambda a, b: _deformed_jj_low(rs, a, b))
-    rs.register("deformed_ji_main", is_ji_main,
-                lambda a, b: _deformed_ji(rs, a, b, -1))
-    rs.register("deformed_ji_alt", is_ji_alt,
-                lambda a, b: _deformed_ji(rs, a, b, +1))
-    rs.register("current_ji",
-                lambda a, b: (a.kind == KIND_J and b.kind == KIND_I
-                              and not is_ji_main(a, b) and not is_ji_alt(a, b)),
-                lambda a, b: _ji_current(rs, a, b))
-    rs.register("coupling_je", _kind_pair_matcher(KIND_J, KIND_E),
-                lambda a, b: je_rule_poly(rs, a, b))
-    rs.register("coupling_jf", _kind_pair_matcher(KIND_J, KIND_F),
-                lambda a, b: jf_rule_poly(rs, a, b))
-    _register_zero_sector(rs)
-    _registration_probes(rs)
-    return rs
+    return _probed(rs)
 
 
 def _probe_generators(L: LieAlgebra, bid_max: int = 2) -> List[GenSymbol]:
@@ -417,23 +336,24 @@ def _probe_generators(L: LieAlgebra, bid_max: int = 2) -> List[GenSymbol]:
     return gens
 
 
-def _registration_probes(rs: RuleSet) -> None:
-    """Registration-time guard: on a probe grid, every directly registered
-    pair must decrease weight (checked inside resolve) and stay consistent
-    with the skew image of its reverse when both directions are registered."""
+def _probed(rs: RuleSet) -> RuleSet:
+    """Construction-time guard: on a probe grid, every pair the table defines
+    directly must decrease weight and, when the table also defines the
+    reverse, equal the skew image of the reverse."""
     gens = _probe_generators(rs.algebra)
+    direct = {}
     for a in gens:
         for b in gens:
-            direct_ab = any(m(a, b) for _, m, _ in rs.families)
-            direct_ba = any(m(b, a) for _, m, _ in rs.families)
-            if not direct_ab:
-                continue
-            val = rs.resolve(a, b)  # weight guard runs inside
-            if direct_ba:
-                expect = normal_order_poly(rs, skew(rs.resolve(b, a)))
-                if not lp_equal(val, expect):
-                    raise RuleIntegrityError(
-                        f"skew inconsistency between [{a},{b}] and [{b},{a}]")
+            val = rs.direct(a, b)
+            if val is not None:
+                direct[a, b] = rs._remember(a, b, val)
+    for (a, b), val in direct.items():
+        reverse = direct.get((b, a))
+        if reverse is not None and not lp_equal(
+                val, normal_order_poly(rs, skew(reverse))):
+            raise RuleIntegrityError(
+                f"skew inconsistency between [{a},{b}] and [{b},{a}]")
+    return rs
 
 
 # --- Jacobi defects -------------------------------------------------------------
@@ -645,7 +565,7 @@ _WORKER = {}
 def _grid_worker_init(series: str, rank: int, level: str, beta, grid_max: int,
                       samples: List[Tuple[int, int, int]]):
     L = simple_lie_algebra(series, rank)
-    rules = _rules_for_level(L, level, beta)
+    rules = _grid_rules(L, level, beta)
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     _WORKER.update(rules=rules, gens=gens, pairs=_pair_table(rules, gens),
                    samples=samples)
@@ -656,14 +576,13 @@ def _grid_worker_run(span: Tuple[int, int]) -> Tuple[int, int, int, List[dict]]:
                          range(*span), _WORKER["samples"], limit=3)
 
 
-def _rules_for_level(L: LieAlgebra, level: str, beta) -> RuleSet:
-    if level == "base":
-        return rules_base(L)
-    if level == "extended":
-        return rules_extended(L, beta)
-    if level == "deformed":
-        return rules_deformed(L, beta)
-    raise ValueError(f"unknown rule level {level!r}")
+# the deformed table is partial by design (J-J brackets only at the deformed
+# patterns), so no grid beyond grid 0 could run on it
+_GRID_LEVELS = ("base", "extended")
+
+
+def _grid_rules(L: LieAlgebra, level: str, beta) -> RuleSet:
+    return rules_base(L) if level == "base" else rules_extended(L, beta)
 
 
 def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
@@ -675,8 +594,12 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     details count the triples covered (all n^3), the defects computed by the
     scan (see _scan_triples for the two exact shortcuts) and the sampled
     triples on which the shortcuts were recomputed; a shortcut that fails on
-    a sample is listed before any nonzero defect.
+    a sample is listed before any nonzero defect.  The level is "base" or
+    "extended"; any other raises ValueError.
     """
+    if level not in _GRID_LEVELS:
+        raise ValueError(f"the Jacobi grid verifies the levels "
+                         f"{', '.join(_GRID_LEVELS)}, not {level!r}")
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     n = len(gens)
     samples = _spot_sample(L, level, grid_max, n)
@@ -687,7 +610,7 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                 initargs=(L.series, L.rank, level, beta, grid_max, samples)) as ex:
             parts = list(ex.map(_grid_worker_run, _balanced_spans(n, 4 * jobs)))
     else:
-        rules = _rules_for_level(L, level, beta)
+        rules = _grid_rules(L, level, beta)
         parts = [_scan_triples(rules, gens, _pair_table(rules, gens), range(n),
                                samples, limit=3)]
     covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))

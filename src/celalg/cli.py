@@ -7,10 +7,12 @@ Three subcommands:
   verify     zero-defect Jacobi grid plus the trace-identity batches
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 configuration
-error.  Every flag can also be set through an environment variable with the
-CELALG_ prefix (flag --grid-max -> CELALG_GRID, see _ENV_VARS); command-line
-values win.  Structured output (--json) is a single deterministic document
-on stdout; progress and timing go to stderr.
+error, 3 internal error (a broken invariant of the construction or of the
+bracket engine, never a verdict).  Every flag can also be set through an
+environment variable with the CELALG_ prefix (flag --grid-max ->
+CELALG_GRID, see _ENV_VARS); command-line values win.  Structured output
+(--json) is a single deterministic document on stdout; progress and timing
+go to stderr.
 """
 
 from __future__ import annotations
@@ -28,12 +30,16 @@ from typing import List, Optional, Tuple
 from . import adinv
 from .celestial import (
     ADMISSIBLE_TYPES,
+    ModelError,
+    RuleIntegrityError,
     closed_form_fractions,
     solve_constants,
     verify_jacobi_grid,
 )
+from .lambdacalc import InternalConsistencyError, UndefinedBracket
 from .liealg import (
     ConfigurationError,
+    ConstructionError,
     LieAlgebra,
     algebra_from_cache,
     save_structure_constants,
@@ -56,6 +62,12 @@ _ENV_VARS = {
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
+
+# broken invariants: their own exit code, so they never pass for a failed
+# verification
+_INTERNAL_ERRORS = (ConstructionError, InternalConsistencyError, ModelError,
+                    RuleIntegrityError, UndefinedBracket)
 
 
 @dataclass
@@ -344,6 +356,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _INTERNAL_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

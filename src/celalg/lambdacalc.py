@@ -24,8 +24,9 @@ A rule table must provide ``resolve(a, b) -> LambdaPoly`` for derivative-free
 generators (raising UndefinedBracket when the pair is not covered) and a
 ``full_memo`` dict used to cache derivative-expanded lookups.  Every rule
 must strictly decrease total weight (sum over letters of n + m + 1), which
-is what makes the reordering terminate; rule tables check this on
-registration.
+is what makes the reordering terminate; the celestial rule tables check
+this on every value they resolve, and probe it over a small generator grid
+when they are constructed.
 """
 
 from __future__ import annotations

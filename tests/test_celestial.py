@@ -284,6 +284,26 @@ def test_verify_jacobi_grid_parallel_matches_serial(sl2):
     assert serial.details == parallel.details
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the grid started work for a level it cannot run")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("level", ["deformed", "no-such-level"])
+def test_verify_jacobi_grid_rejects_other_levels(sl2, monkeypatch, level, jobs):
+    # the deformed table defines J-J brackets only at the deformed patterns,
+    # so its grid would stop on an undefined bracket; the level is refused
+    # before any generator list, spot sample or worker pool exists
+    import concurrent.futures
+    monkeypatch.setattr(celestial, "grid_generators", _must_not_run)
+    monkeypatch.setattr(celestial, "_spot_sample", _must_not_run)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _must_not_run)
+    with pytest.raises(ValueError) as exc:
+        verify_jacobi_grid(sl2, 1, level=level, jobs=jobs)
+    message = str(exc.value)
+    assert "base" in message and "extended" in message and repr(level) in message
+
+
 @pytest.mark.parametrize("n,parts", [(1, 4), (7, 4), (31, 8), (71, 8), (287, 8)])
 def test_balanced_spans_partition_rows(n, parts):
     spans = celestial._balanced_spans(n, parts)
@@ -470,6 +490,32 @@ def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, shortcut):
     assert not rep.passed
     assert rep.first_counterexample["shortcut"] == shortcut
     assert len(rep.first_counterexample["triple"]) == 3
+
+
+def test_construction_guard_rejects_weight_raising_rule(sl2, monkeypatch):
+    def heavier(rs, a, b):
+        # J_a against E answered by a letter of higher total weight
+        return {(0, 0): {(I(a.label, 5, 5),): s_rational(1)}}
+
+    monkeypatch.setattr(celestial, "je_rule_poly", heavier)
+    with pytest.raises(RuleIntegrityError, match="does not decrease total weight"):
+        rules_extended(sl2)
+
+
+def test_construction_guard_rejects_skew_inconsistent_zero_sector(sl2, monkeypatch):
+    orig = celestial._zero_rule
+
+    def one_sided(rs, a, b):
+        # [E[1,0] F[0,0]] = F[0,0] keeps the weight bound, but the reverse
+        # stays zero, which is not its skew image
+        if a == E(1, 0) and b == F(0, 0):
+            return {(0, 0): {(F(0, 0),): s_rational(1)}}
+        return orig(rs, a, b)
+
+    monkeypatch.setattr(celestial, "_zero_rule", one_sided)
+    for build in (rules_extended, rules_deformed):
+        with pytest.raises(RuleIntegrityError, match="skew inconsistency"):
+            build(sl2)
 
 
 def test_rule_integrity_negative_bidegree_guard(sl2):

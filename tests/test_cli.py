@@ -155,6 +155,20 @@ def test_jobs_above_cpu_count_rejected(monkeypatch, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_internal_error_exit_three(monkeypatch, capsys):
+    from celalg import cli
+    from celalg.celestial import ModelError
+
+    def broken(*args, **kwargs):
+        raise ModelError("defect coefficient outside span\n  on a triple")
+
+    monkeypatch.setattr(cli, "solve_constants", broken)
+    assert main(["solve", "A1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: ModelError: defect coefficient outside span "
+                   "on a triple"]
+
+
 def test_cache_dir_round_trip(tmp_path):
     cache = str(tmp_path / "cache")
     code1, out1, _ = run_cli(["solve", "A1", "--json", "--cache-dir", cache])
