@@ -52,7 +52,7 @@ from .lambdacalc import (
     weight,
     ws_iadd,
 )
-from .liealg import LieAlgebra, simple_lie_algebra
+from .liealg import LieAlgebra, row_reduce, simple_lie_algebra
 from .report import Report
 from .scalar import (
     BETA,
@@ -324,23 +324,12 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
     return _probed(rs)
 
 
-def _probe_generators(L: LieAlgebra, bid_max: int = 2) -> List[GenSymbol]:
-    labels = range(min(L.dim, 3))
-    gens: List[GenSymbol] = []
-    bids = [(n, m) for n in range(bid_max + 1) for m in range(bid_max + 1)]
-    for la in labels:
-        gens += [J(la, n, m) for n, m in bids]
-        gens += [I(la, n, m) for n, m in bids]
-    gens += [E(n, m) for n, m in bids if (n, m) != (0, 0)]
-    gens += [F(n, m) for n, m in bids]
-    return gens
-
-
 def _probed(rs: RuleSet) -> RuleSet:
     """Construction-time guard: on a probe grid, every pair the table defines
     directly must decrease weight and, when the table also defines the
     reverse, equal the skew image of the reverse."""
-    gens = _probe_generators(rs.algebra)
+    # the grid-2 generators on the first three labels, and E and F
+    gens = [g for g in grid_generators(rs.algebra, 2) if g.label < 3]
     direct = {}
     for a in gens:
         for b in gens:
@@ -493,11 +482,20 @@ def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol],
                 "defect": format_lambda_poly(mirror),
                 "shortcut": "swap identity",
                 "inferred": format_lambda_poly(inferred)}
-    if d and not (pairs[ia][ib] or pairs[ia][ic] or pairs[ib][ic]):
+    if d and ic not in _third_slots(pairs, ia, ib):
         return {"triple": [str(a), str(b), str(c)],
                 "defect": format_lambda_poly(d),
                 "shortcut": "zero-pair skip"}
     return None
+
+
+def _third_slots(pairs: List[List[bool]], ia: int, ib: int) -> Sequence[int]:
+    """The c slots whose triple (a, b, c) needs a defect computation: all of
+    them when [a b] is nonzero, else those with [a c] or [b c] nonzero."""
+    row_a, row_b = pairs[ia], pairs[ib]
+    if row_a[ib]:
+        return range(len(row_a))
+    return [ic for ic in range(len(row_a)) if row_a[ic] or row_b[ic]]
 
 
 def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol],
@@ -521,15 +519,9 @@ def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol],
     found = covered = computed = 0
     for ia in first_range:
         a = gens[ia]
-        row_a = pairs[ia]
         for ib in range(ia, n):
             b = gens[ib]
-            row_b = pairs[ib]
-            if row_a[ib]:
-                todo = range(n)
-            else:
-                todo = [ic for ic in range(n) if row_a[ic] or row_b[ic]]
-            for ic in todo:
+            for ic in _third_slots(pairs, ia, ib):
                 c = gens[ic]
                 computed += 1
                 d = defect_poly(rules, a, b, c)
@@ -666,25 +658,8 @@ def _defect_rows(rules: RuleSet, la: int, lb: int, lc: int) -> List[Tuple]:
 
 
 def _solve_rows(rows) -> ConstantSolution:
-    mat = [list(map(Fraction, r)) for r in sorted(rows)]
-    pivots = []
-    col_count = 3
-    rank = 0
-    for col in range(col_count):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        d = mat[rank][col]
-        mat[rank] = [x / d for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == col_count:
-            break
+    mat, pivots = row_reduce(sorted(rows), 3)
+    rank = len(pivots)
     if rank == 3:
         return ConstantSolution(status="trivial_only", rows=len(rows))
     if rank <= 1:
@@ -722,7 +697,7 @@ def solve_constants(L: LieAlgebra, master_seed=0,
         sol = _solve_rows(rows)
         sol.triples = 500
         sol.sampled = True
-        if _matches_prediction(L, sol):
+        if matches_closed_form(L, sol):
             return sol
     rows = set()
     done = 0
@@ -738,7 +713,9 @@ def solve_constants(L: LieAlgebra, master_seed=0,
     return sol
 
 
-def _matches_prediction(L: LieAlgebra, sol: ConstantSolution) -> bool:
+def matches_closed_form(L: LieAlgebra, sol: ConstantSolution) -> bool:
+    """A unique solution equal to the closed form on an admissible type;
+    trivial_only otherwise."""
     if (L.series, L.rank) in ADMISSIBLE_TYPES:
         if sol.status != "unique":
             return False

@@ -33,6 +33,7 @@ from .celestial import (
     ModelError,
     RuleIntegrityError,
     closed_form_fractions,
+    matches_closed_form,
     solve_constants,
     verify_jacobi_grid,
 )
@@ -202,12 +203,7 @@ def cmd_solve(cfg: RunConfig) -> int:
                           progress=progress if L.dim > 20 else None)
     admissible = (L.series, L.rank) in ADMISSIBLE_TYPES
     closed = closed_form_fractions(L) if admissible else None
-    if admissible:
-        agree = (sol.status == "unique" and closed is not None
-                 and sol.d_over_beta2 == closed[0]
-                 and sol.c_over_beta2 == closed[1])
-    else:
-        agree = sol.status == "trivial_only"
+    agree = matches_closed_form(L, sol)
     lines = [f"algebra {L.name}: dim {L.dim}, dual Coxeter {L.h_dual_coxeter}",
              f"solver status: {sol.status} ({sol.rows} independent rows, "
              f"{sol.triples} triples)"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
@@ -150,20 +150,13 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         nxt = []
         for gamma in by_height[-1]:
             for i in range(rank):
-                cand = tuple(c + (1 if j == i else 0) for j, c in enumerate(gamma))
+                cand = _vadd(gamma, simple[i])
                 if cand in roots:
                     continue
                 # root-string condition: gamma + alpha_i is a root iff
                 # p - <gamma, alpha_i^vee> >= 1, with p the depth of the string.
-                p = 0
-                down = gamma
-                while True:
-                    down = tuple(c - (1 if j == i else 0) for j, c in enumerate(down))
-                    if any(c < 0 for c in down) or not (down in roots or all(c == 0 for c in down)):
-                        break
-                    if all(c == 0 for c in down):
-                        break  # reached zero: alpha_i itself ends the string
-                    p += 1
+                # Every root below gamma is already in roots.
+                p = _string_depth(roots.__contains__, simple[i], gamma)
                 if p - interim.cartan_pairing(gamma, i) >= 1:
                     roots.add(cand)
                     nxt.append(cand)
@@ -200,6 +193,17 @@ def _vneg(a: Coeffs) -> Coeffs:
     return tuple(-x for x in a)
 
 
+def _string_depth(is_root: Callable[[Coeffs], bool], alpha: Coeffs,
+                  beta: Coeffs) -> int:
+    """The largest p with beta - alpha, ..., beta - p alpha all roots."""
+    p = 0
+    cur = _vsub(beta, alpha)
+    while is_root(cur):
+        p += 1
+        cur = _vsub(cur, alpha)
+    return p
+
+
 class _ChevalleyConstants:
     """Structure constants N(alpha, beta) with extraspecial-pair signs.
 
@@ -216,14 +220,6 @@ class _ChevalleyConstants:
 
     def _is_root(self, t: Coeffs) -> bool:
         return t in self.pos_index or _vneg(t) in self.pos_index
-
-    def _p_value(self, alpha: Coeffs, beta: Coeffs) -> int:
-        p = 0
-        cur = _vsub(beta, alpha)
-        while self._is_root(cur):
-            p += 1
-            cur = _vsub(cur, alpha)
-        return p
 
     def _build(self) -> None:
         rs = self.rs
@@ -242,7 +238,7 @@ class _ChevalleyConstants:
             a_star, b_star = pairs[0]  # extraspecial: minimal first component
             alpha = rs.positive_roots[a_star]
             beta = rs.positive_roots[b_star]
-            n0 = self._p_value(alpha, beta) + 1
+            n0 = _string_depth(self._is_root, alpha, beta) + 1
             self.npp[(a_star, b_star)] = n0
             self.npp[(b_star, a_star)] = -n0
             gnorm = rs.norm2(gamma)
@@ -265,7 +261,7 @@ class _ChevalleyConstants:
                 if val.denominator != 1:
                     raise ConstructionError("non-integral structure constant")
                 nv = int(val)
-                if abs(nv) != self._p_value(xi, eta) + 1:
+                if abs(nv) != _string_depth(self._is_root, xi, eta) + 1:
                     raise ConstructionError(
                         f"structure constant {nv} violates root-string bound")
                 self.npp[(xi_idx, eta_idx)] = nv
@@ -392,9 +388,6 @@ class LieAlgebra:
         """e^i with (e_j, e^i) = delta_ij; the i-th row of pairing_inv."""
         return tuple(self.pairing_inv[i])
 
-    def dual_basis(self) -> List[Tuple[Element, Element]]:
-        return [(self.basis_element(i), self.dual_element(i)) for i in range(self.dim)]
-
     def highest_root_triple(self) -> Tuple[Element, Element, Element]:
         """(e, h, f) for the sl2 spanned by the highest-root vectors."""
         k = len(self.root_system.positive_roots) - 1
@@ -490,54 +483,51 @@ def _killing_matrix(dim: int, f, ad_entries) -> List[List[int]]:
     return kf
 
 
-def _invert_exact(matrix: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse via connected-component partition + Gauss-Jordan.
+def row_reduce(rows: Sequence[Sequence], ncols: int
+               ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Exact reduced row echelon form, pivoting on the first ncols columns.
 
-    The invariant pairing is block diagonal up to permutation (Cartan block
-    plus opposite-root 2x2 pairs), so components stay tiny.
+    Columns past ncols (an augmented block) are carried along.  Returns the
+    reduced rows, pivot rows first, and the pivot column of each pivot row.
     """
-    n = len(matrix)
-    # union-find over the nonzero pattern
-    parent = list(range(n))
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        d = mat[rank][col]
+        top = mat[rank] = [x / d for x in mat[rank]]
+        for r, row in enumerate(mat):
+            factor = row[col]
+            if r != rank and factor != 0:
+                mat[r] = [x - factor * y for x, y in zip(row, top)]
+        pivots.append(col)
+    return mat, pivots
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    comps: Dict[int, List[int]] = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
+def _pairing_inverse(rs: RootSystem) -> List[List[Fraction]]:
+    """Inverse of the pairing in its closed form from root data.
 
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for idxs in comps.values():
-        m = len(idxs)
-        a = [[Fraction(matrix[idxs[r]][idxs[c]]) for c in range(m)] for r in range(m)]
-        b = [[Fraction(1) if r == c else Fraction(0) for c in range(m)] for r in range(m)]
-        for col in range(m):
-            piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-            if piv is None:
-                raise ConstructionError("singular pairing matrix")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            d = a[col][col]
-            a[col] = [x / d for x in a[col]]
-            b[col] = [x / d for x in b[col]]
-            for r in range(m):
-                if r != col and a[r][col] != 0:
-                    factor = a[r][col]
-                    a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-        for r in range(m):
-            for c in range(m):
-                inv[idxs[r]][idxs[c]] = b[r][c]
+    In the normalization (theta, theta) = 2 the pairing is
+    (h_i, h_j) = 4 (a_i, a_j) / ((a_i, a_i)(a_j, a_j)) on the Cartan block,
+    (x_a, x_{-a}) = 2 / (a, a) on each opposite-root pair, and zero elsewhere.
+    The Cartan block is inverted exactly; each pair inverts to (a, a) / 2.
+    """
+    rank, npos = rs.rank, len(rs.positive_roots)
+    g = rs.gram
+    aug = [[4 * g[i][j] / (g[i][i] * g[j][j]) for j in range(rank)]
+           + [int(i == j) for j in range(rank)] for i in range(rank)]
+    reduced, _ = row_reduce(aug, rank)
+    dim = rank + 2 * npos
+    inv = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(rank):
+        inv[i][:rank] = reduced[i][rank:]
+    for k, root in enumerate(rs.positive_roots):
+        pos, neg = rank + k, rank + npos + k
+        inv[pos][neg] = inv[neg][pos] = rs.norm2(root) / 2
     return inv
 
 
@@ -552,39 +542,14 @@ def _verify_inverse(matrix, inv) -> None:
                 raise ConstructionError("pairing inverse verification failed")
 
 
-def _verify_pairing_blocks(L: LieAlgebra) -> None:
-    """Check the trace pairing against closed-form root-data values.
-
-    In the normalization (theta, theta) = 2 the pairing must satisfy
-    (h_i, h_j) = 4 (a_i, a_j) / ((a_i, a_i)(a_j, a_j)), (x_a, x_{-a}) =
-    2 / (a, a), and vanish on all other basis pairs.  Failure means the
-    dual Coxeter normalization is off.
-    """
-    rs = L.root_system
-    rank, npos = rs.rank, len(rs.positive_roots)
-    for i in range(rank):
-        for j in range(rank):
-            expect = 4 * rs.inner(rs.simple_roots[i], rs.simple_roots[j]) / (
-                rs.gram[i][i] * rs.gram[j][j])
-            if L.pairing[i][j] != expect:
-                raise ConstructionError("Cartan pairing block mismatch")
-        if any(L.pairing[i][rank + k] != 0 for k in range(2 * npos)):
-            raise ConstructionError("Cartan/root pairing block not zero")
-    for k, root in enumerate(rs.positive_roots):
-        expect = 2 / rs.norm2(root)
-        for idx in range(rank, L.dim):
-            v = L.pairing[rank + k][idx]
-            want = expect if idx == rank + npos + k else 0
-            if v != want:
-                raise ConstructionError("root pairing block mismatch")
-
-
 def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
     """Verify integer structure constants and derive the rest of the algebra.
 
     Shared by fresh builds and cache loads: the Jacobi identity on all basis
-    triples, the ad entries, the dual Coxeter number from adjoint traces, the
-    pairing with its verified inverse, and the pairing block check.
+    triples, the ad entries, the dual Coxeter number and the pairing from
+    adjoint traces, and the pairing inverse written from root data.  The one
+    pairing check is pairing . pairing_inv = I exactly; since the inverse is
+    invertible, that holds iff every pairing entry equals its closed form.
     """
     rank = rs.rank
     npos = len(rs.positive_roots)
@@ -612,17 +577,15 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     hdc = int(hdc)
 
     pairing = [[Fraction(killing[i][j], 2 * hdc) for j in range(dim)] for i in range(dim)]
-    pairing_inv = _invert_exact(pairing)
+    pairing_inv = _pairing_inverse(rs)
     _verify_inverse(pairing, pairing_inv)
 
     labels = tuple([f"h{i + 1}" for i in range(rank)]
                    + [f"e{k}" for k in range(npos)]
                    + [f"f{k}" for k in range(npos)])
-    L = LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
-                   pairing=pairing, pairing_inv=pairing_inv,
-                   h_dual_coxeter=hdc, ad_entries=ad_entries)
-    _verify_pairing_blocks(L)
-    return L
+    return LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
+                      pairing=pairing, pairing_inv=pairing_inv,
+                      h_dual_coxeter=hdc, ad_entries=ad_entries)
 
 
 def chevalley_basis(rs: RootSystem) -> LieAlgebra:

@@ -365,6 +365,25 @@ def test_solve_constants_g2():
         (Fraction(-1, 5), Fraction(3, 20))
 
 
+@pytest.mark.parametrize("rows,status,d,c", [
+    # rank 3: only beta = D = C = 0
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 1)], "trivial_only", None, None),
+    # rank 1: a two-dimensional null space, so no unique ratio
+    ([(1, 2, 3), (2, 4, 6)], "inconsistent", None, None),
+    # rank 2, null space (0, 1, 1): beta must vanish
+    ([(1, 0, 0), (0, 1, -1)], "inconsistent", None, None),
+    # rank 2, null space (4, 2, -1): D = beta^2 / 2, C = -beta^2 / 4
+    ([(1, 0, 4), (0, 1, 2), (1, 1, 6)], "unique", Fraction(1, 2), Fraction(-1, 4)),
+    # rank 2, null space (-6, -3, 1)
+    ([(Fraction(1, 2), -1, 0), (0, 1, 3)], "unique", Fraction(1, 2), Fraction(-1, 6)),
+])
+def test_solve_rows_outcomes(rows, status, d, c):
+    sol = celestial._solve_rows(set(rows))
+    assert sol.status == status
+    assert sol.rows == len(rows)
+    assert (sol.d_over_beta2, sol.c_over_beta2) == (d, c)
+
+
 def test_substituted_solution_kills_all_defects(sl2):
     sol = solve_constants(sl2)
     d_scalar = s_monomial((2, 0, 0), sol.d_over_beta2)
@@ -490,6 +509,27 @@ def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, shortcut):
     assert not rep.passed
     assert rep.first_counterexample["shortcut"] == shortcut
     assert len(rep.first_counterexample["triple"]) == 3
+
+
+def test_spot_check_tests_the_scan_skip_predicate(sl2, monkeypatch):
+    # a scan whose skip predicate drops every slot computes no defect; a
+    # defect where [a b] is nonzero must then fail the sampled triples
+    orig = celestial.defect_poly
+
+    def faulty(rules, a, b, c):
+        d = orig(rules, a, b, c)
+        if bracket_words(rules, (a,), (b,)):
+            # lambda - mu is its own swap image
+            lp_iadd(d, (1, 0), {(c,): s_rational(1)})
+            lp_iadd(d, (0, 1), {(c,): s_rational(-1)})
+        return d
+
+    monkeypatch.setattr(celestial, "_third_slots", lambda pairs, ia, ib: ())
+    monkeypatch.setattr(celestial, "defect_poly", faulty)
+    rep = verify_jacobi_grid(sl2, 1)
+    assert not rep.passed
+    assert rep.details["computed"] == 0
+    assert rep.first_counterexample["shortcut"] == "zero-pair skip"
 
 
 def test_construction_guard_rejects_weight_raising_rule(sl2, monkeypatch):

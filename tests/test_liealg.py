@@ -17,6 +17,7 @@ from celalg.liealg import (
     build_root_system,
     chevalley_basis,
     load_structure_constants,
+    row_reduce,
     save_structure_constants,
     simple_lie_algebra,
     verify_cached_algebra,
@@ -331,6 +332,51 @@ def test_cache_load_runs_jacobi_check(tmp_path, monkeypatch):
     monkeypatch.setattr(liealg, "_jacobi_check", failing_check)
     with pytest.raises(ConfigurationError, match="a2.sc: Jacobi identity fails"):
         algebra_from_cache("A", 2, str(path))
+
+
+def _block_entry(rs, block):
+    """One off-diagonal entry (i, j) of the trace pairing in the given block."""
+    rank, npos = rs.rank, len(rs.positive_roots)
+    return {"cartan": (0, 1), "cartan-root": (0, rank),
+            "positive-root": (rank, rank + 1),
+            "negative-negative": (rank + npos, rank + npos + 1)}[block]
+
+
+@pytest.mark.parametrize("block", ["cartan", "cartan-root", "positive-root",
+                                   "negative-negative"])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_perturbed_trace_pairing_is_rejected(tmp_path, monkeypatch, series, rank, block):
+    # the exact inverse check must see a wrong entry in every block of the
+    # pairing, on fresh builds and on cache loads alike
+    from celalg import liealg
+    path = tmp_path / f"{series}{rank}.sc"
+    save_structure_constants(simple_lie_algebra(series, rank), str(path))
+    rs = build_root_system(series, rank)
+    i, j = _block_entry(rs, block)
+    orig = liealg._killing_matrix
+
+    def perturbed(dim, f, ad_entries):
+        kf = orig(dim, f, ad_entries)
+        kf[i][j] += 4
+        kf[j][i] += 4
+        return kf
+
+    monkeypatch.setattr(liealg, "_killing_matrix", perturbed)
+    with pytest.raises(liealg.ConstructionError, match="pairing inverse"):
+        chevalley_basis(rs)
+    with pytest.raises(ConfigurationError, match=f"{series}{rank}.sc: .*pairing inverse"):
+        algebra_from_cache(series, rank, str(path))
+
+
+def test_row_reduce_augmented_block():
+    rows, pivots = row_reduce([[2, 1, 1, 0], [1, 1, 0, 1]], 2)
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, 1, -1], [0, 1, -1, 2]]
+    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    # a dependent row ends up zero below the pivot rows
+    rows, pivots = row_reduce([[0, 2, 4], [0, 1, 2], [3, 0, 3]], 3)
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("header,entry,error", [
