@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lambdacalc import (
@@ -49,6 +50,7 @@ from .lambdacalc import (
     normal_order_poly,
     skew,
     substitute_lambda_plus_mu,
+    t_power,
     weight,
     ws_iadd,
 )
@@ -438,113 +440,99 @@ def grid_generators(L: LieAlgebra, grid_max: int,
 _SPOT_CHECKS = 512
 
 
-def _pair_table(rules: RuleSet, gens: Sequence[GenSymbol]) -> List[List[bool]]:
-    """table[x][y] is True iff the bracket [gens[x] gens[y]] is nonzero."""
-    try:
-        return [[bool(bracket_words(rules, (x,), (y,))) for y in gens] for x in gens]
-    except UndefinedBracket as exc:
-        raise exc.add_context("tabulating the generator pairs of the Jacobi grid")
-
-
 def _swap_lambda_mu(p: LambdaPoly) -> LambdaPoly:
-    """-p(mu, lambda).
-
-    Skew-symmetry and sesquilinearity give the swap identity
-    defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda), so a triple
-    and its a <-> b mirror vanish together.
-    """
+    """-p(mu, lambda).  Skew-symmetry and sesquilinearity give the swap
+    identity defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda)."""
     return {(j, i): {w: s_scale(sc, -1) for w, sc in ws.items()}
             for (i, j), ws in p.items()}
 
 
+def _swap_mu_nu(rules: RuleSet, p: LambdaPoly) -> LambdaPoly:
+    """-p(lambda, nu), normal ordered, with nu = -lambda - mu - T.  The same
+    two axioms give the b <-> c identity (an involution)
+    defect(a, c, b)(lambda, mu) = -defect(a, b, c)(lambda, nu)."""
+    out: LambdaPoly = {}
+    for (i, j), ws in p.items():
+        # (-lambda - mu - T)^j, multinomially, with T on the words
+        for r in range(j + 1):
+            words = t_power(ws, r)
+            for q in range(j - r + 1):
+                lp_iadd(out, (i + j - r - q, q), words,
+                        (-1) ** (j + 1) * comb(j, r) * comb(j - r, q))
+    return normal_order_poly(rules, out)
+
+
 def _spot_sample(L: LieAlgebra, level: str, grid_max: int,
                  n: int) -> List[Tuple[int, int, int]]:
-    """Seeded index triples (ia, ib, ic), ia <= ib, drawn from the n^3 grid."""
+    """Seeded sorted index triples ia <= ib <= ic, drawn from the n^3 grid."""
     rng = random.Random(f"jacobi-spot:{L.name}:{level}:{grid_max}")
     picks = set()
     for idx in rng.sample(range(n ** 3), min(_SPOT_CHECKS, n ** 3)):
-        ia, ib, ic = idx // (n * n), idx // n % n, idx % n
-        picks.add((min(ia, ib), max(ia, ib), ic))
+        picks.add(tuple(sorted((idx // (n * n), idx // n % n, idx % n))))
     return sorted(picks)
 
 
-def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol],
-                pairs: List[List[bool]], ia: int, ib: int,
+def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol], ia: int, ib: int,
                 ic: int) -> Optional[dict]:
-    """Compute a triple and its mirror directly; None when the swap identity
-    holds on them and the zero-pair skip, if it applies, is right."""
+    """Compute a sorted triple and its two transposed images directly; None
+    when both identities hold on them."""
     a, b, c = gens[ia], gens[ib], gens[ic]
     d = defect_poly(rules, a, b, c)
-    mirror = defect_poly(rules, b, a, c)
-    inferred = _swap_lambda_mu(d)
-    if not lp_equal(mirror, inferred):
-        return {"triple": [str(b), str(a), str(c)],
-                "defect": format_lambda_poly(mirror),
-                "shortcut": "swap identity",
-                "inferred": format_lambda_poly(inferred)}
-    if d and ic not in _third_slots(pairs, ia, ib):
-        return {"triple": [str(a), str(b), str(c)],
-                "defect": format_lambda_poly(d),
-                "shortcut": "zero-pair skip"}
+    for shortcut, image, infer in (
+            ("swap identity", (b, a, c), _swap_lambda_mu),
+            ("b<->c identity", (a, c, b), lambda p: _swap_mu_nu(rules, p))):
+        direct, inferred = defect_poly(rules, *image), infer(d)
+        if not lp_equal(direct, inferred):
+            return {"triple": [str(g) for g in image],
+                    "defect": format_lambda_poly(direct),
+                    "shortcut": shortcut,
+                    "inferred": format_lambda_poly(inferred)}
     return None
 
 
-def _third_slots(pairs: List[List[bool]], ia: int, ib: int) -> Sequence[int]:
-    """The c slots whose triple (a, b, c) needs a defect computation: all of
-    them when [a b] is nonzero, else those with [a c] or [b c] nonzero."""
-    row_a, row_b = pairs[ia], pairs[ib]
-    if row_a[ib]:
-        return range(len(row_a))
-    return [ic for ic in range(len(row_a)) if row_a[ic] or row_b[ic]]
-
-
-def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol],
-                  pairs: List[List[bool]], first_range: range,
+def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol], first_range: range,
                   samples: Sequence[Tuple[int, int, int]],
                   limit: int) -> Tuple[int, int, int, List[dict]]:
-    """Decide every triple whose first index lies in first_range, and its
-    a <-> b mirror.
+    """Decide every triple whose smallest index lies in first_range, with all
+    its permutations.
 
-    Only triples with index(a) <= index(b) are visited; the mirror follows by
-    the swap identity.  A triple whose pairs [a b], [a c] and [b c] all
-    vanish is zero without a defect computation, since each Jacobi term is
-    an outer bracket of one of them.  The sampled triples in first_range
-    check both shortcuts first.  Returns (covered, computed, spot_checked,
-    failures); the scan stops at `limit` nonzero defects.
+    Only sorted triples index(a) <= index(b) <= index(c) are computed.  The
+    swap identity (a <-> b) and the b <-> c identity generate all of S3, so
+    each permutation vanishes exactly when its sorted triple does.  The
+    sampled triples in first_range check both identities first.  Returns
+    (covered, computed, spot_checked, failures); the scan stops at `limit`
+    nonzero defects.
     """
     n = len(gens)
     spot = [t for t in samples if t[0] in first_range]
-    failures = [fail for fail in (_spot_check(rules, gens, pairs, *t) for t in spot)
+    failures = [fail for fail in (_spot_check(rules, gens, *t) for t in spot)
                 if fail is not None]
     found = covered = computed = 0
     for ia in first_range:
-        a = gens[ia]
         for ib in range(ia, n):
-            b = gens[ib]
-            for ic in _third_slots(pairs, ia, ib):
-                c = gens[ic]
+            a, b = gens[ia], gens[ib]
+            for c in gens[ib:]:
                 computed += 1
                 d = defect_poly(rules, a, b, c)
                 if d:
-                    failures.append({
-                        "triple": [str(a), str(b), str(c)],
-                        "defect": format_lambda_poly(d),
-                    })
+                    failures.append({"triple": [str(a), str(b), str(c)],
+                                     "defect": format_lambda_poly(d)})
                     found += 1
                     if found >= limit:
                         return covered, computed, len(spot), failures
-            covered += n if ia == ib else 2 * n
+        # the ordered triples whose smallest index is ia
+        covered += (n - ia) ** 3 - (n - ia - 1) ** 3
     return covered, computed, len(spot), failures
 
 
 def _balanced_spans(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Contiguous spans of range(n) with about equal triangular weight: the
-    scan visits n - ia pairs in row ia."""
-    total = n * (n + 1) // 2
+    """Contiguous spans of range(n) with about equal weight: the scan visits
+    (n - ia)(n - ia + 1)/2 sorted triples in row ia."""
+    total = n * (n + 1) * (n + 2) // 6
     spans: List[Tuple[int, int]] = []
     start = weight = 0
     for ia in range(n):
-        weight += n - ia
+        weight += (n - ia) * (n - ia + 1) // 2
         if weight * parts >= total * (len(spans) + 1):
             spans.append((start, ia + 1))
             start = ia + 1
@@ -559,13 +547,12 @@ def _grid_worker_init(series: str, rank: int, level: str, beta, grid_max: int,
     L = simple_lie_algebra(series, rank)
     rules = _grid_rules(L, level, beta)
     gens = grid_generators(L, grid_max, with_ef=level != "base")
-    _WORKER.update(rules=rules, gens=gens, pairs=_pair_table(rules, gens),
-                   samples=samples)
+    _WORKER.update(rules=rules, gens=gens, samples=samples)
 
 
 def _grid_worker_run(span: Tuple[int, int]) -> Tuple[int, int, int, List[dict]]:
-    return _scan_triples(_WORKER["rules"], _WORKER["gens"], _WORKER["pairs"],
-                         range(*span), _WORKER["samples"], limit=3)
+    return _scan_triples(_WORKER["rules"], _WORKER["gens"], range(*span),
+                         _WORKER["samples"], limit=3)
 
 
 # the deformed table is partial by design (J-J brackets only at the deformed
@@ -583,15 +570,18 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
 
     Triples where two or three slots lie in the abelian sector are included;
     their defects are trivially zero and serve as plumbing checks.  The
-    details count the triples covered (all n^3), the defects computed by the
-    scan (see _scan_triples for the two exact shortcuts) and the sampled
-    triples on which the shortcuts were recomputed; a shortcut that fails on
-    a sample is listed before any nonzero defect.  The level is "base" or
-    "extended"; any other raises ValueError.
+    details count the triples covered (all n^3), the sorted triples whose
+    defects the scan computed (n(n+1)(n+2)/6; the other permutations follow
+    by the two identities of _scan_triples) and the sampled sorted triples
+    on which both identities were recomputed; an identity that fails on a
+    sample is listed before any nonzero defect.  The level is "base" or
+    "extended", and grid_max is at least 0; anything else raises ValueError.
     """
     if level not in _GRID_LEVELS:
         raise ValueError(f"the Jacobi grid verifies the levels "
                          f"{', '.join(_GRID_LEVELS)}, not {level!r}")
+    if grid_max < 0:
+        raise ValueError(f"the Jacobi grid needs grid_max >= 0, not {grid_max}")
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     n = len(gens)
     samples = _spot_sample(L, level, grid_max, n)
@@ -603,8 +593,7 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
             parts = list(ex.map(_grid_worker_run, _balanced_spans(n, 4 * jobs)))
     else:
         rules = _grid_rules(L, level, beta)
-        parts = [_scan_triples(rules, gens, _pair_table(rules, gens), range(n),
-                               samples, limit=3)]
+        parts = [_scan_triples(rules, gens, range(n), samples, limit=3)]
     covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))
     failures = sorted((f for p in parts for f in p[3]),
                       key=lambda f: "shortcut" not in f)[:3]

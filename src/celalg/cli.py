@@ -118,20 +118,21 @@ def parse_beta(text: str) -> Optional[Fraction]:
         raise ConfigurationError(f"cannot parse beta value {text!r}: {exc}")
 
 
-def _env(key: str) -> Optional[str]:
-    return os.environ.get(_ENV_VARS[key])
-
-
-def _resolve(cli_value, key: str, cast, default):
-    if cli_value is not None:
-        return cli_value
-    raw = _env(key)
-    if raw is not None:
+def _resolve(cli_value, key: str, cast, default, least=None):
+    """The flag's value, else its environment variable's, else the default;
+    a number below `least` is a configuration error."""
+    value = default if cli_value is None else cli_value
+    raw = os.environ.get(_ENV_VARS[key])
+    if cli_value is None and raw is not None:
         try:
-            return cast(raw)
+            value = cast(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad {_ENV_VARS[key]}={raw!r}: {exc}")
-    return default
+    if least is not None and value < least:
+        raise ConfigurationError(
+            f"--{key.replace('_', '-')} ({_ENV_VARS[key]}) must be at least "
+            f"{least}, not {value}")
+    return value
 
 
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -146,16 +147,20 @@ def _bool_cast(raw: str) -> bool:
 
 
 def get_algebra(series: str, rank: int, cache_dir: Optional[str]) -> LieAlgebra:
-    """Build the algebra, consulting the structure-constant cache if set."""
-    if cache_dir:
+    """Build the algebra, consulting the structure-constant cache if set;
+    a cache path that cannot be read or written is a configuration error."""
+    if not cache_dir:
+        return simple_lie_algebra(series, rank)
+    path = os.path.join(cache_dir, f"{series}{rank}.sc")
+    try:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"{series}{rank}.sc")
         if os.path.exists(path):
             return algebra_from_cache(series, rank, path)
         L = simple_lie_algebra(series, rank)
         save_structure_constants(L, path)
-        return L
-    return simple_lie_algebra(series, rank)
+    except OSError as exc:
+        raise ConfigurationError(f"cache directory {cache_dir}: {exc}") from exc
+    return L
 
 
 def _emit(cfg: RunConfig, document: dict, text_lines: List[str]) -> None:
@@ -312,24 +317,20 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg.json_output = _resolve(args.json, "json", _bool_cast, False)
     cfg.cache_dir = _resolve(args.cache_dir, "cache_dir", str, None)
     if hasattr(args, "samples"):
-        cfg.samples = _resolve(args.samples, "samples", int, 100)
+        cfg.samples = _resolve(args.samples, "samples", int, 100, least=1)
     if hasattr(args, "grid"):
-        cfg.grid_max = _resolve(args.grid, "grid", int, 2)
+        cfg.grid_max = _resolve(args.grid, "grid", int, 2, least=0)
     if hasattr(args, "beta"):
         raw = _resolve(args.beta, "beta", str, "formal")
         cfg.beta = parse_beta(raw)
     if hasattr(args, "jobs"):
-        cfg.jobs = _resolve(args.jobs, "jobs", int, 1)
-        if cfg.jobs < 1:
-            raise ConfigurationError("--jobs must be at least 1")
+        cfg.jobs = _resolve(args.jobs, "jobs", int, 1, least=1)
         cpus = os.cpu_count() or 1
         if cfg.jobs > cpus:
             raise ConfigurationError(
                 f"--jobs {cfg.jobs} exceeds the {cpus} available CPUs")
     if hasattr(args, "max_rank"):
-        cfg.max_rank = _resolve(args.max_rank, "max_rank", int, 4)
-        if cfg.max_rank < 4:
-            raise ConfigurationError("--max-rank must be at least 4")
+        cfg.max_rank = _resolve(args.max_rank, "max_rank", int, 4, least=4)
     if hasattr(args, "enable_e78"):
         cfg.enable_e78 = _resolve(args.enable_e78, "enable_e78", _bool_cast, False)
     return cfg

@@ -1,13 +1,19 @@
-"""The names the benchmark's tracer wraps must exist in the package.
+"""The names the benchmark's tracer wraps must exist in the package, and
+the benchmark's calls must bind to the package's signatures.
 
 `bench/tracer.py` patches the functions it lists by module and name, and
 `bench/run.py --trace 1` reads the memo dicts of the rule tables it
 captures; a rename in the package would otherwise only show as missing
-metrics.  The tracer file is read here, never changed.
+metrics.  `bench/workloads.py` calls package functions with keyword
+arguments; a renamed or removed parameter would otherwise only show as
+failed benchmark items.  The files under `bench/` are read here, never
+changed.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,7 +21,8 @@ import pytest
 from celalg.celestial import rules_deformed, rules_extended
 from celalg.liealg import simple_lie_algebra
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _tracer():
@@ -42,3 +49,34 @@ def test_captured_rule_tables_expose_memos(build):
     rs = build(simple_lie_algebra("A", 1))
     assert isinstance(rs.base_memo, dict) and rs.base_memo
     assert isinstance(rs.full_memo, dict)
+
+
+def _workload_calls():
+    """(module, function, positional count, keyword names) of every call of
+    the form mods.<module>.<function>(...) in bench/workloads.py."""
+    calls = set()
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Attribute)
+                and isinstance(func.value.value, ast.Name)
+                and func.value.value.id == "mods"):
+            # a starred argument (build_root_system(*split_type(name))) is
+            # a (series, rank) pair
+            npos = sum(2 if isinstance(arg, ast.Starred) else 1 for arg in node.args)
+            calls.add((func.value.attr, func.attr, npos,
+                       tuple(kw.arg for kw in node.keywords)))
+    return sorted(calls)
+
+
+def test_workloads_call_the_grid_and_the_solver_with_keywords():
+    names = {(home, name, kws) for home, name, _, kws in _workload_calls()}
+    assert ("celestial", "verify_jacobi_grid", ("level", "jobs")) in names
+    assert ("celestial", "solve_constants", ("master_seed",)) in names
+
+
+@pytest.mark.parametrize("home,name,npos,keywords", [
+    pytest.param(*call, id=f"{call[0]}.{call[1]}") for call in _workload_calls()])
+def test_workload_call_binds(home, name, npos, keywords):
+    function = getattr(importlib.import_module(f"celalg.{home}"), name)
+    inspect.signature(function).bind(*range(npos), **dict.fromkeys(keywords))

@@ -32,7 +32,6 @@ from celalg.lambdacalc import (
     F,
     I,
     J,
-    KIND_J,
     UndefinedBracket,
     bracket_words,
     format_lambda_poly,
@@ -265,9 +264,9 @@ def test_verify_jacobi_grid_sl2(sl2):
     assert rep.passed
     assert rep.details["triples"] == 71 ** 3
     assert rep.details["generators"] == 71
-    # the swap identity and the zero-pair skip leave 127,365 of 71^3 triples
-    assert rep.details["computed"] == 127365
-    assert rep.details["spot_checked"] == 511
+    # the scan computes the sorted triples only: C(73, 3) of 71^3
+    assert rep.details["computed"] == 71 * 72 * 73 // 6 == 62196
+    assert rep.details["spot_checked"] == 510
 
 
 def test_verify_jacobi_grid_base_level_small(sl3):
@@ -289,19 +288,26 @@ def _must_not_run(*args, **kwargs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("level", ["deformed", "no-such-level"])
-def test_verify_jacobi_grid_rejects_other_levels(sl2, monkeypatch, level, jobs):
+@pytest.mark.parametrize("level,grid_max,words", [
     # the deformed table defines J-J brackets only at the deformed patterns,
-    # so its grid would stop on an undefined bracket; the level is refused
-    # before any generator list, spot sample or worker pool exists
+    # so its grid would stop on an undefined bracket
+    pytest.param("deformed", 1, ("base", "extended", "'deformed'"), id="deformed"),
+    pytest.param("no-such-level", 1, ("base", "extended", "'no-such-level'"),
+                 id="no-such-level"),
+    # a negative grid has no generators, so it would pass on zero triples
+    pytest.param("extended", -1, ("grid_max >= 0", "-1"), id="negative-grid"),
+    pytest.param("base", -2, ("grid_max >= 0", "-2"), id="negative-base-grid"),
+])
+def test_verify_jacobi_grid_rejects_other_levels(sl2, monkeypatch, level, grid_max,
+                                                 words, jobs):
+    # refused before any generator list, spot sample or worker pool exists
     import concurrent.futures
     monkeypatch.setattr(celestial, "grid_generators", _must_not_run)
     monkeypatch.setattr(celestial, "_spot_sample", _must_not_run)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _must_not_run)
     with pytest.raises(ValueError) as exc:
-        verify_jacobi_grid(sl2, 1, level=level, jobs=jobs)
-    message = str(exc.value)
-    assert "base" in message and "extended" in message and repr(level) in message
+        verify_jacobi_grid(sl2, grid_max, level=level, jobs=jobs)
+    assert all(word in str(exc.value) for word in words), str(exc.value)
 
 
 @pytest.mark.parametrize("n,parts", [(1, 4), (7, 4), (31, 8), (71, 8), (287, 8)])
@@ -309,10 +315,13 @@ def test_balanced_spans_partition_rows(n, parts):
     spans = celestial._balanced_spans(n, parts)
     assert 1 <= len(spans) <= parts
     assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
-    weights = [sum(n - i for i in range(lo, hi)) for lo, hi in spans]
+    # row i holds the sorted triples (i, j, k), i <= j <= k < n
+    row = [(n - i) * (n - i + 1) // 2 for i in range(n)]
+    weights = [sum(row[lo:hi]) for lo, hi in spans]
+    assert sum(weights) == n * (n + 1) * (n + 2) // 6
     # no span exceeds its share of the weight by more than one row
-    share = n * (n + 1) / (2 * parts)
-    assert all(w <= share + n for w in weights)
+    share = sum(weights) / parts
+    assert all(w <= share + row[0] for w in weights)
 
 
 def _swapped(p):
@@ -321,18 +330,51 @@ def _swapped(p):
             for (i, j), ws in p.items()}
 
 
+def _transposed(rules, p):
+    """-p(lambda, -lambda - mu - T), normal ordered, written out independently
+    of the library helper: (-lambda - mu - T)^j is multiplied out factor by
+    factor, and T acts on each word letter by letter (Leibniz)."""
+    out = {}
+    for (i, j), ws in p.items():
+        # monomials lambda^x mu^y T^z of -(-lambda - mu - T)^j
+        power = {(0, 0, 0): -1}
+        for _ in range(j):
+            nxt = {}
+            for (x, y, z), k in power.items():
+                for key in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+                    nxt[key] = nxt.get(key, 0) - k
+            power = nxt
+        for (x, y, z), k in power.items():
+            for word, sc in ws.items():
+                derived = {word: 1}
+                for _ in range(z):
+                    nxt = {}
+                    for w, m in derived.items():
+                        for pos, g in enumerate(w):
+                            bumped = w[:pos] + (g._replace(dpow=g.dpow + 1),) + w[pos + 1:]
+                            nxt[bumped] = nxt.get(bumped, 0) + m
+                    derived = nxt
+                for w, m in derived.items():
+                    lp_iadd(out, (i + x, y), {w: s_scale(sc, k * m)})
+    return normal_order_poly(rules, out)
+
+
 def test_swap_identity_on_deformed_triples(sl3):
-    # defect(b, a, c)(lambda, mu) == -defect(a, b, c)(mu, lambda), exactly
+    # both transpositions, exactly, with derivative powers on the letters:
+    # defect(b, a, c)(lambda, mu) == -defect(a, b, c)(mu, lambda) and
+    # defect(a, c, b)(lambda, mu) == -defect(a, b, c)(lambda, -lambda - mu - T)
     rd = rules_deformed(sl3)
     rng = random.Random("swap-identity-a2")
     bids = [(1, 0), (0, 1), (0, 0)]
     nonzero = 0
     for _ in range(60):
         rng.shuffle(bids)
-        a, b, c = (J(rng.randrange(sl3.dim), *bid) for bid in bids)
+        a, b, c = (J(rng.randrange(sl3.dim), *bid, rng.randrange(2)) for bid in bids)
         d = defect_poly(rd, a, b, c)
         assert lp_equal(defect_poly(rd, b, a, c), _swapped(d)), (a, b, c)
+        assert lp_equal(defect_poly(rd, a, c, b), _transposed(rd, d)), (a, b, c)
         assert lp_equal(celestial._swap_lambda_mu(d), _swapped(d))
+        assert lp_equal(celestial._swap_mu_nu(rd, d), _transposed(rd, d))
         nonzero += bool(d)
     assert nonzero >= 10
 
@@ -475,21 +517,19 @@ def test_tampered_jf_rule_fails_with_jjf_triple(sl2, monkeypatch):
 
 
 def _fake_mirror_defect(index, a, b, c):
-    # nonzero only where index(a) > index(b): the triples the scan infers
+    # nonzero only where index(a) > index(b): triples the swap identity infers
     return {(0, 0): {(c,): s_rational(1)}} if index[a] > index[b] else {}
 
 
-def _fake_abelian_defect(index, a, b, c):
-    # nonzero only off the J sector, where every pair bracket vanishes; the
-    # term lambda - mu is its own swap image, so the identity still holds
-    if KIND_J in (a.kind, b.kind, c.kind):
-        return {}
-    return {(1, 0): {(c,): s_rational(1)}, (0, 1): {(c,): s_rational(-1)}}
+def _fake_transposed_defect(index, a, b, c):
+    # nonzero only where index(b) > index(c): triples the b <-> c identity
+    # infers; its swap image (b, a, c) has index(a) <= index(c), so is zero
+    return {(0, 0): {(a,): s_rational(1)}} if index[b] > index[c] else {}
 
 
 @pytest.mark.parametrize("fake,shortcut", [
     (_fake_mirror_defect, "swap identity"),
-    (_fake_abelian_defect, "zero-pair skip"),
+    (_fake_transposed_defect, "b<->c identity"),
 ])
 def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, shortcut):
     # the defects the scan computes stay zero, so only the spot check can
@@ -509,27 +549,6 @@ def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, shortcut):
     assert not rep.passed
     assert rep.first_counterexample["shortcut"] == shortcut
     assert len(rep.first_counterexample["triple"]) == 3
-
-
-def test_spot_check_tests_the_scan_skip_predicate(sl2, monkeypatch):
-    # a scan whose skip predicate drops every slot computes no defect; a
-    # defect where [a b] is nonzero must then fail the sampled triples
-    orig = celestial.defect_poly
-
-    def faulty(rules, a, b, c):
-        d = orig(rules, a, b, c)
-        if bracket_words(rules, (a,), (b,)):
-            # lambda - mu is its own swap image
-            lp_iadd(d, (1, 0), {(c,): s_rational(1)})
-            lp_iadd(d, (0, 1), {(c,): s_rational(-1)})
-        return d
-
-    monkeypatch.setattr(celestial, "_third_slots", lambda pairs, ia, ib: ())
-    monkeypatch.setattr(celestial, "defect_poly", faulty)
-    rep = verify_jacobi_grid(sl2, 1)
-    assert not rep.passed
-    assert rep.details["computed"] == 0
-    assert rep.first_counterexample["shortcut"] == "zero-pair skip"
 
 
 def test_construction_guard_rejects_weight_raising_rule(sl2, monkeypatch):

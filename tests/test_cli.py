@@ -93,6 +93,15 @@ def test_configuration_error_exit_two():
     assert "configuration error" in err
     code, _, _ = run_cli(["verify", "A1", "--jobs", "0"])
     assert code == 2
+    # a negative grid or no samples would pass on zero triples or samples
+    for args, env in ((["--grid", "-1"], None), (["--samples", "0"], None),
+                      ([], {"CELALG_GRID": "-3"}), ([], {"CELALG_SAMPLES": "-3"})):
+        code, out, err = run_cli(["verify", "A1", *args], env_extra=env)
+        assert (code, out) == (2, ""), (args, env)
+        assert err.startswith("configuration error: --") and "at least" in err
+        assert len(err.splitlines()) == 1
+    code, _, _ = run_cli(["classify", "--samples", "0"])
+    assert code == 2
 
 
 def test_unknown_flag_exit_two():
@@ -190,6 +199,24 @@ def test_cache_file_format(tmp_path):
         assert 0 <= int(i) < 3 and 0 <= int(j) < 3 and 0 <= int(k) < 3
         from fractions import Fraction
         Fraction(v)  # parses exactly
+
+
+@pytest.mark.parametrize("blocker", ["file", "directory"])
+def test_unusable_cache_dir_exit_two(tmp_path, capsys, blocker):
+    # a file where the cache directory should be, or a directory where the
+    # cache file should be: a configuration error, not a traceback
+    if blocker == "file":
+        cache = tmp_path / "not-a-dir"
+        cache.write_text("")
+    else:
+        cache = tmp_path / "cache"
+        (cache / "A1.sc").mkdir(parents=True)
+    assert main(["solve", "A1", "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"configuration error: cache directory {cache}: ")
 
 
 @pytest.mark.parametrize("corrupt", ["flip_sign", "non_numeric_header"])

@@ -291,6 +291,34 @@ def test_scalar_ring_laws(a, b, ea, eb):
     assert two_x == s_scale(x, 2)
 
 
+@pytest.fixture(scope="module")
+def extended_a2():
+    return rules_extended(simple_lie_algebra("A", 2))
+
+
+_BIDEGREES = st.tuples(st.integers(0, 3), st.integers(0, 3))
+_DPOW = st.integers(0, 2)
+# beyond the construction probe (labels < 3, bidegrees <= 2, no derivatives)
+_LETTERS = st.one_of(
+    st.builds(GenSymbol, st.sampled_from([lc.KIND_J, lc.KIND_I]),
+              st.integers(0, 7), _BIDEGREES, _DPOW),
+    st.builds(GenSymbol, st.just(lc.KIND_E), st.just(-1),
+              _BIDEGREES.filter(lambda bid: bid != (0, 0)), _DPOW),
+    st.builds(GenSymbol, st.just(lc.KIND_F), st.just(-1), _BIDEGREES, _DPOW),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_LETTERS, b=_LETTERS)
+def test_skew_symmetry_of_letters_on_extended_a2(extended_a2, a, b):
+    # [b_l a] = -[a_{-l-T} b]: with sesquilinearity, the axiom behind both
+    # identities that let the Jacobi grid compute sorted triples only
+    rules = extended_a2
+    forward = bracket_words(rules, (a,), (b,))
+    assert lp_equal(bracket_words(rules, (b,), (a,)),
+                    normal_order_poly(rules, skew(forward)))
+
+
 def test_single_generator_word_brackets(base):
     # one generator against a word and a word against one generator: the
     # unit word brackets to zero on either side
