@@ -7,10 +7,11 @@ Three nested levels of rule tables over a simple Lie algebra g:
                bidegree-dependent coefficients proportional to beta.
   * deformed:  the finite deformation with constants D and C on the
                low-bidegree generators; quadratic terms are expanded over a
-               concrete dual basis of g.  This table is deliberately
-               partial: J-J brackets exist only at the deformed patterns,
-               and anything else raises UndefinedBracket instead of falling
-               back, so modeling mistakes surface immediately.
+               concrete dual basis of g.  J-J brackets exist only at the
+               deformed patterns; any other J-J pattern raises
+               UndefinedBracket.  J-I falls back to the current bracket on
+               every pattern except the two with +-C quadratic words,
+               [J[1,0] I[0,1]] and [J[0,1] I[1,0]].
 
 Each level is one dict from a generator kind pair to its rule; a pair the
 table leaves out is the skew image of its reverse.  On top of the tables:
@@ -18,7 +19,9 @@ the Jacobi defect (1) - (2) - (3) of a generator triple, a grid verifier
 asserting zero defect at the base and extended levels, and the exact
 linear solver that extracts the unique (D, C) as multiples of beta^2 from
 the defect of the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero
-solution exists.
+solution exists.  The solver decides the Jacobi identity of the deformed
+table on those triples only; other triples, J-J-I ones among them, keep
+nonzero defects that no check here looks at.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .lambdacalc import (
     E,
@@ -54,7 +57,7 @@ from .lambdacalc import (
     weight,
     ws_iadd,
 )
-from .liealg import LieAlgebra, row_reduce, simple_lie_algebra
+from .liealg import LieAlgebra, row_reduce
 from .report import Report
 from .scalar import (
     BETA,
@@ -96,10 +99,9 @@ class RuleSet:
     total weight, the guarantee the reordering algorithm depends on.
     """
 
-    def __init__(self, algebra: LieAlgebra, level: str, beta: Optional[Fraction],
+    def __init__(self, algebra: LieAlgebra, beta: Optional[Fraction],
                  rules: Dict[Tuple[int, int], Rule]):
         self.algebra = algebra
-        self.level = level
         self.beta = s_monomial(BETA) if beta is None else s_rational(beta)
         self.rules = rules
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
@@ -276,7 +278,7 @@ def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 # --- rule tables ------------------------------------------------------------------
 
 def rules_base(L: LieAlgebra) -> RuleSet:
-    return _probed(RuleSet(L, "base", None, {
+    return _probed(RuleSet(L, None, {
         (KIND_J, KIND_J): _current,
         (KIND_J, KIND_I): _current,
         (KIND_I, KIND_I): _zero_rule,
@@ -299,7 +301,7 @@ def _extended_rules() -> Dict[Tuple[int, int], Rule]:
 
 
 def rules_extended(L: LieAlgebra, beta: Optional[Fraction] = None) -> RuleSet:
-    return _probed(RuleSet(L, "extended", beta, _extended_rules()))
+    return _probed(RuleSet(L, beta, _extended_rules()))
 
 
 def _as_scalar(value, formal_exp) -> Scalar:
@@ -320,7 +322,7 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
     """
     rules = _extended_rules()
     rules.update({(KIND_J, KIND_J): _deformed_jj, (KIND_J, KIND_I): _deformed_ji})
-    rs = RuleSet(L, "deformed", beta, rules)
+    rs = RuleSet(L, beta, rules)
     rs.d_const = _as_scalar(d_const, DCOEF)
     rs.c_const = _as_scalar(c_const, CCOEF)
     return _probed(rs)
@@ -438,6 +440,8 @@ def grid_generators(L: LieAlgebra, grid_max: int,
 
 # sampled triples whose shortcuts every grid run recomputes directly
 _SPOT_CHECKS = 512
+# nonzero defects after which a grid scan stops
+_DEFECT_LIMIT = 3
 
 
 def _swap_lambda_mu(p: LambdaPoly) -> LambdaPoly:
@@ -463,25 +467,22 @@ def _swap_mu_nu(rules: RuleSet, p: LambdaPoly) -> LambdaPoly:
 
 
 def _spot_sample(L: LieAlgebra, level: str, grid_max: int,
-                 n: int) -> List[Tuple[int, int, int]]:
+                 n: int) -> Set[Tuple[int, int, int]]:
     """Seeded sorted index triples ia <= ib <= ic, drawn from the n^3 grid."""
     rng = random.Random(f"jacobi-spot:{L.name}:{level}:{grid_max}")
-    picks = set()
-    for idx in rng.sample(range(n ** 3), min(_SPOT_CHECKS, n ** 3)):
-        picks.add(tuple(sorted((idx // (n * n), idx // n % n, idx % n))))
-    return sorted(picks)
+    return {tuple(sorted((idx // (n * n), idx // n % n, idx % n)))
+            for idx in rng.sample(range(n ** 3), min(_SPOT_CHECKS, n ** 3))}
 
 
-def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol], ia: int, ib: int,
-                ic: int) -> Optional[dict]:
-    """Compute a sorted triple and its two transposed images directly; None
-    when both identities hold on them."""
-    a, b, c = gens[ia], gens[ib], gens[ic]
-    d = defect_poly(rules, a, b, c)
-    for shortcut, image, infer in (
-            ("swap identity", (b, a, c), _swap_lambda_mu),
-            ("b<->c identity", (a, c, b), lambda p: _swap_mu_nu(rules, p))):
-        direct, inferred = defect_poly(rules, *image), infer(d)
+def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
+                d: LambdaPoly) -> Optional[dict]:
+    """Compute the two transposed images of the sorted triple (a, b, c)
+    directly and compare them with the images inferred from its defect d;
+    None when both identities hold."""
+    for shortcut, image, inferred in (
+            ("swap identity", (b, a, c), _swap_lambda_mu(d)),
+            ("b<->c identity", (a, c, b), _swap_mu_nu(rules, d))):
+        direct = defect_poly(rules, *image)
         if not lp_equal(direct, inferred):
             return {"triple": [str(g) for g in image],
                     "defect": format_lambda_poly(direct),
@@ -490,69 +491,55 @@ def _spot_check(rules: RuleSet, gens: Sequence[GenSymbol], ia: int, ib: int,
     return None
 
 
-def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol], first_range: range,
-                  samples: Sequence[Tuple[int, int, int]],
-                  limit: int) -> Tuple[int, int, int, List[dict]]:
-    """Decide every triple whose smallest index lies in first_range, with all
-    its permutations.
+def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol], rows: range,
+                  samples: Set[Tuple[int, int, int]]
+                  ) -> Tuple[int, int, int, List[dict]]:
+    """Decide every triple whose smallest index lies in rows, with all its
+    permutations.
 
     Only sorted triples index(a) <= index(b) <= index(c) are computed.  The
     swap identity (a <-> b) and the b <-> c identity generate all of S3, so
-    each permutation vanishes exactly when its sorted triple does.  The
-    sampled triples in first_range check both identities first.  Returns
-    (covered, computed, spot_checked, failures); the scan stops at `limit`
-    nonzero defects.
+    each permutation vanishes exactly when its sorted triple does.  A sampled
+    triple checks both identities on its defect as soon as it is computed.
+    Returns (covered, computed, spot_checked, failures); the scan stops at
+    the _DEFECT_LIMIT-th nonzero defect.
     """
     n = len(gens)
-    spot = [t for t in samples if t[0] in first_range]
-    failures = [fail for fail in (_spot_check(rules, gens, *t) for t in spot)
-                if fail is not None]
-    found = covered = computed = 0
-    for ia in first_range:
+    failures: List[dict] = []
+    found = covered = computed = spot_checked = 0
+    for ia in rows:
+        a = gens[ia]
         for ib in range(ia, n):
-            a, b = gens[ia], gens[ib]
-            for c in gens[ib:]:
+            b = gens[ib]
+            for ic, c in enumerate(gens[ib:], ib):
                 computed += 1
                 d = defect_poly(rules, a, b, c)
+                if (ia, ib, ic) in samples:
+                    spot_checked += 1
+                    fail = _spot_check(rules, a, b, c, d)
+                    if fail is not None:
+                        failures.append(fail)
                 if d:
                     failures.append({"triple": [str(a), str(b), str(c)],
                                      "defect": format_lambda_poly(d)})
                     found += 1
-                    if found >= limit:
-                        return covered, computed, len(spot), failures
+                    if found >= _DEFECT_LIMIT:
+                        return covered, computed, spot_checked, failures
         # the ordered triples whose smallest index is ia
         covered += (n - ia) ** 3 - (n - ia - 1) ** 3
-    return covered, computed, len(spot), failures
-
-
-def _balanced_spans(n: int, parts: int) -> List[Tuple[int, int]]:
-    """Contiguous spans of range(n) with about equal weight: the scan visits
-    (n - ia)(n - ia + 1)/2 sorted triples in row ia."""
-    total = n * (n + 1) * (n + 2) // 6
-    spans: List[Tuple[int, int]] = []
-    start = weight = 0
-    for ia in range(n):
-        weight += (n - ia) * (n - ia + 1) // 2
-        if weight * parts >= total * (len(spans) + 1):
-            spans.append((start, ia + 1))
-            start = ia + 1
-    return spans
+    return covered, computed, spot_checked, failures
 
 
 _WORKER = {}
 
 
-def _grid_worker_init(series: str, rank: int, level: str, beta, grid_max: int,
-                      samples: List[Tuple[int, int, int]]):
-    L = simple_lie_algebra(series, rank)
-    rules = _grid_rules(L, level, beta)
-    gens = grid_generators(L, grid_max, with_ef=level != "base")
-    _WORKER.update(rules=rules, gens=gens, samples=samples)
+def _grid_worker_init(L: LieAlgebra, level: str, beta, gens: List[GenSymbol],
+                      samples: Set[Tuple[int, int, int]]):
+    _WORKER.update(rules=_grid_rules(L, level, beta), gens=gens, samples=samples)
 
 
-def _grid_worker_run(span: Tuple[int, int]) -> Tuple[int, int, int, List[dict]]:
-    return _scan_triples(_WORKER["rules"], _WORKER["gens"], range(*span),
-                         _WORKER["samples"], limit=3)
+def _grid_worker_run(rows: range) -> Tuple[int, int, int, List[dict]]:
+    return _scan_triples(_WORKER["rules"], _WORKER["gens"], rows, _WORKER["samples"])
 
 
 # the deformed table is partial by design (J-J brackets only at the deformed
@@ -573,8 +560,10 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     details count the triples covered (all n^3), the sorted triples whose
     defects the scan computed (n(n+1)(n+2)/6; the other permutations follow
     by the two identities of _scan_triples) and the sampled sorted triples
-    on which both identities were recomputed; an identity that fails on a
-    sample is listed before any nonzero defect.  The level is "base" or
+    the scan reached, whose two transposed images it computed directly; an
+    identity that fails on a sample is listed before any nonzero defect.
+    With jobs > 1 the rows are dealt round-robin to a pool of workers, each
+    scanning rule tables built from L itself.  The level is "base" or
     "extended", and grid_max is at least 0; anything else raises ValueError.
     """
     if level not in _GRID_LEVELS:
@@ -585,18 +574,19 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     n = len(gens)
     samples = _spot_sample(L, level, grid_max, n)
-    if jobs > 1 and n >= 8:
+    if jobs > 1:
         import concurrent.futures as cf
+        # rows dealt round-robin, so every chunk holds long and short rows
+        chunks = [range(k, n, 4 * jobs) for k in range(4 * jobs)]
         with cf.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_grid_worker_init,
-                initargs=(L.series, L.rank, level, beta, grid_max, samples)) as ex:
-            parts = list(ex.map(_grid_worker_run, _balanced_spans(n, 4 * jobs)))
+                initargs=(L, level, beta, gens, samples)) as ex:
+            parts = list(ex.map(_grid_worker_run, chunks))
     else:
-        rules = _grid_rules(L, level, beta)
-        parts = [_scan_triples(rules, gens, range(n), samples, limit=3)]
+        parts = [_scan_triples(_grid_rules(L, level, beta), gens, range(n), samples)]
     covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))
     failures = sorted((f for p in parts for f in p[3]),
-                      key=lambda f: "shortcut" not in f)[:3]
+                      key=lambda f: "shortcut" not in f)
     return Report(check="jacobi_grid", algebra=L.name, passed=not failures,
                   first_counterexample=failures[0] if failures else None,
                   details={"level": level, "grid_max": grid_max,

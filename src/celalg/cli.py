@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="deformation constants for one algebra")
     common(p_solve)
     p_solve.add_argument("algebra", help="type name, e.g. A1, G2, D4")
-    p_solve.add_argument("--beta", default=None,
-                         help="'formal' (default) or an exact rational p/q")
 
     p_verify = sub.add_parser("verify", help="Jacobi grid and trace identities")
     common(p_verify)
@@ -302,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", type=int, default=None,
                           help="max bidegree entry in the Jacobi grid")
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--beta", default=None)
+    p_verify.add_argument("--beta", default=None,
+                          help="'formal' (default) or an exact rational p/q")
     p_verify.add_argument("--jobs", type=int, default=None,
                           help="parallel workers for the Jacobi grid")
 

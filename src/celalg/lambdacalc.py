@@ -235,14 +235,6 @@ def skew(p: LambdaPoly) -> LambdaPoly:
     return lp_cleanup(out)
 
 
-def integrate_mu(p: LambdaPoly) -> LambdaPoly:
-    """Definite integral over mu from 0 to lambda: mu^j -> lambda^(j+1)/(j+1)."""
-    out: LambdaPoly = {}
-    for (i, j), ws in p.items():
-        lp_iadd(out, (i + j + 1, 0), ws, Fraction(1, j + 1))
-    return out
-
-
 def integrate_commutator(p: LambdaPoly) -> WordSum:
     """Definite integral over the variable from -T to 0, as derivative words:
     lambda^k -> (-1)^k T^(k+1) / (k+1)."""

@@ -38,19 +38,6 @@ def s_monomial(exp: Exponent, coeff: Rat = 1) -> Scalar:
     return {exp: coeff}
 
 
-def s_add(a: Scalar, b: Scalar) -> Scalar:
-    if not a:
-        return dict(b)
-    out = dict(a)
-    for exp, c in b.items():
-        v = out.get(exp, 0) + c
-        if v == 0:
-            out.pop(exp, None)
-        else:
-            out[exp] = v
-    return out
-
-
 def s_iadd(out: Scalar, b: Scalar) -> None:
     """In-place accumulate, used in hot loops."""
     for exp, c in b.items():
@@ -79,31 +66,6 @@ def s_mul(a: Scalar, b: Scalar) -> Scalar:
                 out.pop(exp, None)
             else:
                 out[exp] = v
-    return out
-
-
-def s_substitute(a: Scalar, beta: Rat = None, d: Rat = None, c: Rat = None) -> Scalar:
-    """Specialize any subset of the formal parameters to exact rationals."""
-    out: Scalar = {}
-    for (eb, ed, ec), coeff in a.items():
-        v = coeff
-        if beta is not None:
-            v = v * beta ** eb
-            eb = 0
-        if d is not None:
-            v = v * d ** ed
-            ed = 0
-        if c is not None:
-            v = v * c ** ec
-            ec = 0
-        if v == 0:
-            continue
-        exp = (eb, ed, ec)
-        w = out.get(exp, 0) + v
-        if w == 0:
-            out.pop(exp, None)
-        else:
-            out[exp] = w
     return out
 
 

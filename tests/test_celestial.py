@@ -5,6 +5,7 @@ assertions; basis order for sl2 is (h, e, f) = labels (0, 1, 2) with duals
 (h/2, f, e).
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -283,6 +284,39 @@ def test_verify_jacobi_grid_parallel_matches_serial(sl2):
     assert serial.details == parallel.details
 
 
+def _not_lie(L):
+    """L with [h, e] = 3e (and [e, h] = -3e): skew, but no Lie algebra."""
+    f = {key: dict(val) for key, val in L.f.items()}
+    f[(0, 1)], f[(1, 0)] = {1: 3}, {1: -3}
+    return dataclasses.replace(L, f=f)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_jacobi_grid_fails_a_non_lie_algebra(sl2, jobs):
+    # every worker scans the algebra it was handed, not a fresh build
+    rep = verify_jacobi_grid(_not_lie(sl2), 1, jobs=jobs)
+    assert not rep.passed
+    # a real defect: the identities rest on skew-symmetry and
+    # sesquilinearity only, which the broken bracket keeps
+    assert "shortcut" not in rep.first_counterexample
+    assert rep.first_counterexample["triple"] == ["J_0[0,0]", "J_1[0,0]", "J_2[0,0]"]
+
+
+def test_spot_checks_reuse_the_scanned_defect(sl2, monkeypatch):
+    # a sample costs its two transposed images, not a third copy of its own
+    calls = []
+    orig = celestial.defect_poly
+
+    def counting(rules, a, b, c):
+        calls.append((a, b, c))
+        return orig(rules, a, b, c)
+
+    monkeypatch.setattr(celestial, "defect_poly", counting)
+    rep = verify_jacobi_grid(sl2, 1)
+    assert rep.passed and rep.details["spot_checked"] > 0
+    assert len(calls) == rep.details["computed"] + 2 * rep.details["spot_checked"]
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the grid started work for a level it cannot run")
 
@@ -308,20 +342,6 @@ def test_verify_jacobi_grid_rejects_other_levels(sl2, monkeypatch, level, grid_m
     with pytest.raises(ValueError) as exc:
         verify_jacobi_grid(sl2, grid_max, level=level, jobs=jobs)
     assert all(word in str(exc.value) for word in words), str(exc.value)
-
-
-@pytest.mark.parametrize("n,parts", [(1, 4), (7, 4), (31, 8), (71, 8), (287, 8)])
-def test_balanced_spans_partition_rows(n, parts):
-    spans = celestial._balanced_spans(n, parts)
-    assert 1 <= len(spans) <= parts
-    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
-    # row i holds the sorted triples (i, j, k), i <= j <= k < n
-    row = [(n - i) * (n - i + 1) // 2 for i in range(n)]
-    weights = [sum(row[lo:hi]) for lo, hi in spans]
-    assert sum(weights) == n * (n + 1) * (n + 2) // 6
-    # no span exceeds its share of the weight by more than one row
-    share = sum(weights) / parts
-    assert all(w <= share + row[0] for w in weights)
 
 
 def _swapped(p):
@@ -456,6 +476,17 @@ def test_closed_form_constants_a1(sl2):
     d2, c2 = closed_form_constants(sl2, beta=Fraction(2))
     assert d2 == s_rational(Fraction(-1, 2))
     assert c2 == s_rational(Fraction(3, 4))
+
+
+def test_deformed_table_leaves_a_jji_defect(sl2):
+    # J-I falls back to the current bracket away from the two +-C patterns,
+    # so with the solver's own constants a J-J-I triple keeps a defect: the
+    # current model, not a pass
+    d_const, c_const = closed_form_constants(sl2)
+    rd = rules_deformed(sl2, d_const=d_const, c_const=c_const)
+    d = defect_poly(rd, I(0, 0, 0), J(0, 0, 1), J(1, 1, 0))
+    # -3/2 beta^2 I_0[0,0] I_1[0,0]
+    assert d == {(0, 0): {(I(0, 0, 0), I(1, 0, 0)): {(2, 0, 0): Fraction(-3, 2)}}}
 
 
 def test_closed_form_rejects_non_admissible():

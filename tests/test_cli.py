@@ -12,11 +12,14 @@ from celalg.cli import build_parser, config_from_args, main, parse_algebra, pars
 from celalg.liealg import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("CELALG_SEED", None)
+    # the child imports celalg from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "celalg.cli", *args],
@@ -107,6 +110,13 @@ def test_configuration_error_exit_two():
 def test_unknown_flag_exit_two():
     code, _, _ = run_cli(["solve", "A1", "--bogus"])
     assert code == 2
+
+
+def test_solve_refuses_beta():
+    # the solver keeps beta formal, so a numeric beta would only be echoed
+    code, out, err = run_cli(["solve", "A1", "--beta", "2"])
+    assert (code, out) == (2, "")
+    assert "--beta" in err
 
 
 def test_env_var_overrides():
