@@ -22,6 +22,14 @@ the defect of the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero
 solution exists.  The solver decides the Jacobi identity of the deformed
 table on those triples only; other triples, J-J-I ones among them, keep
 nonzero defects that no check here looks at.
+
+The solver's full iteration sweeps one right label c at a time (the
+seeded 500-triple sample above dimension 30 runs without the memo).  In a
+sweep, term (3) of each multi-letter (C-weighted quadratic) word of
+[a_lambda b] against c is memoized on the table, so its bracket, and the
+dual-route assertion of that left bracket, run once per distinct
+(word, c).  Before the memo is dropped, a seeded sample of its entries is
+recomputed directly and compared exactly with the stored values.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .lambdacalc import (
     KIND_F,
     KIND_I,
     KIND_J,
+    InternalConsistencyError,
     LambdaPoly,
     UndefinedBracket,
     Word,
@@ -107,6 +116,9 @@ class RuleSet:
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self._dual_brackets: Optional[List[List[Dict[int, Fraction]]]] = None
+        # (word, c) -> [word_{lambda+mu} c] for the multi-letter words of
+        # Jacobi term (3); None except while solve_constants sweeps one c
+        self.term3_memo: Optional[Dict[Tuple[Word, GenSymbol], LambdaPoly]] = None
         self.d_const: Scalar = {}
         self.c_const: Scalar = {}
 
@@ -375,6 +387,11 @@ def _apply_outer(rules, gen: GenSymbol, inner: LambdaPoly, transpose: bool,
                 lp_iadd(acc, key, ws2, s_scale(sc, sign) if sign != 1 else sc)
 
 
+def _term3_outer(rules: RuleSet, word: Word, c: GenSymbol) -> LambdaPoly:
+    """[word_{lambda+mu} c]: the outer bracket of Jacobi term (3)."""
+    return substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
+
+
 def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
                   acc1: LambdaPoly, acc2: LambdaPoly, acc3: LambdaPoly,
                   sign2: int, sign3: int) -> None:
@@ -382,12 +399,19 @@ def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
     (1) = [a_lambda [b_mu c]], (2) = [b_mu [a_lambda c]] and
     (3) = [[a_lambda b]_{lambda+mu} c] of the Jacobi identity of the triple.
     """
+    memo = rules.term3_memo
     try:
         _apply_outer(rules, a, bracket_words(rules, (b,), (c,)), False, acc1, 1)
         _apply_outer(rules, b, bracket_words(rules, (a,), (c,)), True, acc2, sign2)
         for (k, _), ws in bracket_words(rules, (a,), (b,)).items():
             for word, sc in ws.items():
-                outer = substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
+                if memo is None or len(word) == 1:
+                    outer = _term3_outer(rules, word, c)
+                else:
+                    # read only through lp_iadd, which copies what it adds
+                    outer = memo.get((word, c))
+                    if outer is None:
+                        outer = memo[word, c] = _term3_outer(rules, word, c)
                 for (i, j), ws2 in outer.items():
                     lp_iadd(acc3, (i + k, j), ws2, s_scale(sc, sign3) if sign3 != 1 else sc)
     except UndefinedBracket as exc:
@@ -478,11 +502,12 @@ def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
                 d: LambdaPoly) -> Optional[dict]:
     """Compute the two transposed images of the sorted triple (a, b, c)
     directly and compare them with the images inferred from its defect d;
-    None when both identities hold."""
+    None when both identities hold.  An image that is the triple itself
+    (a == b, or b == c) is d, which the scan has just computed."""
     for shortcut, image, inferred in (
             ("swap identity", (b, a, c), _swap_lambda_mu(d)),
             ("b<->c identity", (a, c, b), _swap_mu_nu(rules, d))):
-        direct = defect_poly(rules, *image)
+        direct = d if image == (a, b, c) else defect_poly(rules, *image)
         if not lp_equal(direct, inferred):
             return {"triple": [str(g) for g in image],
                     "defect": format_lambda_poly(direct),
@@ -655,6 +680,29 @@ def _solve_rows(rows) -> ConstantSolution:
                             c_over_beta2=v[2] / v[0], rows=len(rows))
 
 
+# term-(3) memo entries each solver sweep recomputes directly before the
+# memo is dropped
+_MEMO_CHECKS = 4
+
+
+def _sweep(rules: RuleSet, lc: int, pairs: Sequence[Tuple[int, int]],
+           rows: Set[Tuple], rng: random.Random) -> None:
+    """Add the rows of the triples (la, lb, lc), (la, lb) in pairs, under one
+    term-(3) memo for the right letter J_lc[0,0].  Before the memo is
+    dropped, a seeded sample of its entries is recomputed directly."""
+    rules.term3_memo = memo = {}
+    for la, lb in pairs:
+        rows.update(_defect_rows(rules, la, lb, lc))
+    for word, c in rng.sample(list(memo), min(_MEMO_CHECKS, len(memo))):
+        # not through _term3_outer, so a faulty fill cannot vouch for itself
+        direct = substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
+        if not lp_equal(direct, memo[word, c]):
+            raise InternalConsistencyError(
+                f"term (3) memo entry for [{'*'.join(map(str, word))} against "
+                f"{c}] differs from its direct recompute")
+    rules.term3_memo = None
+
+
 def solve_constants(L: LieAlgebra, master_seed=0,
                     progress: Optional[Callable[[int, int], None]] = None
                     ) -> ConstantSolution:
@@ -662,7 +710,11 @@ def solve_constants(L: LieAlgebra, master_seed=0,
 
     Iterates all dim^3 basis label triples; above dimension 30 a seeded
     500-triple sample is solved first and the full iteration runs only when
-    the sample disagrees with the closed-form prediction.
+    the sample disagrees with the closed-form prediction.  The full
+    iteration takes triples one right label lc at a time, so the term-(3)
+    brackets of the quadratic words against J_lc[0,0] are computed once per
+    sweep (see _sweep); the row set does not depend on that order.  The
+    sample runs without the memo.
     """
     rules = rules_deformed(L)
     n = L.dim
@@ -679,14 +731,12 @@ def solve_constants(L: LieAlgebra, master_seed=0,
         if matches_closed_form(L, sol):
             return sol
     rows = set()
-    done = 0
-    for la in range(n):
-        for lb in range(n):
-            for lc in range(n):
-                rows.update(_defect_rows(rules, la, lb, lc))
-        done += n * n
+    pairs = [(la, lb) for la in range(n) for lb in range(n)]
+    spot_rng = random.Random(f"term3-spot:{L.name}")
+    for lc in range(n):
+        _sweep(rules, lc, pairs, rows, spot_rng)
         if progress:
-            progress(done, total)
+            progress((lc + 1) * n * n, total)
     sol = _solve_rows(rows)
     sol.triples = total
     return sol

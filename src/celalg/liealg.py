@@ -607,11 +607,15 @@ def simple_lie_algebra(series: str, rank: int) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 # structure-constant cache files
 #
-# Format: header line "dim rank h_dual_coxeter", then one line "i j k p/q"
-# per nonzero constant (0-based indices, exact rational, sorted by (i,j,k)).
+# Format: the version line CACHE_FORMAT, a header line "dim rank
+# h_dual_coxeter", then one line "i j k p/q" per nonzero constant (0-based
+# indices, exact rational, sorted by (i,j,k)).
+
+CACHE_FORMAT = "celalg-structure-constants 1"
+
 
 def _format_structure_constants(L: LieAlgebra) -> str:
-    lines = [f"{L.dim} {L.rank} {L.h_dual_coxeter}"]
+    lines = [CACHE_FORMAT, f"{L.dim} {L.rank} {L.h_dual_coxeter}"]
     for (i, j) in sorted(L.f):
         comp = L.f[(i, j)]
         for k in sorted(comp):
@@ -640,12 +644,18 @@ def load_structure_constants(path: str) -> Tuple[int, int, int,
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ConfigurationError("empty structure-constant file")
-    head = lines[0].split()
+    if lines[0] != CACHE_FORMAT:
+        problem = ("unknown format version"
+                   if lines[0].split()[0] == CACHE_FORMAT.split()[0]
+                   else "no format version line")
+        raise ConfigurationError(
+            f"{problem}: first line {lines[0]!r}, expected {CACHE_FORMAT!r}")
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 3:
         raise ConfigurationError("malformed header in structure-constant file")
     dim, rank, hdc = (int(x) for x in head)
     f: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for ln in lines[1:]:
+    for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ConfigurationError(f"malformed line {ln!r}")

@@ -314,7 +314,14 @@ def test_spot_checks_reuse_the_scanned_defect(sl2, monkeypatch):
     monkeypatch.setattr(celestial, "defect_poly", counting)
     rep = verify_jacobi_grid(sl2, 1)
     assert rep.passed and rep.details["spot_checked"] > 0
-    assert len(calls) == rep.details["computed"] + 2 * rep.details["spot_checked"]
+    # an image that is the sorted triple itself (a == b for the swap, b == c
+    # for b<->c) is compared with the scanned defect, not recomputed
+    samples = celestial._spot_sample(sl2, "extended", 1, rep.details["generators"])
+    assert len(samples) == rep.details["spot_checked"]
+    repeats = sum((ia == ib) + (ib == ic) for ia, ib, ic in samples)
+    assert repeats > 0
+    assert len(calls) == (rep.details["computed"] + 2 * rep.details["spot_checked"]
+                          - repeats)
 
 
 def _must_not_run(*args, **kwargs):
@@ -425,6 +432,77 @@ def test_solve_constants_g2():
     assert (sol.d_over_beta2, sol.c_over_beta2) == (Fraction(-1, 5), Fraction(3, 20))
     assert closed_form_fractions(simple_lie_algebra("G", 2)) == \
         (Fraction(-1, 5), Fraction(3, 20))
+
+
+def _solver_rows(L, monkeypatch):
+    """The row set solve_constants hands to _solve_rows."""
+    seen = []
+    orig = celestial._solve_rows
+
+    def capture(rows):
+        seen.append(set(rows))
+        return orig(rows)
+
+    monkeypatch.setattr(celestial, "_solve_rows", capture)
+    solve_constants(L)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("A", 3),
+                                         ("B", 2)])
+def test_solver_memo_keeps_the_row_set(monkeypatch, series, rank):
+    # the solver sweeps one right label at a time under the term-(3) memo;
+    # a fresh table outside solve_constants has no memo, so each triple
+    # here computes its quadratic-word brackets from scratch
+    L = simple_lie_algebra(series, rank)
+    fresh = rules_deformed(L)
+    n = L.dim
+    expected = set()
+    for la in range(n):
+        for lb in range(n):
+            for lc in range(n):
+                expected.update(celestial._defect_rows(fresh, la, lb, lc))
+    assert fresh.term3_memo is None
+    assert _solver_rows(L, monkeypatch) == expected
+
+
+def test_solver_checks_each_word_and_letter_once(sl2):
+    # one dual-route check per distinct (word, c) of term (3), plus the
+    # memo's spot sample in every sweep
+    from celalg import lambdacalc
+    rd = rules_deformed(sl2)
+    n = sl2.dim
+    words = {word for la in range(n) for lb in range(n)
+             for ws in bracket_words(rd, (J(la, 1, 0),), (J(lb, 0, 1),)).values()
+             for word in ws if len(word) > 1}
+    assert len(words) > celestial._MEMO_CHECKS
+    lambdacalc.reset_stats()
+    solve_constants(sl2)
+    assert lambdacalc.STATS["dual_path_checks"] == n * (len(words) + celestial._MEMO_CHECKS)
+
+
+def test_solver_memo_spot_check_catches_a_corrupt_fill(sl2, monkeypatch, capsys):
+    from celalg.cli import main
+    from celalg.lambdacalc import InternalConsistencyError
+    orig = celestial._term3_outer
+
+    def corrupted(rules, word, c):
+        # every stored entry (a multi-letter word) gains a stray F[0,0]
+        out = orig(rules, word, c)
+        if len(word) > 1:
+            lp_iadd(out, (0, 0), {(F(0, 0),): s_rational(1)})
+        return out
+
+    monkeypatch.setattr(celestial, "_term3_outer", corrupted)
+    with pytest.raises(InternalConsistencyError, match=r"term \(3\) memo entry"):
+        solve_constants(sl2)
+    capsys.readouterr()
+    assert main(["solve", "A1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("internal error: InternalConsistencyError: term (3) "
+                             "memo entry for [")
 
 
 @pytest.mark.parametrize("rows,status,d,c", [

@@ -203,8 +203,9 @@ def test_cache_file_format(tmp_path):
     cache = tmp_path / "cache"
     run_cli(["solve", "A1", "--json", "--cache-dir", str(cache)])
     lines = (cache / "A1.sc").read_text().splitlines()
-    assert lines[0] == "3 1 2"  # dim rank h_dual_coxeter
-    for ln in lines[1:]:
+    assert lines[0] == "celalg-structure-constants 1"  # format version
+    assert lines[1] == "3 1 2"  # dim rank h_dual_coxeter
+    for ln in lines[2:]:
         i, j, k, v = ln.split()
         assert 0 <= int(i) < 3 and 0 <= int(j) < 3 and 0 <= int(k) < 3
         from fractions import Fraction
@@ -229,7 +230,8 @@ def test_unusable_cache_dir_exit_two(tmp_path, capsys, blocker):
     assert err[0].startswith(f"configuration error: cache directory {cache}: ")
 
 
-@pytest.mark.parametrize("corrupt", ["flip_sign", "non_numeric_header"])
+@pytest.mark.parametrize("corrupt", ["flip_sign", "non_numeric_header",
+                                     "no_version", "wrong_version"])
 def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     from celalg.liealg import save_structure_constants, simple_lie_algebra
     cache = tmp_path / "cache"
@@ -238,10 +240,14 @@ def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     save_structure_constants(simple_lie_algebra("A", 2), str(path))
     lines = path.read_text().splitlines()
     if corrupt == "flip_sign":
-        i, j, k, v = lines[1].split()
-        lines[1] = f"{i} {j} {k} {-int(v)}"
+        i, j, k, v = lines[2].split()
+        lines[2] = f"{i} {j} {k} {-int(v)}"
+    elif corrupt == "non_numeric_header":
+        lines[1] = "8 2 x"
+    elif corrupt == "no_version":
+        del lines[0]
     else:
-        lines[0] = "8 2 x"
+        lines[0] = "celalg-structure-constants 0"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(["solve", "A2", "--cache-dir", str(cache)])
     assert code == 2

@@ -101,6 +101,7 @@ def test_skew_linear_term():
     }
 
 
+from tests_support_random import random_letter
 from tests_support_random import random_poly as _random_poly
 from tests_support_random import random_word as _random_word
 from tests_support_random import rightmost_normal_order
@@ -311,6 +312,23 @@ def test_skew_symmetry_of_letters_on_extended_a2(extended_a2, a, b):
     forward = bracket_words(rules, (a,), (b,))
     assert lp_equal(bracket_words(rules, (b,), (a,)),
                     normal_order_poly(rules, skew(forward)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_sesquilinearity_of_letters_on_extended_a2(extended_a2, rng):
+    # [Ta_l b] = -l [a_l b] and [a_l Tb] = (l + T) [a_l b], for letters of
+    # any kind with derivative powers 0-2 on the sl3 labels
+    rules = extended_a2
+    a, b = random_letter(rng, dim=8), random_letter(rng, dim=8)
+    left, right = {}, {}
+    for (k, _), ws in bracket_words(rules, (a,), (b,)).items():
+        lc.lp_iadd(left, (k + 1, 0), ws, -1)
+        lc.lp_iadd(right, (k + 1, 0), ws)
+        lc.lp_iadd(right, (k, 0), total_derivative(ws))
+    assert lp_equal(bracket_words(rules, (a.d(),), (b,)), left)
+    assert lp_equal(bracket_words(rules, (a,), (b.d(),)),
+                    normal_order_poly(rules, right))
 
 
 def test_single_generator_word_brackets(base):

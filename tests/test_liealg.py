@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from celalg.liealg import (
+    CACHE_FORMAT,
     ConfigurationError,
     UsageError,
     algebra_from_cache,
@@ -24,7 +25,7 @@ from celalg.liealg import (
 )
 
 
-# closed forms: dim, dual Coxeter number, number of positive roots
+# literal table: dim, dual Coxeter number, number of positive roots
 CLOSED_FORM = {
     ("A", 1): (3, 2, 1),
     ("A", 2): (8, 3, 3),
@@ -40,6 +41,8 @@ CLOSED_FORM = {
     ("G", 2): (14, 4, 6),
     ("F", 4): (52, 9, 24),
     ("E", 6): (78, 12, 36),
+    ("E", 7): (133, 18, 63),
+    ("E", 8): (248, 30, 120),
 }
 
 
@@ -76,7 +79,26 @@ def test_dual_coxeter_accessor():
     assert simple_lie_algebra("A", 1).h_dual_coxeter == 2
 
 
-@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM) + [("E", 7), ("E", 8)])
+@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM))
+def test_root_data_match_sympy(series, rank):
+    # an independent construction of the same root data, test-only
+    pytest.importorskip("sympy.liealgebras")
+    from sympy.liealgebras.cartan_type import CartanType
+    from sympy.liealgebras.root_system import RootSystem as SympyRootSystem
+    name = f"{series}{rank}"
+    rs = build_root_system(series, rank)
+    roots = len(SympyRootSystem(name).all_roots())
+    assert roots == 2 * len(rs.positive_roots) == 2 * CLOSED_FORM[(series, rank)][2]
+    # both write a_ij = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j); Kac writes
+    # the transpose, which differs on B, C, F4 and G2, so the convention is
+    # pinned rather than allowed per type.  sympy cannot build A1's 1x1
+    # matrix (IndexError), and test_root_system_a1_smallest_case pins it.
+    if rank > 1:
+        theirs = CartanType(name).cartan_matrix().tolist()
+        assert [list(row) for row in rs.cartan_matrix] == theirs
+
+
+@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM))
 def test_norm_table_matches_inner_product(series, rank):
     rs = build_root_system(series, rank)
     for root in rs.positive_roots:
@@ -389,12 +411,32 @@ def test_corrupt_cache_is_configuration_error(tmp_path, header, entry, error):
     save_structure_constants(simple_lie_algebra("A", 2), str(path))
     lines = path.read_text().splitlines()
     if header:
-        lines[0] = header
+        lines[1] = header
     if entry:
-        lines[1] = " ".join(lines[1].split()[:3] + [entry])
+        lines[2] = " ".join(lines[2].split()[:3] + [entry])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=f"a2.sc: .*{error}"):
         algebra_from_cache("A", 2, str(path))
+
+
+@pytest.mark.parametrize("first,error", [
+    # a file written before the version line existed starts with its header
+    (None, "no format version line: first line '8 2 3'"),
+    ("celalg-structure-constants 2", "unknown format version: first line "
+                                     "'celalg-structure-constants 2'"),
+])
+def test_cache_format_version_is_required(tmp_path, first, error):
+    path = tmp_path / "a2.sc"
+    save_structure_constants(simple_lie_algebra("A", 2), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == CACHE_FORMAT
+    lines = lines[1:] if first is None else [first] + lines[1:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError) as info:
+        algebra_from_cache("A", 2, str(path))
+    message = str(info.value)
+    assert message.startswith(f"cache file {path}: {error}, expected ")
+    assert "\n" not in message
 
 
 def test_chevalley_constants_are_integers():
