@@ -13,7 +13,11 @@ series-dependent coefficients.
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
+from itertools import chain, compress
+from math import lcm
+from operator import add, mul, sub
 from typing import List, Optional, Tuple
 
 from .liealg import Element, LieAlgebra, UsageError, simple_lie_algebra
@@ -30,17 +34,59 @@ def expected_alpha(dim: int) -> Fraction:
 
 
 # --- exact matrix helpers (lists of rows, int or Fraction entries) ----------
+#
+# mat_mul is exact Kronecker substitution: each row of b is packed into one
+# Python int, slot j holding b_kj in w = 64 k bits, so a row of the product
+# is a sum of (small int) * (packed int) products done in C bigint arithmetic.
+# Every product entry is bounded by rows(b) max|a| max|b| < 2^(w-1); biasing
+# each slot by 2^(w-1) keeps it in [0, 2^w), so no borrow crosses slots and
+# unpacking the words recovers every entry exactly.
+
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
+
+
+def _integral(m: List[List]) -> Tuple[List[List[int]], int]:
+    """(n, d) with m = n / d entrywise: n has int entries and d is the lcm of
+    the entries' denominators."""
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return m, 1
+    d = lcm(*(v.denominator for v in chain.from_iterable(m)))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in m], d
+
 
 def mat_mul(a: List[List], b: List[List]) -> List[List]:
+    """The exact product a b: int entries for int operands, else Fractions."""
+    a, da = _integral(a)
+    b, db = _integral(b)
     n = len(b[0])
+    max_a = max(map(abs, chain.from_iterable(a)), default=0)
+    max_b = max(map(abs, chain.from_iterable(b)), default=0)
+    # slot width w = 64 k with every packed and product entry below 2^(w-1)
+    k = max(len(b) * max_a * max_b, max_b).bit_length() // _WORD + 1
+    half = 1 << (_WORD * k - 1)
+    halves = [half] * n
+    shifts = range(0, _WORD * k, _WORD)
+    words = struct.Struct(f"<{n * k}Q")
+
+    def pack(row) -> int:
+        biased = map(add, row, halves)
+        if k > 1:
+            biased = [x >> s & _WORD_MASK for x in biased for s in shifts]
+        return int.from_bytes(words.pack(*biased), "little")
+
+    bias = pack([0] * n)
+    packed = [pack(row) - bias for row in b]
+    d = da * db
     out = []
     for row in a:
-        acc = [0] * n
-        for k, v in enumerate(row):
-            if v:
-                bk = b[k]
-                acc = [x + v * y for x, y in zip(acc, bk)]
-        out.append(acc)
+        biased = words.unpack((bias + sum(map(mul, compress(row, row), compress(packed, row))))
+                              .to_bytes(words.size, "little"))
+        if k > 1:
+            biased = [sum(x << s for x, s in zip(biased[j:j + k], shifts))
+                      for j in range(0, n * k, k)]
+        entries = map(sub, biased, halves)
+        out.append(list(entries) if d == 1 else [Fraction(x, d) for x in entries])
     return out
 
 
@@ -54,10 +100,7 @@ def mat_comm(a: List[List], b: List[List]) -> List[List]:
 
 def trace_mul(a: List[List], b: List[List]):
     """Tr(a b) without forming the product."""
-    total = 0
-    for i, row in enumerate(a):
-        total += sum(v * b[k][i] for k, v in enumerate(row) if v)
-    return total
+    return sum(sum(map(mul, r, c)) for r, c in zip(a, zip(*b)))
 
 
 def trace(a: List[List]):

@@ -10,7 +10,11 @@ extraspecial-pair sign convention, and the bi-invariant pairing
 is computed from adjoint traces, where h is the dual Coxeter number.  Simple
 root lengths are normalized so the highest root theta has (theta, theta) = 2,
 which makes h a positive integer; this is asserted during construction along
-with the structure-constant Jacobi identity on all basis triples.
+with the structure-constant Jacobi identity.  That identity is decided by the
+derivation argument: the constants are antisymmetric, the simple root vectors
+e_i, f_i generate every basis element, and Jacobi holds on each triple
+(generator, y, z); a seeded sample of basis triples is recomputed beside it,
+and the smallest algebras have every triple walked instead (_jacobi_check).
 
 Everything is exact: structure constants are ints, pairings are Fractions.
 No floating point is used anywhere.
@@ -19,8 +23,11 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
@@ -397,26 +404,113 @@ class LieAlgebra:
         return e, h, fneg
 
 
-def _jacobi_check(dim: int, f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
-    """Exact structure-constant Jacobi identity on all basis triples."""
+# basis triples i < j < k the Jacobi check recomputes beside the derivation
+# argument; an algebra with no more triples than this has all of them walked
+JACOBI_SAMPLE = 512
+
+
+def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
+    """Exact structure-constant Jacobi identity, by the derivation argument.
+
+    For an antisymmetric bracket the x with ad_x a derivation form a
+    subalgebra: Jacobi on (x, y, -) gives ad_[x,y] = [ad_x, ad_y], and a
+    commutator of derivations is one.  So Jacobi holds on all of g once
+    (1) f is antisymmetric, (2) the simple root vectors e_i, f_i generate
+    g, and (3) Jacobi holds on (x, y, z) for each such generator x and every
+    basis pair y < z.  A seeded sample of JACOBI_SAMPLE basis triples
+    i < j < k is recomputed beside the argument.  When there are no more
+    triples than that (A1, A2, G2, A3), (1) and a walk over every triple
+    decide the identity directly, and cost less than (2) and (3).
+    """
+    for (i, j), comp in f.items():
+        if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
+            raise ConstructionError(
+                f"structure constants are not antisymmetric at basis pair ({i},{j})")
+    rank, npos = rs.rank, len(rs.positive_roots)
+    dim = rank + 2 * npos
+    if comb(dim, 3) <= JACOBI_SAMPLE:
+        triples = combinations(range(dim), 3)
+    else:
+        simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
+        generators = [rank + k for k in simple] + [rank + npos + k for k in simple]
+        _check_generated(dim, generators, f)
+        _check_derivations(dim, generators, f)
+        rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
+        triples = (sorted(rng.sample(range(dim), 3)) for _ in range(JACOBI_SAMPLE))
     empty: Dict[int, int] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            fij = f.get((i, j), empty)
-            for k in range(j + 1, dim):
-                acc: Dict[int, int] = {}
-                for m, c in fij.items():
-                    for l, v in f.get((m, k), empty).items():
-                        acc[l] = acc.get(l, 0) + c * v
-                for m, c in f.get((j, k), empty).items():
-                    for l, v in f.get((m, i), empty).items():
-                        acc[l] = acc.get(l, 0) + c * v
-                for m, c in f.get((k, i), empty).items():
-                    for l, v in f.get((m, j), empty).items():
-                        acc[l] = acc.get(l, 0) + c * v
-                if any(acc.values()):
-                    raise ConstructionError(
-                        f"Jacobi identity fails on basis triple ({i},{j},{k})")
+    for i, j, k in triples:
+        acc: Dict[int, int] = {}
+        for m, u in f.get((i, j), empty).items():
+            for l, v in f.get((m, k), empty).items():
+                acc[l] = acc.get(l, 0) + u * v
+        for m, u in f.get((j, k), empty).items():
+            for l, v in f.get((m, i), empty).items():
+                acc[l] = acc.get(l, 0) + u * v
+        for m, u in f.get((k, i), empty).items():
+            for l, v in f.get((m, j), empty).items():
+                acc[l] = acc.get(l, 0) + u * v
+        if any(acc.values()):
+            raise ConstructionError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+
+
+def _check_generated(dim: int, generators: List[int],
+                     f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
+    """Every basis element is reached from the generators, read off f alone:
+    e_k counts only as a nonzero multiple of one bracket [x, y] of reached
+    basis elements, never as one term of a longer bracket."""
+    single: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
+    for (i, j), comp in f.items():
+        terms = [k for k, v in comp.items() if v]
+        if len(terms) == 1:
+            single[i].append((j, terms[0]))
+    reached = set(generators)
+    todo = list(generators)
+    while todo:
+        x = todo.pop()  # [x, y] = -[y, x], so pairs with x first suffice
+        for y, k in single[x]:
+            if y in reached and k not in reached:
+                reached.add(k)
+                todo.append(k)
+    if len(reached) < dim:
+        missing = min(set(range(dim)) - reached)
+        raise ConstructionError(
+            f"the simple root vectors do not generate basis element {missing}")
+
+
+def _check_derivations(dim: int, generators: List[int],
+                       f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
+    """Jacobi on (x, y, z) for every generator x and basis pair y < z, as
+    [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only."""
+    row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
+    for (i, j), comp in f.items():
+        row[i][j] = comp
+    empty: Dict[int, int] = {}
+    for x in generators:
+        ad_x = row[x]
+        for y in range(dim):
+            ad_y = row[y]
+            # coefficient of e_l in [x,[y,z]] - [y,[x,z]] - [[x,y],z], z > y,
+            # keyed z * dim + l
+            acc: Dict[int, int] = {}
+            for z, yz in ad_y.items():
+                if z > y:
+                    for m, u in yz.items():
+                        for l, v in ad_x.get(m, empty).items():
+                            acc[z * dim + l] = acc.get(z * dim + l, 0) + u * v
+            for z, xz in ad_x.items():
+                if z > y:
+                    for m, u in xz.items():
+                        for l, v in ad_y.get(m, empty).items():
+                            acc[z * dim + l] = acc.get(z * dim + l, 0) - u * v
+            for m, u in ad_x.get(y, empty).items():
+                for z, mz in row[m].items():
+                    if z > y:
+                        for l, v in mz.items():
+                            acc[z * dim + l] = acc.get(z * dim + l, 0) - u * v
+            bad = [key // dim for key, c in acc.items() if c]
+            if bad:
+                raise ConstructionError(
+                    f"Jacobi identity fails on basis triple ({x},{y},{min(bad)})")
 
 
 def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
@@ -545,7 +639,9 @@ def _verify_inverse(matrix, inv) -> None:
 def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
     """Verify integer structure constants and derive the rest of the algebra.
 
-    Shared by fresh builds and cache loads: the Jacobi identity on all basis
+    Shared by fresh builds and cache loads: the Jacobi identity by the
+    derivation argument (antisymmetry, generation by the e_i and f_i, Jacobi
+    on every triple with a generator first) plus a seeded sample of basis
     triples, the ad entries, the dual Coxeter number and the pairing from
     adjoint traces, and the pairing inverse written from root data.  The one
     pairing check is pairing . pairing_inv = I exactly; since the inverse is
@@ -554,7 +650,7 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     rank = rs.rank
     npos = len(rs.positive_roots)
     dim = rank + 2 * npos
-    _jacobi_check(dim, f)
+    _jacobi_check(rs, f)
 
     # sorted, so the entries do not depend on the order f was filled in
     entry_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(dim)]

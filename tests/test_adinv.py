@@ -246,3 +246,64 @@ def test_quartic_alpha_degenerate_sample_raises(monkeypatch):
                         lambda lie, rng: lie.basis_element(1))
     with pytest.raises(adinv.SamplingError):
         adinv.quartic_alpha(L, samples=20, master_seed=1)
+
+
+# --- the packed exact matrix kernel -------------------------------------------
+#
+# Oracle: the definition (ab)_ij = sum_k a_ik b_kj, summed entry by entry.
+
+def _product_by_definition(a, b):
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for row in a]
+
+
+_ENTRIES = {
+    "mixed-sign ints": lambda rng: rng.randint(-10**6, 10**6) * rng.randint(0, 1),
+    "near 2^62": lambda rng: rng.choice((-1, 1)) * ((1 << 62) + rng.randint(-3, 3)),
+    "wide ints": lambda rng: rng.randint(-(1 << 200), 1 << 200),
+    "fractions": lambda rng: Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+    "ints and fractions": lambda rng: rng.choice(
+        (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 7)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 5, 2), (2, 4, 7), (6, 6, 6)])
+def test_mat_mul_matches_definition(kind, shape):
+    rng = _rng(f"mat_mul:{kind}:{shape}")
+    p, q, r = shape
+    entry = _ENTRIES[kind]
+    for _ in range(5):
+        a = [[entry(rng) for _ in range(q)] for _ in range(p)]
+        b = [[entry(rng) for _ in range(r)] for _ in range(q)]
+        a[rng.randrange(p)] = [0] * q  # a zero row on each side
+        b[rng.randrange(q)] = [0] * r
+        assert adinv.mat_mul(a, b) == _product_by_definition(a, b)
+        # Tr(a a^T): a square product for any shape of a
+        at = [list(col) for col in zip(*a)]
+        assert adinv.trace_mul(a, at) == adinv.trace(adinv.mat_mul(a, at))
+        assert adinv.trace_mul(a, at) == adinv.trace(_product_by_definition(a, at))
+
+
+@pytest.mark.parametrize("power,offset", [(62, -1), (62, 0), (62, 1),
+                                          (126, -1), (126, 0)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mat_mul_slot_boundaries(power, offset, sign):
+    # product entries of +-2x land just below, at and above +-2^63 and
+    # +-2^127, the edges of one- and two-word slots
+    x = (1 << power) + offset
+    a = [[1, 1], [sign, 0], [0, -sign]]
+    b = [[sign * x, 1], [sign * x, -1]]
+    assert adinv.mat_mul(a, b) == _product_by_definition(a, b)
+    assert adinv.mat_mul(a, b)[0][0] == 2 * sign * x
+
+
+def test_mat_mul_zero_matrix_and_types():
+    rng = _rng("mat_mul:zero")
+    b = [[rng.randint(-(1 << 70), 1 << 70) for _ in range(3)] for _ in range(4)]
+    assert adinv.mat_mul([[0] * 4] * 2, b) == [[0] * 3] * 2
+    assert adinv.mat_mul([[1, 0], [0, 1]], [[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+    # int operands give ints; a denominator gives exact Fractions
+    assert all(type(v) is int for row in adinv.mat_mul(b, [[1]] * 3) for v in row)
+    half = adinv.mat_mul([[Fraction(1, 2)]], [[3]])
+    assert half == [[Fraction(3, 2)]] and type(half[0][0]) is Fraction

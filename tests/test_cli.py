@@ -257,6 +257,35 @@ def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     assert "A2.sc" in err
 
 
+@pytest.mark.parametrize("algebra,pair,zero,error", [
+    # A2: [e_2, e_3] = N e_4 given the same sign in both orders
+    ("A2", (2, 3), False, "structure constants are not antisymmetric at basis pair (2,3)"),
+    # B3: [e_3, f_12] = h_2 zeroed in both orders; nothing else gives h_2 alone
+    ("B3", (3, 12), True, "the simple root vectors do not generate basis element 2"),
+])
+def test_cache_file_failing_a_lie_check_exit_two(tmp_path, capsys, algebra, pair, zero,
+                                                 error):
+    from celalg.liealg import save_structure_constants, simple_lie_algebra
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"{algebra}.sc"
+    save_structure_constants(simple_lie_algebra(algebra[0], int(algebra[1])), str(path))
+    lines = path.read_text().splitlines()
+    i, j = pair
+    n = next(n for n, ln in enumerate(lines) if ln.startswith(f"{i} {j} "))
+    m = next(m for m, ln in enumerate(lines) if ln.startswith(f"{j} {i} "))
+    k, v = lines[m].split()[2:]
+    lines[n] = f"{i} {j} {k} {0 if zero else v}"
+    if zero:
+        lines[m] = f"{j} {i} {k} 0"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", algebra, "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: cache file {path}: {error}"]
+
+
 def test_classify_via_main_inprocess(capsys):
     # in-process invocation for speed; full default scan through E6
     code = main(["classify", "--json"])

@@ -6,6 +6,7 @@ formula h = 1 + sum of comarks of the highest root.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -348,12 +349,87 @@ def test_cache_load_runs_jacobi_check(tmp_path, monkeypatch):
     path = tmp_path / "a2.sc"
     save_structure_constants(simple_lie_algebra("A", 2), str(path))
 
-    def failing_check(dim, f):
+    def failing_check(rs, f):
         raise liealg.ConstructionError("Jacobi identity fails")
 
     monkeypatch.setattr(liealg, "_jacobi_check", failing_check)
     with pytest.raises(ConfigurationError, match="a2.sc: Jacobi identity fails"):
         algebra_from_cache("A", 2, str(path))
+
+
+def _simple_bracket_line(lines, target):
+    """Index of the cache line "a b c N", a < b, for the bracket of a simple
+    root vector e_a with e_b: with e_b simple and c the first root of height
+    two (target "root"), or with e_b = f_a and c a Cartan index (target
+    "coroot").  Nothing else brackets to h_c alone; e_c is also the bracket
+    of a longer root vector with some f_i from rank 3 on."""
+    dim, rank = (int(x) for x in lines[1].split()[:2])
+    npos = (dim - rank) // 2
+    for n, ln in enumerate(lines[2:], 2):
+        a, b, c = (int(x) for x in ln.split()[:3])
+        if not rank <= a < 2 * rank:
+            continue
+        if target == "root" and a < b < 2 * rank and c == 2 * rank:
+            return n
+        if target == "coroot" and b == a + npos and c < rank:
+            return n
+
+
+def _other_order(lines, n):
+    i, j, k, v = lines[n].split()
+    return lines.index(f"{j} {i} {k} {-int(v)}")
+
+
+@pytest.mark.parametrize("corrupt", ["one order flipped", "self-bracket",
+                                     "both orders flipped", "root zeroed",
+                                     "coroot zeroed"])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("A", 4)])
+def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
+    # one corrupted root-root constant, caught on A2 and G2 by the walk over
+    # every triple and on B3 and A4 by the derivation argument
+    path = tmp_path / "f.sc"
+    save_structure_constants(simple_lie_algebra(series, rank), str(path))
+    lines = path.read_text().splitlines()
+    n = _simple_bracket_line(lines, "coroot" if corrupt == "coroot zeroed" else "root")
+    i, j, k, v = lines[n].split()
+    if corrupt in ("one order flipped", "self-bracket"):
+        error = "structure constants are not antisymmetric at basis pair"
+    elif corrupt == "coroot zeroed" and (series, rank) in (("B", 3), ("A", 4)):
+        # [e_a, f_a] is the only bracket that gives h_c alone
+        error = "the simple root vectors do not generate basis element"
+    else:
+        # the walk (A2, G2) or Jacobi at the generators (B3, A4) fails; a
+        # zeroed e_c stays generated on B3 and A4 through a longer root
+        error = "Jacobi identity fails on basis triple"
+    m = _other_order(lines, n)
+    if corrupt == "one order flipped":
+        lines[n] = f"{i} {j} {k} {-int(v)}"
+    elif corrupt == "self-bracket":
+        lines.append(f"2 2 {k} 1")
+    else:
+        sign = -1 if corrupt == "both orders flipped" else 0
+        lines[n] = f"{i} {j} {k} {sign * int(v)}"
+        lines[m] = f"{j} {i} {k} {-sign * int(v)}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"f.sc: {re.escape(error)}"):
+        algebra_from_cache(series, rank, str(path))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("F", 4)])
+def test_derivation_argument_without_the_sample(monkeypatch, series, rank):
+    # with no sampled triples the generator checks alone pass the true
+    # constants and reject one root-root constant flipped in both orders
+    from celalg import liealg
+    monkeypatch.setattr(liealg, "JACOBI_SAMPLE", 0)
+    rs = build_root_system(series, rank)
+    f = liealg._build_f(rs)
+    liealg._jacobi_check(rs, f)
+    a, b = next((a, b) for (a, b), comp in sorted(f.items())
+                if rank <= a < b and list(comp) == [2 * rank])
+    for key in ((a, b), (b, a)):
+        f[key] = {k: -v for k, v in f[key].items()}
+    with pytest.raises(liealg.ConstructionError, match="Jacobi identity fails"):
+        liealg._jacobi_check(rs, f)
 
 
 def _block_entry(rs, block):
