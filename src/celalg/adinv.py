@@ -4,6 +4,9 @@ Provides exact quartic traces Tr(ad ad ad ad), the identities they satisfy
 (dual-basis contraction, dihedral symmetry, the commutator trace relation,
 and the polarized quartic identity), and the resulting classification of
 simple algebras where Tr(ad_a^4) is proportional to Tr(ad_a^2)^2 for all a.
+Every identity is read from the ad matrices alone (L.ad_matrix, L.ad_entries,
+L.pairing_inv) through the one matrix kernel below, and each check forms
+each distinct product once.
 
 For classical types the quartic trace is also checked against the defining
 representation: Tr(ad_a^4) = c4 * Tr(a^4) + c22 * (Tr(a^2))^2 with exact
@@ -127,26 +130,26 @@ def quartic_trace(L: LieAlgebra, a: Element, b: Element, c: Element, d: Element)
 def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
                             c: Element) -> Report:
     """Dual-basis contraction: sum_i [[c,[b,e_i]],[a,e^i]] against the
-    quartic-trace expansion -sum_i Tr(ad_a ad_b ad_c ad_{e_i}) e^i."""
-    n = L.dim
-    lhs = [0] * n
-    for i in range(n):
-        t = L.bracket(c, L.bracket(b, L.basis_element(i)))
-        u = L.bracket(a, L.dual_element(i))
-        for k, v in enumerate(L.bracket(t, u)):
-            lhs[k] += v
-    m = mat_mul(mat_mul(L.ad_matrix(a), L.ad_matrix(b)), L.ad_matrix(c))
-    rhs = [0] * n
-    for i in range(n):
+    quartic-trace expansion -sum_i Tr(ad_a ad_b ad_c ad_{e_i}) e^i.
+
+    With e^i = sum_q P^-1_iq e_q (P^-1 = L.pairing_inv) the left side is
+    sum_pq N_pq [e_p, e_q] for N = ad_c ad_b P^-1 ad_a^T.  The expansion is
+    bilinear and uses no Jacobi identity, so both sides are read off the ad
+    entries in one loop."""
+    A, B, C = (L.ad_matrix(x) for x in (a, b, c))
+    m = mat_mul(mat_mul(A, B), C)
+    N = mat_mul(mat_mul(mat_mul(C, B), L.pairing_inv), list(zip(*A)))
+    lhs = [0] * L.dim
+    traces = []
+    for i, row in enumerate(N):
         tr = 0
-        for (col, row, coeff) in L.ad_entries[i]:
-            tr += m[col][row] * coeff
-        if tr:
-            dual = L.dual_element(i)
-            for k, v in enumerate(dual):
-                if v:
-                    rhs[k] -= tr * v
-    ok = all(x == y for x, y in zip(lhs, rhs))
+        # (ad_{e_i})_{kq} = coeff: [e_i, e_q] = coeff e_k
+        for (q, k, coeff) in L.ad_entries[i]:
+            tr += m[q][k] * coeff
+            lhs[k] += row[q] * coeff
+        traces.append(tr)
+    rhs = [-x for x in mat_mul([traces], L.pairing_inv)[0]]
+    ok = lhs == rhs
     ce = None if ok else {"lhs": [str(x) for x in lhs], "rhs": [str(x) for x in rhs]}
     return Report(check="contract_identity", algebra=L.name, passed=ok,
                   first_counterexample=ce)
@@ -154,10 +157,14 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
 
 def check_dihedral(L: LieAlgebra, a1: Element, a2: Element, a3: Element,
                    a4: Element) -> Report:
-    tup = (a1, a2, a3, a4)
-    base = quartic_trace(L, *tup)
+    """Tr(ad_a1 ad_a2 ad_a3 ad_a4) under the eight dihedral permutations;
+    each image is the trace of two of the eight adjacent-pair products."""
+    ads = [L.ad_matrix(x) for x in (a1, a2, a3, a4)]
+    pairs = {(i, j): mat_mul(ads[i], ads[j])
+             for i, j in {perm[k:k + 2] for perm in DIHEDRAL for k in (0, 2)}}
+    base = trace_mul(pairs[0, 1], pairs[2, 3])
     for perm in DIHEDRAL[1:]:
-        val = quartic_trace(L, *(tup[p] for p in perm))
+        val = trace_mul(pairs[perm[:2]], pairs[perm[2:]])
         if val != base:
             return Report(check="dihedral_symmetry", algebra=L.name, passed=False,
                           first_counterexample={"perm": perm, "base": str(base),
@@ -168,16 +175,17 @@ def check_dihedral(L: LieAlgebra, a1: Element, a2: Element, a3: Element,
 def check_commutator_identity(L: LieAlgebra, a: Element, b: Element,
                               c: Element, d: Element) -> Report:
     """2 Tr([A,D][B,C]) + Tr([A,B][C,D]) against the quartic combination
-    4(Tr(ABCD)+Tr(ACDB)+Tr(ADBC)) - 6(Tr(ABCD)+Tr(BACD)), A = ad_a etc."""
+    4(Tr(ABCD)+Tr(ACDB)+Tr(ADBC)) - 6(Tr(ABCD)+Tr(BACD)), A = ad_a etc.;
+    the ten distinct products are formed once each."""
     A, B, C, D = (L.ad_matrix(x) for x in (a, b, c, d))
-    lhs = 2 * trace_mul(mat_comm(A, D), mat_comm(B, C)) \
-        + trace_mul(mat_comm(A, B), mat_comm(C, D))
-    ab, cd = mat_mul(A, B), mat_mul(C, D)
+    ab, ba, cd, dc, ad, da, bc, cb, ac, db = (
+        mat_mul(x, y) for x, y in ((A, B), (B, A), (C, D), (D, C), (A, D),
+                                   (D, A), (B, C), (C, B), (A, C), (D, B)))
+    lhs = 2 * trace_mul(mat_sub(ad, da), mat_sub(bc, cb)) \
+        + trace_mul(mat_sub(ab, ba), mat_sub(cd, dc))
     t_abcd = trace_mul(ab, cd)
-    t_acdb = trace_mul(mat_mul(A, C), mat_mul(D, B))
-    t_adbc = trace_mul(mat_mul(A, D), mat_mul(B, C))
-    t_bacd = trace_mul(mat_mul(B, A), cd)
-    rhs = 4 * (t_abcd + t_acdb + t_adbc) - 6 * (t_abcd + t_bacd)
+    rhs = 4 * (t_abcd + trace_mul(ac, db) + trace_mul(ad, bc)) \
+        - 6 * (t_abcd + trace_mul(ba, cd))
     ok = lhs == rhs
     ce = None if ok else {"lhs": str(lhs), "rhs": str(rhs)}
     return Report(check="commutator_trace_identity", algebra=L.name, passed=ok,
@@ -217,6 +225,16 @@ def element_rng(master_seed, L: LieAlgebra, check: str) -> random.Random:
     return random.Random(f"{master_seed}:{L.name}:{check}")
 
 
+def _quartic_ratio(L: LieAlgebra, a: Element) -> Optional[Fraction]:
+    """Tr(ad_a^4) / Tr(ad_a^2)^2, or None when Tr(ad_a^2) = 0."""
+    m = L.ad_matrix(a)
+    t2 = trace_mul(m, m)
+    if t2 == 0:
+        return None
+    m2 = mat_mul(m, m)
+    return Fraction(trace_mul(m2, m2), t2 * t2)
+
+
 def quartic_alpha(L: LieAlgebra, samples: int = 24,
                   master_seed=0) -> Optional[Fraction]:
     """The exact ratio Tr(ad_a^4) / (Tr(ad_a^2))^2 if it is constant over the
@@ -227,15 +245,10 @@ def quartic_alpha(L: LieAlgebra, samples: int = 24,
     alpha: Optional[Fraction] = None
     usable = 0
     for _ in range(samples):
-        a = random_element(L, rng)
-        m = L.ad_matrix(a)
-        t2 = trace_mul(m, m)
-        if t2 == 0:
+        ratio = _quartic_ratio(L, random_element(L, rng))
+        if ratio is None:
             continue
         usable += 1
-        m2 = mat_mul(m, m)
-        t4 = trace_mul(m2, m2)
-        ratio = Fraction(t4, t2 * t2)
         if alpha is None:
             alpha = ratio
         elif ratio != alpha:
@@ -342,12 +355,9 @@ def trace_identity_suite(L: LieAlgebra, samples: int = 100, master_seed=0) -> Li
         guard = 0
         while len(candidates) < 3 and guard < 200:
             guard += 1
-            a = random_element(L, rng)
-            m = L.ad_matrix(a)
-            t2 = trace_mul(m, m)
-            if t2:
-                m2 = mat_mul(m, m)
-                candidates.add(Fraction(trace_mul(m2, m2), t2 * t2))
+            ratio = _quartic_ratio(L, random_element(L, rng))
+            if ratio is not None:
+                candidates.add(ratio)
         missing = [str(alpha_c) for alpha_c in sorted(candidates)
                    if find_polarized_counterexample(L, alpha_c,
                                                     master_seed=master_seed) is None]
@@ -373,49 +383,34 @@ CLASSICAL_TABLE = {
 }
 
 
-def _unit_matrix(size: int, entries) -> List[List]:
-    m = [[0] * size for _ in range(size)]
-    for (i, j, v) in entries:
-        m[i][j] += v
-    return m
-
-
 def _simple_generator_matrices(series: str, rank: int
                                ) -> Tuple[int, List[List[List]], List[List[List]]]:
     """(size, raising, lowering) matrices of the defining representation for
-    the simple roots, in the same Bourbaki ordering the root systems use."""
+    the simple roots, in the same Bourbaki ordering the root systems use;
+    each lowering matrix is the transpose of its raising matrix."""
     n = rank
     if series == "A":
         size = n + 1
-        es = [_unit_matrix(size, [(i, i + 1, 1)]) for i in range(n)]
-        fs = [_unit_matrix(size, [(i + 1, i, 1)]) for i in range(n)]
+        entries = [[(i, i + 1, 1)] for i in range(n)]
     elif series == "B":
         size = 2 * n + 1
-        es = [_unit_matrix(size, [(i, i + 1, 1), (2 * n - 1 - i, 2 * n - i, -1)])
-              for i in range(n - 1)]
-        es.append(_unit_matrix(size, [(n - 1, n, 1), (n, n + 1, -1)]))
-        fs = [_unit_matrix(size, [(i + 1, i, 1), (2 * n - i, 2 * n - 1 - i, -1)])
-              for i in range(n - 1)]
-        fs.append(_unit_matrix(size, [(n, n - 1, 1), (n + 1, n, -1)]))
+        entries = [[(i, i + 1, 1), (2 * n - 1 - i, 2 * n - i, -1)] for i in range(n - 1)]
+        entries.append([(n - 1, n, 1), (n, n + 1, -1)])
     elif series == "C":
         size = 2 * n
-        es = [_unit_matrix(size, [(i, i + 1, 1), (n + i + 1, n + i, -1)])
-              for i in range(n - 1)]
-        es.append(_unit_matrix(size, [(n - 1, 2 * n - 1, 1)]))
-        fs = [_unit_matrix(size, [(i + 1, i, 1), (n + i, n + i + 1, -1)])
-              for i in range(n - 1)]
-        fs.append(_unit_matrix(size, [(2 * n - 1, n - 1, 1)]))
+        entries = [[(i, i + 1, 1), (n + i + 1, n + i, -1)] for i in range(n - 1)]
+        entries.append([(n - 1, 2 * n - 1, 1)])
     elif series == "D":
         size = 2 * n
-        es = [_unit_matrix(size, [(i, i + 1, 1), (2 * n - 2 - i, 2 * n - 1 - i, -1)])
-              for i in range(n - 1)]
-        es.append(_unit_matrix(size, [(n - 2, n, 1), (n - 1, n + 1, -1)]))
-        fs = [_unit_matrix(size, [(i + 1, i, 1), (2 * n - 1 - i, 2 * n - 2 - i, -1)])
-              for i in range(n - 1)]
-        fs.append(_unit_matrix(size, [(n, n - 2, 1), (n + 1, n - 1, -1)]))
+        entries = [[(i, i + 1, 1), (2 * n - 2 - i, 2 * n - 1 - i, -1)] for i in range(n - 1)]
+        entries.append([(n - 2, n, 1), (n - 1, n + 1, -1)])
     else:
         raise UsageError(f"no defining representation for exceptional type {series}{rank}")
-    return size, es, fs
+    es = [[[0] * size for _ in range(size)] for _ in entries]
+    for e, lst in zip(es, entries):
+        for (i, j, v) in lst:
+            e[i][j] = v
+    return size, es, [[list(col) for col in zip(*e)] for e in es]
 
 
 class DefiningRep:
@@ -430,7 +425,6 @@ class DefiningRep:
         self.size = size
         rank = L.rank
         rs = L.root_system
-        npos = len(rs.positive_roots)
         mats: List[Optional[List[List]]] = [None] * L.dim
 
         pos_index = {r: k for k, r in enumerate(rs.positive_roots)}
@@ -480,16 +474,10 @@ class DefiningRep:
         L = self.algebra
         for i in range(L.dim):
             for j in range(L.dim):
-                expect = [[0] * self.size for _ in range(self.size)]
-                for k, c in L.bracket_basis(i, j).items():
-                    mk = self.matrices[k]
-                    for r in range(self.size):
-                        for s in range(self.size):
-                            if mk[r][s]:
-                                expect[r][s] += c * mk[r][s]
+                comp = L.bracket_basis(i, j)
+                expect = self.matrix(tuple(comp.get(k, 0) for k in range(L.dim)))
                 got = mat_comm(self.matrices[i], self.matrices[j])
-                if any(got[r][s] != expect[r][s] for r in range(self.size)
-                       for s in range(self.size)):
+                if got != expect:
                     raise UsageError(
                         f"defining representation of {L.name} is not a "
                         f"homomorphism at basis pair ({i},{j})")

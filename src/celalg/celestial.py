@@ -558,9 +558,9 @@ def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol], rows: range,
 _WORKER = {}
 
 
-def _grid_worker_init(L: LieAlgebra, level: str, beta, gens: List[GenSymbol],
+def _grid_worker_init(L: LieAlgebra, level: str, gens: List[GenSymbol],
                       samples: Set[Tuple[int, int, int]]):
-    _WORKER.update(rules=_grid_rules(L, level, beta), gens=gens, samples=samples)
+    _WORKER.update(rules=_grid_rules(L, level), gens=gens, samples=samples)
 
 
 def _grid_worker_run(rows: range) -> Tuple[int, int, int, List[dict]]:
@@ -572,12 +572,12 @@ def _grid_worker_run(rows: range) -> Tuple[int, int, int, List[dict]]:
 _GRID_LEVELS = ("base", "extended")
 
 
-def _grid_rules(L: LieAlgebra, level: str, beta) -> RuleSet:
-    return rules_base(L) if level == "base" else rules_extended(L, beta)
+def _grid_rules(L: LieAlgebra, level: str) -> RuleSet:
+    return rules_base(L) if level == "base" else rules_extended(L)
 
 
 def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
-                       beta: Optional[Fraction] = None, jobs: int = 1) -> Report:
+                       jobs: int = 1) -> Report:
     """Zero Jacobi defect for every generator triple on the bidegree grid.
 
     Triples where two or three slots lie in the abelian sector are included;
@@ -605,10 +605,10 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
         chunks = [range(k, n, 4 * jobs) for k in range(4 * jobs)]
         with cf.ProcessPoolExecutor(
                 max_workers=jobs, initializer=_grid_worker_init,
-                initargs=(L, level, beta, gens, samples)) as ex:
+                initargs=(L, level, gens, samples)) as ex:
             parts = list(ex.map(_grid_worker_run, chunks))
     else:
-        parts = [_scan_triples(_grid_rules(L, level, beta), gens, range(n), samples)]
+        parts = [_scan_triples(_grid_rules(L, level), gens, range(n), samples)]
     covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))
     failures = sorted((f for p in parts for f in p[3]),
                       key=lambda f: "shortcut" not in f)

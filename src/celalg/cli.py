@@ -24,7 +24,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from . import adinv
@@ -52,7 +51,6 @@ _ENV_VARS = {
     "grid": "CELALG_GRID",
     "samples": "CELALG_SAMPLES",
     "seed": "CELALG_SEED",
-    "beta": "CELALG_BETA",
     "json": "CELALG_JSON",
     "enable_e78": "CELALG_ENABLE_E78",
     "cache_dir": "CELALG_CACHE_DIR",
@@ -79,7 +77,6 @@ class RunConfig:
     grid_max: int = 2
     samples: int = 100
     master_seed: int = 0
-    beta: Optional[Fraction] = None  # None = formal
     json_output: bool = False
     enable_e78: bool = False
     cache_dir: Optional[str] = None
@@ -87,8 +84,9 @@ class RunConfig:
     max_rank: int = 4
 
     def echo(self) -> dict:
-        out = {"command": self.command, "seed": self.master_seed,
-               "beta": "formal" if self.beta is None else str(self.beta)}
+        # beta is always formal: a zero defect at formal beta is the zero
+        # polynomial in beta, so it decides every numeric beta too
+        out = {"command": self.command, "seed": self.master_seed, "beta": "formal"}
         if self.series:
             out["algebra"] = f"{self.series}{self.rank}"
         if self.command == "verify":
@@ -107,15 +105,6 @@ def parse_algebra(text: str) -> Tuple[str, int]:
     if not m:
         raise ConfigurationError(f"cannot parse algebra name {text!r}")
     return m.group(1).upper(), int(m.group(2))
-
-
-def parse_beta(text: str) -> Optional[Fraction]:
-    if text.strip().lower() == "formal":
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigurationError(f"cannot parse beta value {text!r}: {exc}")
 
 
 def _resolve(cli_value, key: str, cast, default, least=None):
@@ -240,7 +229,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     reports: List[Report] = []
     t0 = time.time()
     reports.append(verify_jacobi_grid(L, cfg.grid_max, level="extended",
-                                      beta=cfg.beta, jobs=cfg.jobs))
+                                      jobs=cfg.jobs))
     print(f"[{time.time() - t0:7.1f}s] jacobi grid done", file=sys.stderr)
     reports.extend(adinv.trace_identity_suite(L, samples=cfg.samples,
                                               master_seed=cfg.master_seed))
@@ -300,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", type=int, default=None,
                           help="max bidegree entry in the Jacobi grid")
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--beta", default=None,
-                          help="'formal' (default) or an exact rational p/q")
     p_verify.add_argument("--jobs", type=int, default=None,
                           help="parallel workers for the Jacobi grid")
 
@@ -319,9 +306,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.samples = _resolve(args.samples, "samples", int, 100, least=1)
     if hasattr(args, "grid"):
         cfg.grid_max = _resolve(args.grid, "grid", int, 2, least=0)
-    if hasattr(args, "beta"):
-        raw = _resolve(args.beta, "beta", str, "formal")
-        cfg.beta = parse_beta(raw)
     if hasattr(args, "jobs"):
         cfg.jobs = _resolve(args.jobs, "jobs", int, 1, least=1)
         cpus = os.cpu_count() or 1

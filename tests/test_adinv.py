@@ -5,6 +5,7 @@ Expected values below were computed with independent oracles: hand-built
 5 / (2 (2 + dim)) for alpha, and explicit 2x2 defining matrices.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from celalg.adinv import (
     quartic_alpha,
     quartic_trace,
     random_element,
+    trace_identity_suite,
 )
-from celalg.liealg import UsageError, simple_lie_algebra
+from celalg.liealg import LieAlgebra, UsageError, simple_lie_algebra
 
 
 def _rng(tag):
@@ -246,6 +248,101 @@ def test_quartic_alpha_degenerate_sample_raises(monkeypatch):
                         lambda lie, rng: lie.basis_element(1))
     with pytest.raises(adinv.SamplingError):
         adinv.quartic_alpha(L, samples=20, master_seed=1)
+
+
+# --- the identity checks can fail --------------------------------------------
+#
+# One root-root structure constant flipped in both orders: the bracket stays
+# antisymmetric and the ad entries stay those of f, but the Jacobi identity
+# fails, so the build would refuse it; the algebra is assembled past it.
+
+def _flipped(series, rank):
+    L = simple_lie_algebra(series, rank)
+    i, j = next(k for k in sorted(L.f) if min(k) >= L.rank and k[0] < k[1])
+    f = dict(L.f)
+    for key in ((i, j), (j, i)):
+        f[key] = {k: -v for k, v in f[key].items()}
+    entries = [[] for _ in range(L.dim)]
+    for (p, q), comp in sorted(f.items()):
+        entries[p].extend((q, k, c) for k, c in sorted(comp.items()))
+    return dataclasses.replace(L, f=f, ad_entries=[tuple(e) for e in entries])
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_identity_checks_fail_on_a_flipped_constant(series, rank):
+    L = _flipped(series, rank)
+    alpha = expected_alpha(L.dim)
+    rng = _rng(f"flipped-{series}{rank}")
+    for _ in range(20):
+        a, b, c, d = (random_element(L, rng) for _ in range(4))
+        assert not check_contract_identity(L, a, b, c).passed
+        assert not check_dihedral(L, a, b, c, d).passed
+        assert not check_commutator_identity(L, a, b, c, d).passed
+        assert not check_polarized(L, a, b, c, d, alpha).passed
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_suite_fails_on_a_flipped_constant(series, rank):
+    reports = trace_identity_suite(_flipped(series, rank), samples=10, master_seed=20240)
+    assert [r.check for r in reports] == ["contract_identity", "dihedral_symmetry",
+                                          "commutator_trace_identity", "polarized_quartic"]
+    for r in reports[:3]:
+        assert not r.passed and r.first_counterexample["sample_index"] == 0
+    # by design the adaptive polarized batch passes here: no constant alpha
+    # exists, and each candidate ratio has an explicit counterexample
+    polarized = reports[3]
+    assert polarized.passed and polarized.details["alpha"] is None
+    assert polarized.details["candidates"]
+
+
+def test_contract_sides_are_their_definitions_on_a_flipped_constant():
+    # the reported sides, against the bracket route sum_i [[c,[b,e_i]],[a,e^i]]
+    # and the trace route -sum_i Tr(ad_a ad_b ad_c ad_{e_i}) e^i
+    L = _flipped("A", 2)
+    rng = _rng("contract-sides")
+    a, b, c = (random_element(L, rng) for _ in range(3))
+    lhs, rhs = [0] * L.dim, [0] * L.dim
+    for i in range(L.dim):
+        e_i, dual = L.basis_element(i), L.dual_element(i)
+        t = L.bracket(L.bracket(c, L.bracket(b, e_i)), L.bracket(a, dual))
+        tr = quartic_trace(L, a, b, c, e_i)
+        for k in range(L.dim):
+            lhs[k] += t[k]
+            rhs[k] -= tr * dual[k]
+    assert lhs != rhs
+    assert check_contract_identity(L, a, b, c).first_counterexample == {
+        "lhs": [str(x) for x in lhs], "rhs": [str(x) for x in rhs]}
+
+
+def test_identity_checks_read_only_the_ad_matrices(monkeypatch):
+    # each ad matrix taken once, each distinct product formed once, and no
+    # route through the bracket or the basis and dual elements
+    L = simple_lie_algebra("A", 2)
+    calls = {"ad_matrix": 0, "mat_mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refused(*args):
+        raise AssertionError("identity checks read only the ad matrices")
+
+    monkeypatch.setattr(LieAlgebra, "ad_matrix", counted("ad_matrix", LieAlgebra.ad_matrix))
+    monkeypatch.setattr(adinv, "mat_mul", counted("mat_mul", adinv.mat_mul))
+    for name in ("bracket", "basis_element", "dual_element"):
+        monkeypatch.setattr(LieAlgebra, name, refused)
+    rng = _rng("read-only-ad")
+    tup = [random_element(L, rng) for _ in range(4)]
+    for check, args, want in [
+            (check_contract_identity, tup[:3], {"ad_matrix": 3, "mat_mul": 6}),
+            (check_dihedral, tup, {"ad_matrix": 4, "mat_mul": 8}),
+            (check_commutator_identity, tup, {"ad_matrix": 4, "mat_mul": 10}),
+            (check_polarized, tup + [expected_alpha(L.dim)], {"ad_matrix": 4, "mat_mul": 6})]:
+        calls.update(ad_matrix=0, mat_mul=0)
+        assert check(L, *args).passed
+        assert calls == want, check.__name__
 
 
 # --- the packed exact matrix kernel -------------------------------------------

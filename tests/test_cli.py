@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from celalg.cli import build_parser, config_from_args, main, parse_algebra, parse_beta
+from celalg.cli import build_parser, config_from_args, main, parse_algebra
 from celalg.liealg import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,15 +35,6 @@ def test_parse_algebra():
         parse_algebra("H3")
     with pytest.raises(ConfigurationError):
         parse_algebra("A")
-
-
-def test_parse_beta():
-    assert parse_beta("formal") is None
-    from fractions import Fraction
-    assert parse_beta("2/3") == Fraction(2, 3)
-    assert parse_beta("-5") == Fraction(-5)
-    with pytest.raises(ConfigurationError):
-        parse_beta("x")
 
 
 def test_solve_a1_exit_zero_and_golden():
@@ -113,10 +104,12 @@ def test_unknown_flag_exit_two():
 
 
 def test_solve_refuses_beta():
-    # the solver keeps beta formal, so a numeric beta would only be echoed
-    code, out, err = run_cli(["solve", "A1", "--beta", "2"])
-    assert (code, out) == (2, "")
-    assert "--beta" in err
+    # solve and verify keep beta formal: a zero defect at formal beta is the
+    # zero polynomial in beta, so a numeric beta could only weaken the check
+    for command in ("solve", "verify"):
+        code, out, err = run_cli([command, "A1", "--beta", "2"])
+        assert (code, out) == (2, ""), command
+        assert "--beta" in err
 
 
 def test_env_var_overrides():

@@ -27,6 +27,7 @@ from celalg.lambdacalc import (
     lp_equal,
     normal_order,
     normal_order_poly,
+    nproduct,
     skew,
     substitute_lambda_plus_mu,
     t_power,
@@ -329,6 +330,20 @@ def test_sesquilinearity_of_letters_on_extended_a2(extended_a2, rng):
     assert lp_equal(bracket_words(rules, (a.d(),), (b,)), left)
     assert lp_equal(bracket_words(rules, (a,), (b.d(),)),
                     normal_order_poly(rules, right))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_quasi_commutativity_of_nproduct_on_extended_a2(extended_a2, rng):
+    # N(a, W) - N(W, a) is the integral of [a_l W] from -T to 0: a letter
+    # against a sorted word of one or two letters on the sl3 labels
+    rules = extended_a2
+    a = random_letter(rng, dim=8)
+    word = tuple(sorted(random_letter(rng, dim=8) for _ in range(rng.randint(1, 2))))
+    difference = dict(nproduct(rules, (a,), word))
+    lc.ws_add_scaled(difference, nproduct(rules, word, (a,)), -1)
+    assert difference == normal_order(
+        rules, integrate_commutator(bracket_words(rules, (a,), word)))
 
 
 def test_single_generator_word_brackets(base):
