@@ -471,8 +471,14 @@ class DefiningRep:
         self._verify()
 
     def _verify(self) -> None:
+        """rho[x, y] = [rho x, rho y] for each simple generator x = e_i, f_i
+        and every basis element y.  The x for which this holds at every y
+        form a subalgebra (Jacobi in g and in the matrices), and the simple
+        generators generate g, so it then holds on every basis pair."""
         L = self.algebra
-        for i in range(L.dim):
+        rs = L.root_system
+        simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
+        for i in [f(k) for f in (L.pos_root_index, L.neg_root_index) for k in simple]:
             for j in range(L.dim):
                 comp = L.bracket_basis(i, j)
                 expect = self.matrix(tuple(comp.get(k, 0) for k in range(L.dim)))

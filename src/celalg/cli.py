@@ -187,20 +187,13 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig) -> int:
     L = get_algebra(cfg.series, cfg.rank, cfg.cache_dir)
-    t0 = time.time()
-
-    def progress(done, total):
-        print(f"[{time.time() - t0:7.1f}s] defect rows from {done}/{total} triples",
-              file=sys.stderr)
-
-    sol = solve_constants(L, master_seed=cfg.master_seed,
-                          progress=progress if L.dim > 20 else None)
+    sol = solve_constants(L, master_seed=cfg.master_seed)
     admissible = (L.series, L.rank) in ADMISSIBLE_TYPES
     closed = closed_form_fractions(L) if admissible else None
     agree = matches_closed_form(L, sol)
     lines = [f"algebra {L.name}: dim {L.dim}, dual Coxeter {L.h_dual_coxeter}",
-             f"solver status: {sol.status} ({sol.rows} independent rows, "
-             f"{sol.triples} triples)"]
+             f"solver status: {sol.status} ({sol.rows} distinct rows; "
+             f"{sol.triples} triples, {sol.computed} computed)"]
     if sol.status == "unique":
         lines.append(f"  D = ({sol.d_over_beta2}) beta^2")
         lines.append(f"  C = ({sol.c_over_beta2}) beta^2")

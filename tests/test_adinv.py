@@ -5,6 +5,7 @@ Expected values below were computed with independent oracles: hand-built
 5 / (2 (2 + dim)) for alpha, and explicit 2x2 defining matrices.
 """
 
+import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -218,6 +219,18 @@ def test_classical_table_random(series, rank):
     rng = _rng(f"table-{series}{rank}")
     for _ in range(10):
         assert check_classical_table(L, random_element(L, rng), rep).passed
+
+
+def test_defining_rep_check_catches_a_scaled_non_simple_root():
+    # _verify brackets only the simple generators against the basis; a
+    # non-simple root matrix scaled by 2 must still fail it
+    L = simple_lie_algebra("A", 3)
+    bad = copy.copy(DefiningRep(L))
+    top = L.pos_root_index(len(L.root_system.positive_roots) - 1)
+    bad.matrices = list(bad.matrices)
+    bad.matrices[top] = [[2 * v for v in row] for row in bad.matrices[top]]
+    with pytest.raises(UsageError, match="not a homomorphism"):
+        bad._verify()
 
 
 def test_classical_table_d4_quartic_coefficient_cancels():

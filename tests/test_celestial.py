@@ -41,7 +41,7 @@ from celalg.lambdacalc import (
     normal_order_poly,
     skew,
 )
-from celalg.liealg import simple_lie_algebra
+from celalg.liealg import row_reduce, simple_lie_algebra
 from celalg.scalar import s_monomial, s_rational, s_scale
 
 BETA = (1, 0, 0)
@@ -449,60 +449,61 @@ def _solver_rows(L, monkeypatch):
     return seen[0]
 
 
-@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("A", 3),
-                                         ("B", 2)])
-def test_solver_memo_keeps_the_row_set(monkeypatch, series, rank):
-    # the solver sweeps one right label at a time under the term-(3) memo;
-    # a fresh table outside solve_constants has no memo, so each triple
-    # here computes its quadratic-word brackets from scratch
+def _span(rows):
+    mat, pivots = row_reduce(sorted(rows), 3)
+    return mat[:len(pivots)]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2)])
+def test_reduced_rows_span_all_label_triples(monkeypatch, series, rank):
+    # the dim triples (x_-theta, x_theta, e_k) decide the whole system: their
+    # rows span the rows of all dim^3 label triples
     L = simple_lie_algebra(series, rank)
     fresh = rules_deformed(L)
     n = L.dim
-    expected = set()
+    full = set()
     for la in range(n):
         for lb in range(n):
             for lc in range(n):
-                expected.update(celestial._defect_rows(fresh, la, lb, lc))
-    assert fresh.term3_memo is None
-    assert _solver_rows(L, monkeypatch) == expected
+                full.update(celestial._defect_rows(fresh, la, lb, lc))
+    reduced = _solver_rows(L, monkeypatch)
+    assert len(reduced) < len(full)
+    assert _span(reduced) == _span(full)
 
 
-def test_solver_checks_each_word_and_letter_once(sl2):
-    # one dual-route check per distinct (word, c) of term (3), plus the
-    # memo's spot sample in every sweep
-    from celalg import lambdacalc
-    rd = rules_deformed(sl2)
-    n = sl2.dim
-    words = {word for la in range(n) for lb in range(n)
-             for ws in bracket_words(rd, (J(la, 1, 0),), (J(lb, 0, 1),)).values()
-             for word in ws if len(word) > 1}
-    assert len(words) > celestial._MEMO_CHECKS
-    lambdacalc.reset_stats()
-    solve_constants(sl2)
-    assert lambdacalc.STATS["dual_path_checks"] == n * (len(words) + celestial._MEMO_CHECKS)
-
-
-def test_solver_memo_spot_check_catches_a_corrupt_fill(sl2, monkeypatch, capsys):
+def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     from celalg.cli import main
     from celalg.lambdacalc import InternalConsistencyError
-    orig = celestial._term3_outer
+    orig = celestial.rules_deformed
 
-    def corrupted(rules, word, c):
-        # every stored entry (a multi-letter word) gains a stray F[0,0]
-        out = orig(rules, word, c)
-        if len(word) > 1:
-            lp_iadd(out, (0, 0), {(F(0, 0),): s_rational(1)})
-        return out
+    def perturbed(L):
+        # one dual-bracket entry plus 1: the table is no longer g-equivariant
+        rs = orig(L)
+        entry = rs.dual_brackets()[0][3]
+        entry[9] = entry.get(9, 0) + 1
+        rs.base_memo.clear()
+        rs.full_memo.clear()
+        return rs
 
-    monkeypatch.setattr(celestial, "_term3_outer", corrupted)
-    with pytest.raises(InternalConsistencyError, match=r"term \(3\) memo entry"):
-        solve_constants(sl2)
+    monkeypatch.setattr(celestial, "rules_deformed", perturbed)
+    G2 = simple_lie_algebra("G", 2)
+    rd = perturbed(G2)
+    # the reduced rows alone still give the closed form, so only the spot
+    # check can see the fault
+    top = len(G2.root_system.positive_roots) - 1
+    low, high = G2.neg_root_index(top), G2.pos_root_index(top)
+    reduced = celestial._solve_rows(
+        {row for k in range(G2.dim) for row in celestial._defect_rows(rd, low, high, k)})
+    assert (reduced.status, reduced.d_over_beta2, reduced.c_over_beta2) == \
+        ("unique", Fraction(-1, 5), Fraction(3, 20))
+    with pytest.raises(InternalConsistencyError, match=r"triple \(J_\d+\[1,0\], "
+                       r"J_\d+\[0,1\], J_\d+\[0,0\]\) of G2"):
+        solve_constants(G2)
     capsys.readouterr()
-    assert main(["solve", "A1"]) == 3
+    assert main(["solve", "G2"]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("internal error: InternalConsistencyError: term (3) "
-                             "memo entry for [")
+    assert err[0].startswith("internal error: InternalConsistencyError: triple (J_")
 
 
 @pytest.mark.parametrize("rows,status,d,c", [

@@ -1,8 +1,8 @@
 """Larger-algebra runs, gated behind CELALG_EXTENDED=1.
 
 Covers the bigger exceptional types: trace-identity batches on F4 and E6,
-the sampled-solver path for algebras above the full-iteration cutoff, and
-the E7/E8 classification rows.
+the full constant solve of F4, E6, E7 and E8, the E7/E8 quartic alpha
+values, and the D4 solve and G2 verify through the CLI.
 """
 
 import os
@@ -38,12 +38,12 @@ def test_quartic_alpha_e_series(series, rank, alpha):
 
 
 @extended
-def test_sampled_solver_path_f4():
-    # dim 52 > 30: the seeded 500-triple sample is solved first and accepted
-    # when it matches the closed form
-    L = simple_lie_algebra("F", 4)
+@pytest.mark.parametrize("series,rank", [("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+def test_full_solve_large_exceptional(series, rank):
+    # dim reduced triples plus 64 spot checks decide all dim^3 triples
+    L = simple_lie_algebra(series, rank)
     sol = solve_constants(L, master_seed=11)
-    assert sol.sampled and sol.triples == 500
+    assert sol.triples == L.dim ** 3 and sol.computed == L.dim + 64
     assert sol.status == "unique"
     assert (sol.d_over_beta2, sol.c_over_beta2) == closed_form_fractions(L)
 

@@ -346,6 +346,18 @@ def test_quasi_commutativity_of_nproduct_on_extended_a2(extended_a2, rng):
         rules, integrate_commutator(bracket_words(rules, (a,), word)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_left_extension_matches_skewed_wick_on_extended_a1(extended, rng):
+    # the two routes of a multi-letter word W against one letter c, on
+    # random words: the derivative shift [W_l c] and the skew image of the
+    # Wick expansion [c_l W], which bracket_words compares at run time
+    left = tuple(random_letter(rng) for _ in range(rng.randint(2, 3)))
+    c = random_letter(rng)
+    assert lp_equal(lc._left_extension(extended, left, (c,)),
+                    normal_order_poly(extended, skew(lc._wick(extended, c, left))))
+
+
 def test_single_generator_word_brackets(base):
     # one generator against a word and a word against one generator: the
     # unit word brackets to zero on either side
