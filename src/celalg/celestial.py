@@ -23,10 +23,10 @@ solution exists.  The solver decides the Jacobi identity of the deformed
 table on those triples only; other triples, J-J-I ones among them, keep
 nonzero defects that no check here looks at.
 
-The solver computes the dim label triples (x_-theta, x_theta, e_k) only;
-the g-equivariance of the defect makes their rows span those of all dim^3
-triples (see solve_constants), and every solve recomputes a seeded sample
-of other triples to check that premise.
+The solver and the grid verifier compute label representatives only: the
+g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
+decide every label (see solve_constants and verify_jacobi_grid), and every
+run recomputes a seeded sample of other triples to check that premise.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lambdacalc import (
     E,
@@ -485,7 +486,7 @@ def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
     """Compute the two transposed images of the sorted triple (a, b, c)
     directly and compare them with the images inferred from its defect d;
     None when both identities hold.  An image that is the triple itself
-    (a == b, or b == c) is d, which the scan has just computed."""
+    (a == b, or b == c) is d, not computed again."""
     for shortcut, image, inferred in (
             ("swap identity", (b, a, c), _swap_lambda_mu(d)),
             ("b<->c identity", (a, c, b), _swap_mu_nu(rules, d))):
@@ -498,55 +499,53 @@ def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
     return None
 
 
-def _scan_triples(rules: RuleSet, gens: Sequence[GenSymbol], rows: range,
-                  samples: Set[Tuple[int, int, int]]
-                  ) -> Tuple[int, int, int, List[dict]]:
-    """Decide every triple whose smallest index lies in rows, with all its
-    permutations.
+def _theta_labels(L: LieAlgebra) -> Tuple[int, int]:
+    """(x_-theta, x_theta); positive roots are ordered by height, so the last
+    one is theta."""
+    top = len(L.root_system.positive_roots) - 1
+    return L.neg_root_index(top), L.pos_root_index(top)
 
-    Only sorted triples index(a) <= index(b) <= index(c) are computed.  The
-    swap identity (a <-> b) and the b <-> c identity generate all of S3, so
-    each permutation vanishes exactly when its sorted triple does.  A sampled
-    triple checks both identities on its defect as soon as it is computed.
-    Returns (covered, computed, spot_checked, failures); the scan stops at
-    the _DEFECT_LIMIT-th nonzero defect.
+
+def _pattern(g: GenSymbol) -> GenSymbol:
+    """The kind/bidegree pattern of g, as its label-0 copy (E and F keep
+    their -1); patterns sort in grid order."""
+    return g._replace(label=min(g.label, 0))
+
+
+def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...]
+                     ) -> Iterator[Tuple[GenSymbol, ...]]:
+    """The label triples that decide a pattern triple: its labelled (J, I)
+    slots take x_-theta, then x_theta, then every basis label, in order."""
+    choices = iter([(label,) for label in _theta_labels(L)] + [range(L.dim)])
+    slots = [next(choices) if g.label >= 0 else (g.label,) for g in triple]
+    for labels in product(*slots):
+        yield tuple(g._replace(label=label) for g, label in zip(triple, labels))
+
+
+def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
+                   ) -> Tuple[int, Dict[Tuple[GenSymbol, ...], bool], List[dict]]:
+    """Compute the representatives of every sorted pattern triple P <= Q <= R.
+
+    Returns (computed, decided, failures): decided maps each pattern triple
+    scanned in full to whether all its representatives vanished, and the
+    scan stops at the _DEFECT_LIMIT-th nonzero defect.
     """
-    n = len(gens)
     failures: List[dict] = []
-    found = covered = computed = spot_checked = 0
-    for ia in rows:
-        a = gens[ia]
-        for ib in range(ia, n):
-            b = gens[ib]
-            for ic, c in enumerate(gens[ib:], ib):
-                computed += 1
-                d = defect_poly(rules, a, b, c)
-                if (ia, ib, ic) in samples:
-                    spot_checked += 1
-                    fail = _spot_check(rules, a, b, c, d)
-                    if fail is not None:
-                        failures.append(fail)
-                if d:
-                    failures.append({"triple": [str(a), str(b), str(c)],
-                                     "defect": format_lambda_poly(d)})
-                    found += 1
-                    if found >= _DEFECT_LIMIT:
-                        return covered, computed, spot_checked, failures
-        # the ordered triples whose smallest index is ia
-        covered += (n - ia) ** 3 - (n - ia - 1) ** 3
-    return covered, computed, spot_checked, failures
-
-
-_WORKER = {}
-
-
-def _grid_worker_init(L: LieAlgebra, level: str, gens: List[GenSymbol],
-                      samples: Set[Tuple[int, int, int]]):
-    _WORKER.update(rules=_grid_rules(L, level), gens=gens, samples=samples)
-
-
-def _grid_worker_run(rows: range) -> Tuple[int, int, int, List[dict]]:
-    return _scan_triples(_WORKER["rules"], _WORKER["gens"], rows, _WORKER["samples"])
+    decided: Dict[Tuple[GenSymbol, ...], bool] = {}
+    computed = 0
+    for triple in combinations_with_replacement(sorted(set(map(_pattern, gens))), 3):
+        clean = True
+        for rep in _representatives(rules.algebra, triple):
+            computed += 1
+            d = defect_poly(rules, *rep)
+            if d:
+                clean = False
+                failures.append({"triple": [str(g) for g in rep],
+                                 "defect": format_lambda_poly(d)})
+                if len(failures) >= _DEFECT_LIMIT:
+                    return computed, decided, failures
+        decided[triple] = clean
+    return computed, decided, failures
 
 
 # the deformed table is partial by design (J-J brackets only at the deformed
@@ -554,51 +553,63 @@ def _grid_worker_run(rows: range) -> Tuple[int, int, int, List[dict]]:
 _GRID_LEVELS = ("base", "extended")
 
 
-def _grid_rules(L: LieAlgebra, level: str) -> RuleSet:
-    return rules_base(L) if level == "base" else rules_extended(L)
-
-
 def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                        jobs: int = 1) -> Report:
     """Zero Jacobi defect for every generator triple on the bidegree grid.
 
     Triples where two or three slots lie in the abelian sector are included;
-    their defects are trivially zero and serve as plumbing checks.  The
-    details count the triples covered (all n^3), the sorted triples whose
-    defects the scan computed (n(n+1)(n+2)/6; the other permutations follow
-    by the two identities of _scan_triples) and the sampled sorted triples
-    the scan reached, whose two transposed images it computed directly; an
-    identity that fails on a sample is listed before any nonzero defect.
-    With jobs > 1 the rows are dealt round-robin to a pool of workers, each
-    scanning rule tables built from L itself.  The level is "base" or
-    "extended", and grid_max is at least 0; anything else raises ValueError.
+    their defects are trivially zero and serve as plumbing checks.  The scan
+    computes the sorted kind/bidegree pattern triples P <= Q <= R only: the
+    swap identity (a <-> b) and the b <-> c identity hold for every label
+    and generate S3.  Within a pattern triple the defect is a g-equivariant
+    map of the labels of its J and I slots (E and F carry none), so its
+    kernel is a g-submodule, and as in solve_constants the labels
+    (x_-theta, x_theta, e_k) of those slots, in order, decide every label.
+    With p patterns, q of them labelled, that is C(p+2, 3) + (dim-1) C(q+2, 3)
+    computed triples.
+
+    Every run recomputes the seeded sorted triples of _spot_sample directly.
+    A nonzero defect whose pattern triple was scanned clean fails the
+    `label reduction` shortcut, and the two transposed images of each sample
+    check the `swap identity` and the `b<->c identity`; a shortcut that
+    fails is listed before any nonzero defect.  The details count the
+    triples covered (n^3 after a full scan), the triples computed by the
+    scan and the samples spot-checked.  The level is "base" or "extended",
+    grid_max is at least 0, and jobs is 1 (it is kept only for the
+    benchmark's jobs=1 call); anything else raises ValueError.
     """
     if level not in _GRID_LEVELS:
         raise ValueError(f"the Jacobi grid verifies the levels "
                          f"{', '.join(_GRID_LEVELS)}, not {level!r}")
     if grid_max < 0:
         raise ValueError(f"the Jacobi grid needs grid_max >= 0, not {grid_max}")
+    if jobs != 1:
+        raise ValueError(f"the Jacobi grid runs serially, so jobs must be 1, "
+                         f"not {jobs}")
     gens = grid_generators(L, grid_max, with_ef=level != "base")
     n = len(gens)
-    samples = _spot_sample(L, level, grid_max, n)
-    if jobs > 1:
-        import concurrent.futures as cf
-        # rows dealt round-robin, so every chunk holds long and short rows
-        chunks = [range(k, n, 4 * jobs) for k in range(4 * jobs)]
-        with cf.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_grid_worker_init,
-                initargs=(L, level, gens, samples)) as ex:
-            parts = list(ex.map(_grid_worker_run, chunks))
-    else:
-        parts = [_scan_triples(_grid_rules(L, level), gens, range(n), samples)]
-    covered, computed, spot_checked = (sum(p[k] for p in parts) for k in range(3))
-    failures = sorted((f for p in parts for f in p[3]),
-                      key=lambda f: "shortcut" not in f)
+    rules = rules_base(L) if level == "base" else rules_extended(L)
+    computed, decided, failures = _scan_patterns(rules, gens)
+    samples = sorted(_spot_sample(L, level, grid_max, n))
+    for ia, ib, ic in samples:
+        a, b, c = gens[ia], gens[ib], gens[ic]
+        d = defect_poly(rules, a, b, c)
+        if d and decided.get(tuple(sorted(map(_pattern, (a, b, c))))):
+            failures.append({"triple": [str(a), str(b), str(c)],
+                             "defect": format_lambda_poly(d),
+                             "shortcut": "label reduction", "inferred": "0"})
+        fail = _spot_check(rules, a, b, c, d)
+        if fail is not None:
+            failures.append(fail)
+    # the ordered triples of a pattern triple's permutations, over all labels
+    covered = sum(len(set(permutations(t))) * L.dim ** sum(g.label >= 0 for g in t)
+                  for t in decided)
+    failures.sort(key=lambda f: "shortcut" not in f)
     return Report(check="jacobi_grid", algebra=L.name, passed=not failures,
                   first_counterexample=failures[0] if failures else None,
                   details={"level": level, "grid_max": grid_max,
                            "generators": n, "triples": covered,
-                           "computed": computed, "spot_checked": spot_checked})
+                           "computed": computed, "spot_checked": len(samples)})
 
 
 # --- constant solving -------------------------------------------------------------
@@ -688,9 +699,7 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
     """
     rules = rules_deformed(L)
     n = L.dim
-    # positive roots are ordered by height, so the last one is theta
-    top = len(L.root_system.positive_roots) - 1
-    low, high = L.neg_root_index(top), L.pos_root_index(top)
+    low, high = _theta_labels(L)
     rows = set()
     for k in range(n):
         rows.update(_defect_rows(rules, low, high, k))

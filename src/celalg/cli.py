@@ -54,7 +54,6 @@ _ENV_VARS = {
     "json": "CELALG_JSON",
     "enable_e78": "CELALG_ENABLE_E78",
     "cache_dir": "CELALG_CACHE_DIR",
-    "jobs": "CELALG_JOBS",
     "max_rank": "CELALG_MAX_RANK",
 }
 
@@ -80,7 +79,6 @@ class RunConfig:
     json_output: bool = False
     enable_e78: bool = False
     cache_dir: Optional[str] = None
-    jobs: int = 1
     max_rank: int = 4
 
     def echo(self) -> dict:
@@ -91,7 +89,6 @@ class RunConfig:
             out["algebra"] = f"{self.series}{self.rank}"
         if self.command == "verify":
             out["grid_max"] = self.grid_max
-            out["jobs"] = self.jobs
         if self.command in ("verify", "classify"):
             out["samples"] = self.samples
         if self.command == "classify":
@@ -220,13 +217,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     L = get_algebra(cfg.series, cfg.rank, cfg.cache_dir)
     reports: List[Report] = []
-    t0 = time.time()
-    reports.append(verify_jacobi_grid(L, cfg.grid_max, level="extended",
-                                      jobs=cfg.jobs))
-    print(f"[{time.time() - t0:7.1f}s] jacobi grid done", file=sys.stderr)
+    t0 = time.perf_counter()
+    reports.append(verify_jacobi_grid(L, cfg.grid_max, level="extended"))
+    print(f"[{time.perf_counter() - t0:7.1f}s] jacobi grid done", file=sys.stderr)
     reports.extend(adinv.trace_identity_suite(L, samples=cfg.samples,
                                               master_seed=cfg.master_seed))
-    print(f"[{time.time() - t0:7.1f}s] trace-identity batches done",
+    print(f"[{time.perf_counter() - t0:7.1f}s] trace-identity batches done",
           file=sys.stderr)
     ok = all(r.passed for r in reports)
     lines = []
@@ -282,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--grid", type=int, default=None,
                           help="max bidegree entry in the Jacobi grid")
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=None,
-                          help="parallel workers for the Jacobi grid")
 
     return parser
 
@@ -299,12 +293,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.samples = _resolve(args.samples, "samples", int, 100, least=1)
     if hasattr(args, "grid"):
         cfg.grid_max = _resolve(args.grid, "grid", int, 2, least=0)
-    if hasattr(args, "jobs"):
-        cfg.jobs = _resolve(args.jobs, "jobs", int, 1, least=1)
-        cpus = os.cpu_count() or 1
-        if cfg.jobs > cpus:
-            raise ConfigurationError(
-                f"--jobs {cfg.jobs} exceeds the {cpus} available CPUs")
     if hasattr(args, "max_rank"):
         cfg.max_rank = _resolve(args.max_rank, "max_rank", int, 4, least=4)
     if hasattr(args, "enable_e78"):
@@ -317,14 +305,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        t0 = time.time()
+        t0 = time.perf_counter()
         if cfg.command == "classify":
             code = cmd_classify(cfg)
         elif cfg.command == "solve":
             code = cmd_solve(cfg)
         else:
             code = cmd_verify(cfg)
-        print(f"[{time.time() - t0:7.1f}s] total", file=sys.stderr)
+        print(f"[{time.perf_counter() - t0:7.1f}s] total", file=sys.stderr)
         return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -5,7 +5,6 @@ comparisons are exact; sampled inputs come from fixed seeds.
 """
 
 import json
-import os
 import random
 import time
 from fractions import Fraction
@@ -42,7 +41,6 @@ from celalg.liealg import simple_lie_algebra
 from celalg.scalar import s_monomial, s_rational
 
 SEED = 20240
-JOBS = min(2, os.cpu_count() or 1)
 
 
 def _line(num, ok, text, t0):
@@ -115,11 +113,14 @@ def test_criterion_3_closed_form_consistency(capsys):
 
 def test_criterion_4_jacobi_grid(capsys):
     t0 = time.time()
-    r1 = verify_jacobi_grid(simple_lie_algebra("A", 1), 3, jobs=JOBS)
-    r2 = verify_jacobi_grid(simple_lie_algebra("A", 2), 3, jobs=JOBS)
+    r1 = verify_jacobi_grid(simple_lie_algebra("A", 1), 3)
+    r2 = verify_jacobi_grid(simple_lie_algebra("A", 2), 3)
     ok = r1.passed and r2.passed
     ok = ok and r1.details["triples"] == 127 ** 3
     ok = ok and r2.details["triples"] == 287 ** 3
+    # the highest-weight label representatives of the sorted pattern triples
+    ok = ok and r1.details["computed"] == 55648
+    ok = ok and r2.details["computed"] == 85568
     with capsys.disabled():
         _line(4, ok, "zero Jacobi defect on the full grid-3 suites (A1, A2)", t0)
     assert ok

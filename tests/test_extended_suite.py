@@ -64,7 +64,7 @@ def test_cli_solve_d4_agreement(capsys):
 def test_cli_verify_g2(capsys):
     from celalg.cli import main
     assert main(["verify", "G2", "--grid", "1", "--samples", "100",
-                 "--seed", "7", "--jobs", "2", "--json"]) == 0
+                 "--seed", "7", "--json"]) == 0
     import json
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
