@@ -20,8 +20,8 @@ import struct
 from fractions import Fraction
 from itertools import chain, compress
 from math import lcm
-from operator import add, mul, sub
-from typing import List, Optional, Tuple
+from operator import mul
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .liealg import Element, LieAlgebra, UsageError, simple_lie_algebra
 from .report import Report
@@ -38,59 +38,115 @@ def expected_alpha(dim: int) -> Fraction:
 
 # --- exact matrix helpers (lists of rows, int or Fraction entries) ----------
 #
-# mat_mul is exact Kronecker substitution: each row of b is packed into one
-# Python int, slot j holding b_kj in w = 64 k bits, so a row of the product
-# is a sum of (small int) * (packed int) products done in C bigint arithmetic.
-# Every product entry is bounded by rows(b) max|a| max|b| < 2^(w-1); biasing
-# each slot by 2^(w-1) keeps it in [0, 2^w), so no borrow crosses slots and
-# unpacking the words recovers every entry exactly.
+# The product kernel is exact Kronecker substitution.  Each row of a right
+# operand b is packed into one Python int, slot j holding b_kj in w bits, so
+# a row of the product is a sum of (small int) * (packed int) products done
+# in C bigint arithmetic.  Every product entry is bounded by
+# max_i sum_k |a_ik| * max|b| (the largest row sum of |a| times the largest
+# |b|), and w is the narrowest of 16 and 64 k bits that puts this bound
+# and max|b| below 2^(w-1).  Biasing each slot by 2^(w-1) keeps it in
+# [0, 2^w), so no borrow crosses slots and unpacking the slots recovers
+# every entry exactly (_Slots).
 
 _WORD = 64
 _WORD_MASK = (1 << _WORD) - 1
 
 
-def _integral(m: List[List]) -> Tuple[List[List[int]], int]:
-    """(n, d) with m = n / d entrywise: n has int entries and d is the lcm of
-    the entries' denominators."""
-    if set(map(type, chain.from_iterable(m))) <= {int}:
-        return m, 1
-    d = lcm(*(v.denominator for v in chain.from_iterable(m)))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in m], d
+class _Operand(NamedTuple):
+    """A matrix m = ints / denom, with the largest row sum of |ints| and the
+    largest |ints|: the bounds on the products it takes part in."""
+    ints: List[List[int]]
+    denom: int
+    row_norm: int
+    top: int
+
+
+def _prepare(m: List[List]) -> _Operand:
+    """m scaled to ints by the lcm of its entries' denominators, and its
+    bounds."""
+    d = 1
+    if not set(map(type, chain.from_iterable(m))) <= {int}:
+        d = lcm(*(v.denominator for v in chain.from_iterable(m)))
+        m = [[v.numerator * (d // v.denominator) for v in row] for row in m]
+    return _Operand(m, d, max((sum(map(abs, row)) for row in m), default=0),
+                    max(map(abs, chain.from_iterable(m)), default=0))
+
+
+def _slot_bits(bound: int) -> int:
+    """The narrowest slot width w of 16 or 64 k bits with bound < 2^(w-1)."""
+    if bound < 1 << 15:
+        return 16
+    return _WORD * (bound.bit_length() // _WORD + 1)
+
+
+class _Slots:
+    """Length-n int rows packed into one int, w bits a slot, for entries of
+    absolute value below 2^(w-1).
+
+    A packed row is the int sum_j row_j 2^(w j).  Adding the bias
+    sum_j 2^(w-1) 2^(w j) makes each slot the digit row_j + 2^(w-1) in
+    [0, 2^w), and flipping the top bit of every slot (xor with the bias)
+    turns that digit into row_j in w-bit two's complement, which the struct
+    codes read and write directly."""
+
+    def __init__(self, n: int, w: int):
+        self.k = max(w // _WORD, 1)  # 64-bit words per slot
+        self.shifts = range(0, w, _WORD)
+        # a 16-bit word, or k 64-bit words with the sign in the last
+        code = "h" if w == 16 else "Q" * (self.k - 1) + "q"
+        self.words = struct.Struct("<" + code * n)
+        self.bias = (1 << (w - 1)) * (((1 << (w * n)) - 1) // ((1 << w) - 1))
+
+    def pack(self, row: List[int]) -> int:
+        if self.k > 1:
+            top = self.shifts[-1]
+            row = [x >> s if s == top else x >> s & _WORD_MASK
+                   for x in row for s in self.shifts]
+        return (int.from_bytes(self.words.pack(*row), "little") ^ self.bias) - self.bias
+
+    def unpack(self, value: int) -> List[int]:
+        entries = self.words.unpack(
+            ((value + self.bias) ^ self.bias).to_bytes(self.words.size, "little"))
+        if self.k > 1:
+            k = self.k
+            return [sum(x << s for x, s in zip(entries[j:j + k], self.shifts))
+                    for j in range(0, len(entries), k)]
+        return list(entries)
+
+
+def _product(a: _Operand, b: _Operand, packed: List[int], slots: _Slots) -> List[List]:
+    """a b from a and the packed rows of b."""
+    d = a.denom * b.denom
+    out = []
+    for row in a.ints:
+        entries = slots.unpack(sum(map(mul, compress(row, row), compress(packed, row))))
+        out.append(entries if d == 1 else [Fraction(x, d) for x in entries])
+    return out
+
+
+def products(mats: Sequence[List[List]], pairs: Iterable[Tuple[int, int]]
+             ) -> Dict[Tuple[int, int], List[List]]:
+    """{(i, j): mats[i] mats[j]} for each pair, exact: int entries for int
+    operands, else Fractions.  Each operand is scaled to ints and scanned
+    once, and each right operand packed once, in the narrowest slots that
+    fit its products with every left operand it is paired with."""
+    pairs = list(dict.fromkeys(pairs))
+    ops = {i: _prepare(mats[i]) for i in dict.fromkeys(chain.from_iterable(pairs))}
+    left_norm: Dict[int, int] = {}
+    for i, j in pairs:
+        left_norm[j] = max(left_norm.get(j, 0), ops[i].row_norm)
+    packing = {}
+    for j, norm in left_norm.items():
+        b = ops[j]
+        # max(norm, 1) * max|b| bounds the products and max|b| itself
+        slots = _Slots(len(b.ints[0]), _slot_bits(max(norm, 1) * b.top))
+        packing[j] = [slots.pack(row) for row in b.ints], slots
+    return {(i, j): _product(ops[i], ops[j], *packing[j]) for i, j in pairs}
 
 
 def mat_mul(a: List[List], b: List[List]) -> List[List]:
     """The exact product a b: int entries for int operands, else Fractions."""
-    a, da = _integral(a)
-    b, db = _integral(b)
-    n = len(b[0])
-    max_a = max(map(abs, chain.from_iterable(a)), default=0)
-    max_b = max(map(abs, chain.from_iterable(b)), default=0)
-    # slot width w = 64 k with every packed and product entry below 2^(w-1)
-    k = max(len(b) * max_a * max_b, max_b).bit_length() // _WORD + 1
-    half = 1 << (_WORD * k - 1)
-    halves = [half] * n
-    shifts = range(0, _WORD * k, _WORD)
-    words = struct.Struct(f"<{n * k}Q")
-
-    def pack(row) -> int:
-        biased = map(add, row, halves)
-        if k > 1:
-            biased = [x >> s & _WORD_MASK for x in biased for s in shifts]
-        return int.from_bytes(words.pack(*biased), "little")
-
-    bias = pack([0] * n)
-    packed = [pack(row) - bias for row in b]
-    d = da * db
-    out = []
-    for row in a:
-        biased = words.unpack((bias + sum(map(mul, compress(row, row), compress(packed, row))))
-                              .to_bytes(words.size, "little"))
-        if k > 1:
-            biased = [sum(x << s for x, s in zip(biased[j:j + k], shifts))
-                      for j in range(0, n * k, k)]
-        entries = map(sub, biased, halves)
-        out.append(list(entries) if d == 1 else [Fraction(x, d) for x in entries])
-    return out
+    return products((a, b), [(0, 1)])[0, 1]
 
 
 def mat_sub(a: List[List], b: List[List]) -> List[List]:
@@ -120,9 +176,9 @@ DIHEDRAL = (
 
 def quartic_trace(L: LieAlgebra, a: Element, b: Element, c: Element, d: Element):
     """Tr(ad_a ad_b ad_c ad_d), exact and multilinear."""
-    m1 = mat_mul(L.ad_matrix(a), L.ad_matrix(b))
-    m2 = mat_mul(L.ad_matrix(c), L.ad_matrix(d))
-    return trace_mul(m1, m2)
+    ads = [L.ad_matrix(x) for x in (a, b, c, d)]
+    pairs = products(ads, [(0, 1), (2, 3)])
+    return trace_mul(pairs[0, 1], pairs[2, 3])
 
 
 # --- identity checks ---------------------------------------------------------
@@ -135,10 +191,12 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
     With e^i = sum_q P^-1_iq e_q (P^-1 = L.pairing_inv) the left side is
     sum_pq N_pq [e_p, e_q] for N = ad_c ad_b P^-1 ad_a^T.  The expansion is
     bilinear and uses no Jacobi identity, so both sides are read off the ad
-    entries in one loop."""
+    entries in one loop.  With ad_a ad_b ad_c formed as A (B C), each ad
+    matrix enters the kernel once."""
     A, B, C = (L.ad_matrix(x) for x in (a, b, c))
-    m = mat_mul(mat_mul(A, B), C)
-    N = mat_mul(mat_mul(mat_mul(C, B), L.pairing_inv), list(zip(*A)))
+    bc, cb = products([B, C], [(0, 1), (1, 0)]).values()
+    m = mat_mul(A, bc)
+    N = mat_mul(mat_mul(cb, L.pairing_inv), list(zip(*A)))
     lhs = [0] * L.dim
     traces = []
     for i, row in enumerate(N):
@@ -160,8 +218,7 @@ def check_dihedral(L: LieAlgebra, a1: Element, a2: Element, a3: Element,
     """Tr(ad_a1 ad_a2 ad_a3 ad_a4) under the eight dihedral permutations;
     each image is the trace of two of the eight adjacent-pair products."""
     ads = [L.ad_matrix(x) for x in (a1, a2, a3, a4)]
-    pairs = {(i, j): mat_mul(ads[i], ads[j])
-             for i, j in {perm[k:k + 2] for perm in DIHEDRAL for k in (0, 2)}}
+    pairs = products(ads, [perm[k:k + 2] for perm in DIHEDRAL for k in (0, 2)])
     base = trace_mul(pairs[0, 1], pairs[2, 3])
     for perm in DIHEDRAL[1:]:
         val = trace_mul(pairs[perm[:2]], pairs[perm[2:]])
@@ -177,10 +234,10 @@ def check_commutator_identity(L: LieAlgebra, a: Element, b: Element,
     """2 Tr([A,D][B,C]) + Tr([A,B][C,D]) against the quartic combination
     4(Tr(ABCD)+Tr(ACDB)+Tr(ADBC)) - 6(Tr(ABCD)+Tr(BACD)), A = ad_a etc.;
     the ten distinct products are formed once each."""
-    A, B, C, D = (L.ad_matrix(x) for x in (a, b, c, d))
-    ab, ba, cd, dc, ad, da, bc, cb, ac, db = (
-        mat_mul(x, y) for x, y in ((A, B), (B, A), (C, D), (D, C), (A, D),
-                                   (D, A), (B, C), (C, B), (A, C), (D, B)))
+    ab, ba, cd, dc, ad, da, bc, cb, ac, db = products(
+        [L.ad_matrix(x) for x in (a, b, c, d)],
+        [(0, 1), (1, 0), (2, 3), (3, 2), (0, 3), (3, 0), (1, 2), (2, 1), (0, 2),
+         (3, 1)]).values()
     lhs = 2 * trace_mul(mat_sub(ad, da), mat_sub(bc, cb)) \
         + trace_mul(mat_sub(ab, ba), mat_sub(cd, dc))
     t_abcd = trace_mul(ab, cd)
@@ -196,10 +253,10 @@ def check_polarized(L: LieAlgebra, a: Element, b: Element, c: Element,
                     d: Element, alpha: Fraction) -> Report:
     """Polarized quartic identity: the symmetrized quartic trace equals
     alpha times the matching symmetric sum of pairing products."""
-    A, B, C, D = (L.ad_matrix(x) for x in (a, b, c, d))
-    lhs = trace_mul(mat_mul(A, B), mat_mul(C, D)) \
-        + trace_mul(mat_mul(A, C), mat_mul(D, B)) \
-        + trace_mul(mat_mul(A, D), mat_mul(B, C))
+    A, B, C, D = ads = [L.ad_matrix(x) for x in (a, b, c, d)]
+    ab, cd, ac, db, ad, bc = products(
+        ads, [(0, 1), (2, 3), (0, 2), (3, 1), (0, 3), (1, 2)]).values()
+    lhs = trace_mul(ab, cd) + trace_mul(ac, db) + trace_mul(ad, bc)
     t = (trace_mul(A, B) * trace_mul(C, D)
          + trace_mul(A, C) * trace_mul(D, B)
          + trace_mul(A, D) * trace_mul(B, C))
@@ -227,11 +284,10 @@ def element_rng(master_seed, L: LieAlgebra, check: str) -> random.Random:
 
 def _quartic_ratio(L: LieAlgebra, a: Element) -> Optional[Fraction]:
     """Tr(ad_a^4) / Tr(ad_a^2)^2, or None when Tr(ad_a^2) = 0."""
-    m = L.ad_matrix(a)
-    t2 = trace_mul(m, m)
+    m2 = products([L.ad_matrix(a)], [(0, 0)])[0, 0]
+    t2 = trace(m2)
     if t2 == 0:
         return None
-    m2 = mat_mul(m, m)
     return Fraction(trace_mul(m2, m2), t2 * t2)
 
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import os
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from math import comb, lcm
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
@@ -120,11 +121,8 @@ class RootSystem:
         return total
 
     def cartan_pairing(self, root: Coeffs, i: int) -> int:
-        """2 (root, alpha_i) / (alpha_i, alpha_i), always an integer."""
-        v = 2 * self.inner(root, self.simple_roots[i]) / self.gram[i][i]
-        if v.denominator != 1:
-            raise ConstructionError(f"non-integral Cartan pairing {v}")
-        return int(v)
+        """2 (root, alpha_i) / (alpha_i, alpha_i) = sum_j root_j cartan[j][i]."""
+        return sum(r * row[i] for r, row in zip(root, self.cartan_matrix) if r)
 
     def coroot(self, root: Coeffs) -> Coeffs:
         """root^vee = 2 root / (root, root) over the simple coroots, always integral."""
@@ -149,8 +147,15 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         raise ConfigurationError(f"invalid simple type {series}{rank}")
     gram = _gram_matrix(series, rank)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    # cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)
+    cartan = tuple(tuple(2 * gram[i][j] / gram[j][j] for j in range(rank))
+                   for i in range(rank))
+    bad = next((v for row in cartan for v in row if v.denominator != 1), None)
+    if bad is not None:
+        raise ConstructionError(f"non-integral Cartan pairing {bad}")
+    cartan = tuple(tuple(map(int, row)) for row in cartan)
 
-    interim = RootSystem(series, rank, tuple(map(tuple, gram)), tuple(simple), (), ())
+    interim = RootSystem(series, rank, tuple(map(tuple, gram)), tuple(simple), (), cartan)
     roots = set(simple)
     by_height = [list(simple)]
     while by_height[-1]:
@@ -174,8 +179,6 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     if heights.count(max(heights)) != 1:
         raise ConstructionError("highest root is not unique")
 
-    cartan = tuple(tuple(interim.cartan_pairing(simple[i], j) for j in range(rank))
-                   for i in range(rank))
     norms = {}
     for r in positive:
         norms[r] = norms[_vneg(r)] = interim.inner(r, r)
@@ -564,16 +567,19 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
 
 
 def _killing_matrix(dim: int, f, ad_entries) -> List[List[int]]:
+    """K_ij = Tr(ad_i ad_j) = sum_km (ad_i)_km (ad_j)_mk, every entry summed
+    over the nonzero entries alone: each entry (m, k, c) of ad_i, which is
+    (ad_i)_km = c, meets the entries of every ad_j at position (m, k)."""
+    # (ad_j)_mk = f[(j, k)][m], indexed by the position (m, k)
+    at: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for (j, k), comp in f.items():
+        for m, v in comp.items():
+            at.setdefault((m, k), []).append((j, v))
     kf = [[0] * dim for _ in range(dim)]
-    empty: Dict[int, int] = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            # Tr(ad_i ad_j) = sum over entries (ad_i)_{km} (ad_j)_{mk}
-            total = 0
-            for (m, k, c) in ad_entries[i]:
-                total += c * f.get((j, k), empty).get(m, 0)
-            kf[i][j] = total
-            kf[j][i] = total
+    for row, entries in zip(kf, ad_entries):
+        for (m, k, c) in entries:
+            for j, v in at.get((m, k), ()):
+                row[j] += c * v
     return kf
 
 
@@ -625,15 +631,23 @@ def _pairing_inverse(rs: RootSystem) -> List[List[Fraction]]:
     return inv
 
 
-def _verify_inverse(matrix, inv) -> None:
-    n = len(matrix)
-    for i in range(n):
-        row = matrix[i]
-        nz = [(j, v) for j, v in enumerate(row) if v != 0]
-        for k in range(n):
-            total = sum(v * inv[j][k] for j, v in nz)
-            if total != (1 if i == k else 0):
-                raise ConstructionError("pairing inverse verification failed")
+def _verify_inverse(killing: List[List[int]], scale: int, inv) -> None:
+    """(killing / scale) inv = I exactly, in integers: with inv = N / d for
+    int N, each row of killing N must be scale d e_i.  Products are summed
+    over the nonzero entries of both factors, and a row entry no product
+    reaches is exactly zero, so every entry is compared."""
+    d = lcm(*(v.denominator for row in inv for v in row if v))
+    inv_nz = [[(k, v.numerator * (d // v.denominator)) for k, v in enumerate(row) if v]
+              for row in inv]
+    unit = scale * d
+    for i, row in enumerate(killing):
+        acc: Dict[int, int] = {}
+        for j, v in enumerate(row):
+            if v:
+                for k, w in inv_nz[j]:
+                    acc[k] = acc.get(k, 0) + v * w
+        if {k: x for k, x in acc.items() if x} != {i: unit}:
+            raise ConstructionError("pairing inverse verification failed")
 
 
 def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
@@ -646,6 +660,9 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     adjoint traces, and the pairing inverse written from root data.  The one
     pairing check is pairing . pairing_inv = I exactly; since the inverse is
     invertible, that holds iff every pairing entry equals its closed form.
+    Both the trace matrix K (_killing_matrix) and that check run over the
+    nonzero entries only and in integers: pairing = K / 2h, so the check is
+    K . pairing_inv = 2h I, every entry of which is compared.
     """
     rank = rs.rank
     npos = len(rs.positive_roots)
@@ -672,9 +689,10 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
         raise ConstructionError(f"dual Coxeter number {hdc} is not a positive integer")
     hdc = int(hdc)
 
-    pairing = [[Fraction(killing[i][j], 2 * hdc) for j in range(dim)] for i in range(dim)]
+    zero = Fraction(0)
+    pairing = [[Fraction(v, 2 * hdc) if v else zero for v in row] for row in killing]
     pairing_inv = _pairing_inverse(rs)
-    _verify_inverse(pairing, pairing_inv)
+    _verify_inverse(killing, 2 * hdc, pairing_inv)
 
     labels = tuple([f"h{i + 1}" for i in range(rank)]
                    + [f"e{k}" for k in range(npos)]
@@ -708,6 +726,8 @@ def simple_lie_algebra(series: str, rank: int) -> LieAlgebra:
 # indices, exact rational, sorted by (i,j,k)).
 
 CACHE_FORMAT = "celalg-structure-constants 1"
+# a value token read with int; any other token goes through Fraction
+_INT_TOKEN = re.compile(r"[+-]?\d+")
 
 
 def _format_structure_constants(L: LieAlgebra) -> str:
@@ -733,9 +753,10 @@ def save_structure_constants(L: LieAlgebra, path: str) -> None:
             os.unlink(tmp)
 
 
-def load_structure_constants(path: str) -> Tuple[int, int, int,
-                                                 Dict[Tuple[int, int], Dict[int, Fraction]]]:
-    """Parse a cache file; returns (dim, rank, h_dual_coxeter, f)."""
+def load_structure_constants(path: str) -> Tuple[
+        int, int, int, Dict[Tuple[int, int], Dict[int, Union[int, Fraction]]]]:
+    """Parse a cache file; returns (dim, rank, h_dual_coxeter, f), each value
+    an int or, for a token that is not a plain integer, a Fraction."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -750,13 +771,13 @@ def load_structure_constants(path: str) -> Tuple[int, int, int,
     if len(head) != 3:
         raise ConfigurationError("malformed header in structure-constant file")
     dim, rank, hdc = (int(x) for x in head)
-    f: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    f: Dict[Tuple[int, int], Dict[int, Union[int, Fraction]]] = {}
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ConfigurationError(f"malformed line {ln!r}")
         i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-        val = Fraction(parts[3])
+        val = int(parts[3]) if _INT_TOKEN.fullmatch(parts[3]) else Fraction(parts[3])
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ConfigurationError(f"index out of range in line {ln!r}")
         f.setdefault((i, j), {})[k] = val

@@ -328,34 +328,46 @@ def test_contract_sides_are_their_definitions_on_a_flipped_constant():
 
 
 def test_identity_checks_read_only_the_ad_matrices(monkeypatch):
-    # each ad matrix taken once, each distinct product formed once, and no
-    # route through the bracket or the basis and dual elements
+    # each ad matrix taken once and prepared for the kernel once, each
+    # distinct product formed once, and no route through the bracket or the
+    # basis and dual elements
     L = simple_lie_algebra("A", 2)
-    calls = {"ad_matrix": 0, "mat_mul": 0}
+    ad_matrix, prepare, product = LieAlgebra.ad_matrix, adinv._prepare, adinv._product
+    ads, prepared, formed = [], [], []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def taken(self, x):
+        ads.append(ad_matrix(self, x))
+        return ads[-1]
+
+    def counted_prepare(m):
+        prepared.append(m)
+        return prepare(m)
+
+    def counted_product(*args):
+        formed.append(args)
+        return product(*args)
 
     def refused(*args):
         raise AssertionError("identity checks read only the ad matrices")
 
-    monkeypatch.setattr(LieAlgebra, "ad_matrix", counted("ad_matrix", LieAlgebra.ad_matrix))
-    monkeypatch.setattr(adinv, "mat_mul", counted("mat_mul", adinv.mat_mul))
+    monkeypatch.setattr(LieAlgebra, "ad_matrix", taken)
+    monkeypatch.setattr(adinv, "_prepare", counted_prepare)
+    monkeypatch.setattr(adinv, "_product", counted_product)
     for name in ("bracket", "basis_element", "dual_element"):
         monkeypatch.setattr(LieAlgebra, name, refused)
     rng = _rng("read-only-ad")
     tup = [random_element(L, rng) for _ in range(4)]
-    for check, args, want in [
-            (check_contract_identity, tup[:3], {"ad_matrix": 3, "mat_mul": 6}),
-            (check_dihedral, tup, {"ad_matrix": 4, "mat_mul": 8}),
-            (check_commutator_identity, tup, {"ad_matrix": 4, "mat_mul": 10}),
-            (check_polarized, tup + [expected_alpha(L.dim)], {"ad_matrix": 4, "mat_mul": 6})]:
-        calls.update(ad_matrix=0, mat_mul=0)
+    for check, args, n_ads, n_products in [
+            (check_contract_identity, tup[:3], 3, 6),
+            (check_dihedral, tup, 4, 8),
+            (check_commutator_identity, tup, 4, 10),
+            (check_polarized, tup + [expected_alpha(L.dim)], 4, 6)]:
+        for seen in (ads, prepared, formed):
+            seen.clear()
         assert check(L, *args).passed
-        assert calls == want, check.__name__
+        assert len(ads) == n_ads, check.__name__
+        assert [sum(m is ad for m in prepared) for ad in ads] == [1] * n_ads, check.__name__
+        assert len(formed) == n_products, check.__name__
 
 
 # --- the packed exact matrix kernel -------------------------------------------
@@ -395,17 +407,35 @@ def test_mat_mul_matches_definition(kind, shape):
         assert adinv.trace_mul(a, at) == adinv.trace(_product_by_definition(a, at))
 
 
-@pytest.mark.parametrize("power,offset", [(62, -1), (62, 0), (62, 1),
+@pytest.mark.parametrize("power,offset", [(14, -1), (14, 0), (14, 1),
+                                          (62, -1), (62, 0), (62, 1),
                                           (126, -1), (126, 0)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_mat_mul_slot_boundaries(power, offset, sign):
-    # product entries of +-2x land just below, at and above +-2^63 and
-    # +-2^127, the edges of one- and two-word slots
+    # product entries of +-2x land just below, at and above +-2^15, +-2^63
+    # and +-2^127, the edges of 16-bit and one- and two-word slots
     x = (1 << power) + offset
     a = [[1, 1], [sign, 0], [0, -sign]]
     b = [[sign * x, 1], [sign * x, -1]]
     assert adinv.mat_mul(a, b) == _product_by_definition(a, b)
     assert adinv.mat_mul(a, b)[0][0] == 2 * sign * x
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mat_mul_width_from_the_row_norm_bound(monkeypatch, sign):
+    # the largest row sum of |a| is 2 against rows(b) max|a| = 4, so the
+    # bound 2 max|b| = 2^15 - 2 picks 16-bit slots where 4 max|b| would not,
+    # and the product still reaches that bound
+    x = (1 << 14) - 1
+    a = [[1, 1, 0, 0], [0, sign, -sign, 0], [0, 0, 0, 1]]
+    b = [[sign * x, 1], [sign * x, -1], [-sign * x, 0], [x, -x]]
+    bounds = []
+    slot_bits = adinv._slot_bits
+    monkeypatch.setattr(adinv, "_slot_bits",
+                        lambda bound: bounds.append(bound) or slot_bits(bound))
+    assert adinv.mat_mul(a, b) == _product_by_definition(a, b)
+    assert adinv.mat_mul(a, b)[:2] == [[2 * sign * x, 0], [2 * x, -sign]]
+    assert bounds == [2 * x] * 2 and slot_bits(2 * x) == 16 < slot_bits(4 * x)
 
 
 def test_mat_mul_zero_matrix_and_types():

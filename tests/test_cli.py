@@ -209,7 +209,7 @@ def test_unusable_cache_dir_exit_two(tmp_path, capsys, blocker):
     assert err[0].startswith(f"configuration error: cache directory {cache}: ")
 
 
-@pytest.mark.parametrize("corrupt", ["flip_sign", "non_numeric_header",
+@pytest.mark.parametrize("corrupt", ["flip_sign", "decimal_value", "non_numeric_header",
                                      "no_version", "wrong_version"])
 def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     from celalg.liealg import save_structure_constants, simple_lie_algebra
@@ -221,6 +221,9 @@ def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     if corrupt == "flip_sign":
         i, j, k, v = lines[2].split()
         lines[2] = f"{i} {j} {k} {-int(v)}"
+    elif corrupt == "decimal_value":
+        i, j, k, v = lines[2].split()
+        lines[2] = f"{i} {j} {k} {v}.5"
     elif corrupt == "non_numeric_header":
         lines[1] = "8 2 x"
     elif corrupt == "no_version":

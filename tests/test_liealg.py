@@ -466,6 +466,43 @@ def test_perturbed_trace_pairing_is_rejected(tmp_path, monkeypatch, series, rank
         algebra_from_cache(series, rank, str(path))
 
 
+@pytest.mark.parametrize("block", ["cartan-root", "positive-root", "negative-negative"])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_off_pattern_pairing_inverse_is_rejected(tmp_path, monkeypatch, series, rank, block):
+    # a nonzero inverse entry where the closed form has a zero, such as
+    # (x_alpha, x_beta) with beta != -alpha: the sparse row check must reach
+    # it, on fresh builds and on cache loads alike
+    from celalg import liealg
+    path = tmp_path / f"{series}{rank}.sc"
+    save_structure_constants(simple_lie_algebra(series, rank), str(path))
+    rs = build_root_system(series, rank)
+    i, j = _block_entry(rs, block)
+    orig = liealg._pairing_inverse
+
+    def perturbed(rs):
+        inv = orig(rs)
+        assert inv[i][j] == 0
+        inv[i][j] = Fraction(1, 3)
+        return inv
+
+    monkeypatch.setattr(liealg, "_pairing_inverse", perturbed)
+    with pytest.raises(liealg.ConstructionError, match="pairing inverse"):
+        chevalley_basis(rs)
+    with pytest.raises(ConfigurationError, match=f"{series}{rank}.sc: .*pairing inverse"):
+        algebra_from_cache(series, rank, str(path))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("F", 4)])
+def test_killing_matrix_is_the_trace_of_ad_products(series, rank):
+    # the sparse join against its definition, K_ij = Tr(ad_i ad_j), entry by entry
+    from celalg import liealg
+    from celalg.adinv import trace_mul
+    L = simple_lie_algebra(series, rank)
+    ads = [L.ad_matrix(L.basis_element(i)) for i in range(L.dim)]
+    assert liealg._killing_matrix(L.dim, L.f, L.ad_entries) == [
+        [trace_mul(a, b) for b in ads] for a in ads]
+
+
 def test_row_reduce_augmented_block():
     rows, pivots = row_reduce([[2, 1, 1, 0], [1, 1, 0, 1]], 2)
     assert pivots == [0, 1]
@@ -481,6 +518,11 @@ def test_row_reduce_augmented_block():
     ("8 2 4", None, "dual Coxeter number 4 disagrees"),
     ("15 3 4", None, "shape does not match type A2"),
     (None, "1/2", "non-integral"),
+    # integer tokens are read with int, any other value token with Fraction
+    (None, "3/2", "non-integral cached structure constant"),
+    (None, "1.5", "non-integral cached structure constant"),
+    (None, "7.0", "not antisymmetric"),
+    (None, "one", "Invalid literal for Fraction: 'one'"),
 ])
 def test_corrupt_cache_is_configuration_error(tmp_path, header, entry, error):
     path = tmp_path / "a2.sc"
@@ -492,6 +534,22 @@ def test_corrupt_cache_is_configuration_error(tmp_path, header, entry, error):
         lines[2] = " ".join(lines[2].split()[:3] + [entry])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=f"a2.sc: .*{error}"):
+        algebra_from_cache("A", 2, str(path))
+
+
+@pytest.mark.parametrize("line,error", [
+    ("{i} {j} {k} {v} 0", "malformed line '{i} {j} {k} {v} 0'"),
+    ("{i} {j} 8 {v}", "index out of range in line '{i} {j} 8 {v}'"),
+])
+def test_malformed_cache_line_is_configuration_error(tmp_path, line, error):
+    path = tmp_path / "a2.sc"
+    save_structure_constants(simple_lie_algebra("A", 2), str(path))
+    lines = path.read_text().splitlines()
+    i, j, k, v = lines[2].split()
+    lines[2] = line.format(i=i, j=j, k=k, v=v)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"a2.sc: {re.escape(error.format(i=i, j=j, k=k, v=v))}$"):
         algebra_from_cache("A", 2, str(path))
 
 
