@@ -192,11 +192,14 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
     sum_pq N_pq [e_p, e_q] for N = ad_c ad_b P^-1 ad_a^T.  The expansion is
     bilinear and uses no Jacobi identity, so both sides are read off the ad
     entries in one loop.  With ad_a ad_b ad_c formed as A (B C), each ad
-    matrix enters the kernel once."""
+    matrix enters the kernel once.  P^-1 enters as Q / d with Q an int
+    matrix, so both sides are compared times d, in ints."""
     A, B, C = (L.ad_matrix(x) for x in (a, b, c))
     bc, cb = products([B, C], [(0, 1), (1, 0)]).values()
     m = mat_mul(A, bc)
-    N = mat_mul(mat_mul(cb, L.pairing_inv), list(zip(*A)))
+    inv = _prepare(L.pairing_inv)
+    Q, d = inv.ints, inv.denom
+    N = mat_mul(mat_mul(cb, Q), list(zip(*A)))
     lhs = [0] * L.dim
     traces = []
     for i, row in enumerate(N):
@@ -206,9 +209,10 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
             tr += m[q][k] * coeff
             lhs[k] += row[q] * coeff
         traces.append(tr)
-    rhs = [-x for x in mat_mul([traces], L.pairing_inv)[0]]
+    rhs = [-x for x in mat_mul([traces], Q)[0]]
     ok = lhs == rhs
-    ce = None if ok else {"lhs": [str(x) for x in lhs], "rhs": [str(x) for x in rhs]}
+    ce = None if ok else {"lhs": [str(Fraction(x, d)) for x in lhs],
+                          "rhs": [str(Fraction(x, d)) for x in rhs]}
     return Report(check="contract_identity", algebra=L.name, passed=ok,
                   first_counterexample=ce)
 

@@ -3,7 +3,9 @@
 Builds the full Chevalley basis of any simple type (A through G) from root
 data alone: positive roots are enumerated by height induction from the
 normalized Gram matrix of simple roots, structure constants come from the
-extraspecial-pair sign convention, and the bi-invariant pairing
+extraspecial-pair sign convention into one table keyed by signed basis
+position, each positive root pair writing its zero-sum triple and that
+triple's negative once (_build_f), and the bi-invariant pairing
 
     (a, b) = Tr(ad_a ad_b) / (2 h)
 
@@ -13,8 +15,8 @@ which makes h a positive integer; this is asserted during construction along
 with the structure-constant Jacobi identity.  That identity is decided by the
 derivation argument: the constants are antisymmetric, the simple root vectors
 e_i, f_i generate every basis element, and Jacobi holds on each triple
-(generator, y, z); a seeded sample of basis triples is recomputed beside it,
-and the smallest algebras have every triple walked instead (_jacobi_check).
+(generator, y, z); a seeded sample of basis triples is recomputed beside it
+(_jacobi_check).
 
 Everything is exact: structure constants are ints, pairings are Fractions.
 No floating point is used anywhere.
@@ -27,9 +29,8 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
@@ -214,95 +215,6 @@ def _string_depth(is_root: Callable[[Coeffs], bool], alpha: Coeffs,
     return p
 
 
-class _ChevalleyConstants:
-    """Structure constants N(alpha, beta) with extraspecial-pair signs.
-
-    Positive-positive constants are built by height induction; constants with
-    negative arguments reduce to those through antisymmetry, negation and the
-    three-term trace relation for triples summing to zero.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.pos_index = {r: k for k, r in enumerate(rs.positive_roots)}
-        self.npp: Dict[Tuple[int, int], int] = {}
-        self._build()
-
-    def _is_root(self, t: Coeffs) -> bool:
-        return t in self.pos_index or _vneg(t) in self.pos_index
-
-    def _build(self) -> None:
-        rs = self.rs
-        for g_idx, gamma in enumerate(rs.positive_roots):
-            if sum(gamma) == 1:
-                continue
-            pairs = []
-            for a_idx in range(g_idx):
-                rest = _vsub(gamma, rs.positive_roots[a_idx])
-                b_idx = self.pos_index.get(rest)
-                if b_idx is not None:
-                    pairs.append((a_idx, b_idx))
-            if not pairs:
-                raise ConstructionError(f"root {gamma} has no decomposition")
-            pairs.sort()
-            a_star, b_star = pairs[0]  # extraspecial: minimal first component
-            alpha = rs.positive_roots[a_star]
-            beta = rs.positive_roots[b_star]
-            n0 = _string_depth(self._is_root, alpha, beta) + 1
-            self.npp[(a_star, b_star)] = n0
-            self.npp[(b_star, a_star)] = -n0
-            gnorm = rs.norm2(gamma)
-            for xi_idx, eta_idx in pairs[1:]:
-                if (xi_idx, eta_idx) in self.npp:
-                    continue
-                xi = rs.positive_roots[xi_idx]
-                eta = rs.positive_roots[eta_idx]
-                # four-term relation for alpha + beta - xi - eta = 0
-                total = Fraction(0)
-                d1 = _vsub(beta, xi)
-                if self._is_root(d1):
-                    total += Fraction(self.n(beta, _vneg(xi)) * self.n(alpha, _vneg(eta)),
-                                      1) / rs.norm2(d1)
-                d2 = _vsub(alpha, xi)
-                if self._is_root(d2):
-                    total += Fraction(self.n(_vneg(xi), alpha) * self.n(beta, _vneg(eta)),
-                                      1) / rs.norm2(d2)
-                val = gnorm * total / n0
-                if val.denominator != 1:
-                    raise ConstructionError("non-integral structure constant")
-                nv = int(val)
-                if abs(nv) != _string_depth(self._is_root, xi, eta) + 1:
-                    raise ConstructionError(
-                        f"structure constant {nv} violates root-string bound")
-                self.npp[(xi_idx, eta_idx)] = nv
-                self.npp[(eta_idx, xi_idx)] = -nv
-
-    def n(self, r: Coeffs, s: Coeffs) -> int:
-        """N(r, s) for arbitrary (signed) roots; 0 if r+s is not a root."""
-        t = _vadd(r, s)
-        if all(c == 0 for c in t) or not self._is_root(t):
-            return 0
-        r_pos = r in self.pos_index
-        s_pos = s in self.pos_index
-        if r_pos and s_pos:
-            return self.npp[(self.pos_index[r], self.pos_index[s])]
-        if not r_pos and not s_pos:
-            return -self.npp[(self.pos_index[_vneg(r)], self.pos_index[_vneg(s)])]
-        if not r_pos:
-            return -self.n(s, r)
-        # r positive, s negative
-        rs = self.rs
-        if t in self.pos_index:
-            val = -rs.norm2(t) / rs.norm2(r) * self.npp[
-                (self.pos_index[_vneg(s)], self.pos_index[t])]
-        else:
-            val = -rs.norm2(t) / rs.norm2(s) * self.npp[
-                (self.pos_index[r], self.pos_index[_vneg(t)])]
-        if val.denominator != 1:
-            raise ConstructionError("non-integral mixed structure constant")
-        return int(val)
-
-
 @dataclass
 class LieAlgebra:
     """Simple Lie algebra in a Chevalley basis with exact invariant pairing.
@@ -408,7 +320,7 @@ class LieAlgebra:
 
 
 # basis triples i < j < k the Jacobi check recomputes beside the derivation
-# argument; an algebra with no more triples than this has all of them walked
+# argument
 JACOBI_SAMPLE = 512
 
 
@@ -421,9 +333,7 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     (1) f is antisymmetric, (2) the simple root vectors e_i, f_i generate
     g, and (3) Jacobi holds on (x, y, z) for each such generator x and every
     basis pair y < z.  A seeded sample of JACOBI_SAMPLE basis triples
-    i < j < k is recomputed beside the argument.  When there are no more
-    triples than that (A1, A2, G2, A3), (1) and a walk over every triple
-    decide the identity directly, and cost less than (2) and (3).
+    i < j < k is recomputed beside the argument.
     """
     for (i, j), comp in f.items():
         if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
@@ -431,17 +341,14 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
                 f"structure constants are not antisymmetric at basis pair ({i},{j})")
     rank, npos = rs.rank, len(rs.positive_roots)
     dim = rank + 2 * npos
-    if comb(dim, 3) <= JACOBI_SAMPLE:
-        triples = combinations(range(dim), 3)
-    else:
-        simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
-        generators = [rank + k for k in simple] + [rank + npos + k for k in simple]
-        _check_generated(dim, generators, f)
-        _check_derivations(dim, generators, f)
-        rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
-        triples = (sorted(rng.sample(range(dim), 3)) for _ in range(JACOBI_SAMPLE))
+    simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
+    generators = [rank + k for k in simple] + [rank + npos + k for k in simple]
+    _check_generated(dim, generators, f)
+    _check_derivations(dim, generators, f)
+    rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
     empty: Dict[int, int] = {}
-    for i, j, k in triples:
+    for _ in range(JACOBI_SAMPLE):
+        i, j, k = sorted(rng.sample(range(dim), 3))
         acc: Dict[int, int] = {}
         for m, u in f.get((i, j), empty).items():
             for l, v in f.get((m, k), empty).items():
@@ -517,52 +424,91 @@ def _check_derivations(dim: int, generators: List[int],
 
 
 def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
-    rank = rs.rank
-    pos = rs.positive_roots
+    """Integer structure constants in the Chevalley basis, as one signed table.
+
+    Root vectors are keyed by basis position: positive root k sits at
+    rank + k and its negative at rank + npos + k, so negation is a shift by
+    npos.  The positive constants come by height induction: the extraspecial
+    pair of each positive root g (least first component) gets N = p + 1,
+    with p the depth of its root string, and every other pair the four-term
+    relation (Carter, Simple Groups of Lie Type, 1972), whose mixed-sign
+    constants are read off the table at lower heights.  As soon as a
+    positive pair (a, b) with a + b = g has its N, the zero-sum triple
+    (a, b, -g) and its negative are written:
+
+        N(a,b)/(g,g) = N(b,-g)/(a,a) = N(-g,a)/(b,b),  N(-x,-y) = -N(x,y),
+
+    with antisymmetry.  An ordered pair of roots summing to a root lies in
+    exactly one such triple, so each root-root bracket is written once.
+    """
+    rank, pos = rs.rank, rs.positive_roots
     npos = len(pos)
-    dim = rank + 2 * npos
-    const = _ChevalleyConstants(rs)
-
-    signed: List[Optional[Coeffs]] = [None] * dim
-    index_of: Dict[Coeffs, int] = {}
-    for k, r in enumerate(pos):
-        signed[rank + k] = r
-        signed[rank + npos + k] = _vneg(r)
-        index_of[r] = rank + k
-        index_of[_vneg(r)] = rank + npos + k
-
+    top = rank + npos  # positions below top hold the positive roots
+    index = {r: rank + k for k, r in enumerate(pos)}
+    index.update({_vneg(r): top + k for k, r in enumerate(pos)})
+    norm = [Fraction(0)] * rank + [rs.norm2(r) for r in pos] * 2  # by position
+    is_root = index.__contains__
     f: Dict[Tuple[int, int], Dict[int, int]] = {}
 
-    def put(i: int, j: int, comp: Dict[int, int]) -> None:
-        comp = {k: v for k, v in comp.items() if v}
-        if comp:
-            f[(i, j)] = comp
+    def neg(i: int) -> int:
+        return i + npos if i < top else i - npos
 
-    # Cartan against root vectors
-    for i in range(rank):
-        for idx in range(rank, dim):
-            c = rs.cartan_pairing(signed[idx], i)
+    for k, r in enumerate(pos):
+        x, y = rank + k, top + k
+        for i in range(rank):
+            c = rs.cartan_pairing(r, i)
             if c:
-                put(i, idx, {idx: c})
-                put(idx, i, {idx: -c})
+                f[i, x], f[x, i], f[i, y], f[y, i] = {x: c}, {x: -c}, {y: -c}, {y: c}
+        h = {i: c for i, c in enumerate(rs.coroot(r)) if c}
+        f[x, y], f[y, x] = h, {i: -c for i, c in h.items()}
 
-    # root vectors against each other
-    for ia in range(rank, dim):
-        ra = signed[ia]
-        for ib in range(rank, dim):
-            if ia == ib:
+    def write(a: int, b: int, g: int, n: int) -> None:
+        """[x_a, x_b] = n x_g for positive a + b = g, and the rest of the
+        triples (a, b, -g) and (-a, -b, g)."""
+        for x, y, z, v in ((a, b, g, n), (b, neg(g), neg(a), n * norm[a] / norm[g]),
+                           (neg(g), a, neg(b), n * norm[b] / norm[g])):
+            if v.denominator != 1:
+                raise ConstructionError("non-integral structure constant")
+            v = int(v)
+            f[x, y], f[y, x] = {z: v}, {z: -v}
+            f[neg(x), neg(y)], f[neg(y), neg(x)] = {neg(z): -v}, {neg(z): v}
+
+    for g in range(rank, top):
+        gamma = pos[g - rank]
+        if sum(gamma) == 1:
+            continue
+        # the pairs (a, b) with a + b = gamma, least a first; b is positive,
+        # as its height is gamma's less a's
+        pairs = []
+        for a in range(rank, g):
+            b = index.get(_vsub(gamma, pos[a - rank]))
+            if b is not None:
+                pairs.append((a, b))
+        if not pairs:
+            raise ConstructionError(f"root {gamma} has no decomposition")
+        a, b = pairs[0]
+        alpha, beta = pos[a - rank], pos[b - rank]
+        n0 = _string_depth(is_root, alpha, beta) + 1
+        write(a, b, g, n0)
+        for xi, eta in pairs[1:]:
+            if (xi, eta) in f:
                 continue
-            rb = signed[ib]
-            tot = _vadd(ra, rb)
-            if all(c == 0 for c in tot):
-                if ra in const.pos_index:
-                    h = dict(enumerate(rs.coroot(ra)))
-                    put(ia, ib, h)
-                    put(ib, ia, {i: -v for i, v in h.items()})
-            elif const._is_root(tot):
-                n = const.n(ra, rb)
-                if n:
-                    put(ia, ib, {index_of[tot]: n})
+            # four-term relation for alpha + beta - xi - eta = 0; the
+            # differences are roots of lower height, or not roots at all
+            total = Fraction(0)
+            d = index.get(_vsub(beta, pos[xi - rank]))
+            if d is not None:
+                total += f[b, neg(xi)][d] * f[a, neg(eta)][neg(d)] / norm[d]
+            d = index.get(_vsub(alpha, pos[xi - rank]))
+            if d is not None:
+                total += f[neg(xi), a][d] * f[b, neg(eta)][neg(d)] / norm[d]
+            n = norm[g] * total / n0
+            if n.denominator != 1:
+                raise ConstructionError("non-integral structure constant")
+            if abs(n) != _string_depth(is_root, pos[xi - rank], pos[eta - rank]) + 1:
+                raise ConstructionError(
+                    f"structure constant {n} violates root-string bound")
+            write(xi, eta, g, int(n))
     return f
 
 
@@ -653,10 +599,11 @@ def _verify_inverse(killing: List[List[int]], scale: int, inv) -> None:
 def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
     """Verify integer structure constants and derive the rest of the algebra.
 
-    Shared by fresh builds and cache loads: the Jacobi identity by the
-    derivation argument (antisymmetry, generation by the e_i and f_i, Jacobi
-    on every triple with a generator first) plus a seeded sample of basis
-    triples, the ad entries, the dual Coxeter number and the pairing from
+    Shared by fresh builds and cache loads: f is the signed table of
+    _build_f or one read from a file, and every type gets the same checks.
+    They are the Jacobi identity by the derivation argument (antisymmetry,
+    generation by the e_i and f_i, Jacobi on every triple with a generator
+    first) plus a seeded sample of basis triples, then the ad entries, the dual Coxeter number and the pairing from
     adjoint traces, and the pairing inverse written from root data.  The one
     pairing check is pairing . pairing_inv = I exactly; since the inverse is
     invertible, that holds iff every pairing entry equals its closed form.

@@ -5,6 +5,7 @@ matrices, the closed-form dimension / dual-Coxeter tables, and the comark
 formula h = 1 + sum of comarks of the highest root.
 """
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -15,6 +16,8 @@ from celalg.liealg import (
     CACHE_FORMAT,
     ConfigurationError,
     UsageError,
+    _format_structure_constants,
+    _string_depth,
     algebra_from_cache,
     build_root_system,
     chevalley_basis,
@@ -137,6 +140,50 @@ def test_positive_roots_nonnegative_combinations(series, rank):
     for root in rs.positive_roots:
         assert all(c >= 0 for c in root)
         assert sum(root) >= 1
+
+
+@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM))
+def test_root_brackets_obey_the_root_string_theorem(series, rank):
+    # every ordered pair (r, s) of signed roots against the theorem, not the
+    # height induction: [e_r, e_s] = N(r,s) e_{r+s} exactly when r + s is a
+    # root, |N(r,s)| = p + 1 with p the depth of the r-string through s,
+    # N(-r,-s) = -N(r,s), and N(r,s)/(t,t) = N(s,-t)/(r,r) for t = r + s
+    L = simple_lie_algebra(series, rank)
+    rs = L.root_system
+    pos = rs.positive_roots
+    index = {r: rank + k for k, r in enumerate(pos)}
+    index.update({tuple(-c for c in r): rank + len(pos) + k for k, r in enumerate(pos)})
+    for r, i in index.items():
+        neg_r = tuple(-c for c in r)
+        for s, j in index.items():
+            t = tuple(x + y for x, y in zip(r, s))
+            if t not in index:
+                if any(t):
+                    assert (i, j) not in L.f, (r, s)
+                continue
+            neg_t = tuple(-c for c in t)
+            n = L.f[i, j][index[t]]
+            assert list(L.f[i, j]) == [index[t]]
+            assert abs(n) == _string_depth(index.__contains__, r, s) + 1, (r, s)
+            assert L.f[index[neg_r], index[tuple(-c for c in s)]] == {index[neg_t]: -n}
+            assert (Fraction(n) / rs.norm2(t)
+                    == Fraction(L.f[j, index[neg_t]][index[neg_r]]) / rs.norm2(r)), (r, s)
+
+
+# sha256 of the structure-constant cache text, first 16 hex digits: every
+# constant of these types, byte for byte
+STRUCTURE_CONSTANT_SHA256 = {
+    "A1": "5c6effd079fae4e4", "A2": "3fd3af9fd251b5f5", "G2": "f64474b2c7567565",
+    "B3": "483a1a1a8239cf8a", "C3": "452eee1eff742518", "D4": "6936558ff9c7f4b6",
+    "F4": "df50ea698cea78aa", "E6": "92b17cefc4e67eee", "E7": "17c25c3ab9b3b57f",
+    "E8": "fa946e96997bd936",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_CONSTANT_SHA256))
+def test_structure_constants_are_pinned(name):
+    text = _format_structure_constants(simple_lie_algebra(name[0], int(name[1:])))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == STRUCTURE_CONSTANT_SHA256[name]
 
 
 def test_invalid_series_rank_pairs():
@@ -385,8 +432,7 @@ def _other_order(lines, n):
                                      "coroot zeroed"])
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("A", 4)])
 def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
-    # one corrupted root-root constant, caught on A2 and G2 by the walk over
-    # every triple and on B3 and A4 by the derivation argument
+    # one corrupted root-root constant, caught by the derivation argument
     path = tmp_path / "f.sc"
     save_structure_constants(simple_lie_algebra(series, rank), str(path))
     lines = path.read_text().splitlines()
@@ -394,12 +440,14 @@ def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
     i, j, k, v = lines[n].split()
     if corrupt in ("one order flipped", "self-bracket"):
         error = "structure constants are not antisymmetric at basis pair"
-    elif corrupt == "coroot zeroed" and (series, rank) in (("B", 3), ("A", 4)):
-        # [e_a, f_a] is the only bracket that gives h_c alone
+    elif corrupt == "coroot zeroed" or (
+            corrupt == "root zeroed" and (series, rank) in (("A", 2), ("G", 2))):
+        # [e_a, f_a] is the only bracket that gives h_c alone, and on A2 and
+        # G2 the bracket of two simple root vectors the only one giving e_c
         error = "the simple root vectors do not generate basis element"
     else:
-        # the walk (A2, G2) or Jacobi at the generators (B3, A4) fails; a
-        # zeroed e_c stays generated on B3 and A4 through a longer root
+        # Jacobi at the generators fails; a zeroed e_c stays generated on B3
+        # and A4 through a longer root
         error = "Jacobi identity fails on basis triple"
     m = _other_order(lines, n)
     if corrupt == "one order flipped":
@@ -415,7 +463,7 @@ def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
         algebra_from_cache(series, rank, str(path))
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("F", 4)])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3), ("B", 3), ("F", 4)])
 def test_derivation_argument_without_the_sample(monkeypatch, series, rank):
     # with no sampled triples the generator checks alone pass the true
     # constants and reject one root-root constant flipped in both orders
