@@ -25,8 +25,11 @@ nonzero defects that no check here looks at.
 
 The solver and the grid verifier compute label representatives only: the
 g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
-decide every label (see solve_constants and verify_jacobi_grid), and every
-run recomputes a seeded sample of other triples to check that premise.
+decide every label (see solve_constants and verify_jacobi_grid).  The grid
+verifier also leaves out every triple with two slots in the abelian ideal
+that each table derives from its zero rules (the I letters at the base
+level, I, E and F above it), whose defect vanishes by lemma.  Every run
+recomputes a seeded sample of other triples to check those premises.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .lambdacalc import (
     E,
@@ -48,6 +52,7 @@ from .lambdacalc import (
     KIND_F,
     KIND_I,
     KIND_J,
+    KIND_LETTERS,
     InternalConsistencyError,
     LambdaPoly,
     UndefinedBracket,
@@ -104,6 +109,7 @@ class RuleSet:
     value of its own retries the reversed pair and returns the skew image.
     Values are memoized and are checked on first build to strictly decrease
     total weight, the guarantee the reordering algorithm depends on.
+    `abelian` holds the kinds of the abelian ideal A, read off the rules.
     """
 
     def __init__(self, algebra: LieAlgebra, beta: Optional[Fraction],
@@ -111,6 +117,7 @@ class RuleSet:
         self.algebra = algebra
         self.beta = s_monomial(BETA) if beta is None else s_rational(beta)
         self.rules = rules
+        self.abelian = _abelian_kinds(rules)
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self._dual_brackets: Optional[List[List[Dict[int, Fraction]]]] = None
@@ -158,13 +165,14 @@ class RuleSet:
         return self._remember(a, b, val)
 
     def _remember(self, a: GenSymbol, b: GenSymbol, val: LambdaPoly) -> LambdaPoly:
-        bound = weight((a,)) + weight((b,))
-        for ws in val.values():
-            for word in ws:
-                if weight(word) >= bound:
-                    raise RuleIntegrityError(
-                        f"rule output {format_lambda_poly(val)} for [{a}, {b}] "
-                        f"does not decrease total weight")
+        if val:
+            bound = weight((a,)) + weight((b,))
+            for ws in val.values():
+                for word in ws:
+                    if weight(word) >= bound:
+                        raise RuleIntegrityError(
+                            f"rule output {format_lambda_poly(val)} for [{a}, {b}] "
+                            f"does not decrease total weight")
         self.base_memo[(a, b)] = val
         return val
 
@@ -182,6 +190,20 @@ def _current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 
 def _zero_rule(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     return {}
+
+
+def _abelian_kinds(rules: Dict[Tuple[int, int], Rule]) -> FrozenSet[int]:
+    """The largest set of kinds whose mutual rules, each kind's rule with
+    itself included, are all _zero_rule: {I} at the base level, {I, E, F}
+    above it.  _probed checks on its grid that J brackets them into their
+    span, which makes that span an abelian ideal."""
+    kinds = sorted({k for pair in rules for k in pair})
+    for size in range(len(kinds), 0, -1):
+        for subset in combinations(kinds, size):
+            if all(rules.get((ka, kb), rules.get((kb, ka))) is _zero_rule
+                   for ka, kb in combinations_with_replacement(subset, 2)):
+                return frozenset(subset)
+    return frozenset()
 
 
 def je_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
@@ -338,7 +360,9 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
 def _probed(rs: RuleSet) -> RuleSet:
     """Construction-time guard: on a probe grid, every pair the table defines
     directly must decrease weight and, when the table also defines the
-    reverse, equal the skew image of the reverse."""
+    reverse, equal the skew image of the reverse.  A pair with one slot in
+    the abelian kinds must bracket into their span, and a pair with two
+    must vanish."""
     # the grid-2 generators on the first three labels, and E and F
     gens = [g for g in grid_generators(rs.algebra, 2) if g.label < 3]
     direct = {}
@@ -347,12 +371,21 @@ def _probed(rs: RuleSet) -> RuleSet:
             val = rs.direct(a, b)
             if val is not None:
                 direct[a, b] = rs._remember(a, b, val)
+    ideal = rs.abelian
     for (a, b), val in direct.items():
         reverse = direct.get((b, a))
-        if reverse is not None and not lp_equal(
+        # the skew image of zero is zero
+        if reverse is not None and (val or reverse) and not lp_equal(
                 val, normal_order_poly(rs, skew(reverse))):
             raise RuleIntegrityError(
                 f"skew inconsistency between [{a},{b}] and [{b},{a}]")
+        inside = (a.kind in ideal) + (b.kind in ideal)
+        if val and inside and (inside == 2 or any(
+                g.kind not in ideal for ws in val.values() for word in ws for g in word)):
+            span = ", ".join(KIND_LETTERS[k] for k in sorted(ideal))
+            raise RuleIntegrityError(
+                f"rule output {format_lambda_poly(val)} for [{a}, {b}] breaks "
+                f"the abelian ideal span({span})")
     return rs
 
 
@@ -517,23 +550,36 @@ def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...]
     """The label triples that decide a pattern triple: its labelled (J, I)
     slots take x_-theta, then x_theta, then every basis label, in order."""
     choices = iter([(label,) for label in _theta_labels(L)] + [range(L.dim)])
-    slots = [next(choices) if g.label >= 0 else (g.label,) for g in triple]
-    for labels in product(*slots):
-        yield tuple(g._replace(label=label) for g, label in zip(triple, labels))
+    slots = [[g._replace(label=label) for label in next(choices)] if g.label >= 0
+             else [g] for g in triple]
+    return product(*slots)
+
+
+# the shortcuts that decide a pattern triple's other triples clean
+_ABELIAN_IDEAL = "abelian ideal"
+_LABEL_REDUCTION = "label reduction"
 
 
 def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
-                   ) -> Tuple[int, Dict[Tuple[GenSymbol, ...], bool], List[dict]]:
-    """Compute the representatives of every sorted pattern triple P <= Q <= R.
+                   ) -> Tuple[int, Dict[Tuple[GenSymbol, ...], Optional[str]], List[dict]]:
+    """Decide every sorted pattern triple P <= Q <= R.
 
-    Returns (computed, decided, failures): decided maps each pattern triple
-    scanned in full to whether all its representatives vanished, and the
-    scan stops at the _DEFECT_LIMIT-th nonzero defect.
+    A pattern triple with two or more slots in the abelian kinds is decided
+    clean by the abelian-ideal lemma, uncomputed; every other one has its
+    representatives computed, and the scan of those stops at the
+    _DEFECT_LIMIT-th nonzero defect.  Returns (computed, decided, failures):
+    decided maps each pattern triple decided in full to the shortcut that
+    leaves its triples clean, or to None when a representative had a
+    nonzero defect.
     """
     failures: List[dict] = []
-    decided: Dict[Tuple[GenSymbol, ...], bool] = {}
+    triples = list(combinations_with_replacement(sorted(set(map(_pattern, gens))), 3))
+    decided: Dict[Tuple[GenSymbol, ...], Optional[str]] = {
+        t: _ABELIAN_IDEAL for t in triples if sum(g.kind in rules.abelian for g in t) >= 2}
     computed = 0
-    for triple in combinations_with_replacement(sorted(set(map(_pattern, gens))), 3):
+    for triple in triples:
+        if triple in decided:
+            continue
         clean = True
         for rep in _representatives(rules.algebra, triple):
             computed += 1
@@ -544,7 +590,7 @@ def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
                                  "defect": format_lambda_poly(d)})
                 if len(failures) >= _DEFECT_LIMIT:
                     return computed, decided, failures
-        decided[triple] = clean
+        decided[triple] = _LABEL_REDUCTION if clean else None
     return computed, decided, failures
 
 
@@ -557,26 +603,31 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                        jobs: int = 1) -> Report:
     """Zero Jacobi defect for every generator triple on the bidegree grid.
 
-    Triples where two or three slots lie in the abelian sector are included;
-    their defects are trivially zero and serve as plumbing checks.  The scan
-    computes the sorted kind/bidegree pattern triples P <= Q <= R only: the
-    swap identity (a <-> b) and the b <-> c identity hold for every label
-    and generate S3.  Within a pattern triple the defect is a g-equivariant
-    map of the labels of its J and I slots (E and F carry none), so its
-    kernel is a g-submodule, and as in solve_constants the labels
-    (x_-theta, x_theta, e_k) of those slots, in order, decide every label.
-    With p patterns, q of them labelled, that is C(p+2, 3) + (dim-1) C(q+2, 3)
-    computed triples.
+    The scan decides the sorted kind/bidegree pattern triples P <= Q <= R
+    only: the swap identity (a <-> b) and the b <-> c identity hold for
+    every label and generate S3.  A pattern triple with two slots in the
+    abelian ideal A (the span of I at the base level, of I, E and F at the
+    extended one) is decided by the abelian-ideal lemma, uncomputed: each of
+    its three Jacobi terms brackets two elements of A, or an element of A
+    with a bracket that lies in A, so its defect is zero.  The rule table
+    derives A and checks its premises on a probe grid when it is built.
+    Within every other pattern triple the defect is a g-equivariant map of
+    the labels of its J and I slots (E and F carry none), so its kernel is a
+    g-submodule, and as in solve_constants the labels (x_-theta, x_theta,
+    e_k) of those slots, in order, decide every label.  So only the pattern
+    triples with two or three J slots are computed.
 
     Every run recomputes the seeded sorted triples of _spot_sample directly.
-    A nonzero defect whose pattern triple was scanned clean fails the
-    `label reduction` shortcut, and the two transposed images of each sample
-    check the `swap identity` and the `b<->c identity`; a shortcut that
-    fails is listed before any nonzero defect.  The details count the
-    triples covered (n^3 after a full scan), the triples computed by the
-    scan and the samples spot-checked.  The level is "base" or "extended",
-    grid_max is at least 0, and jobs is 1 (it is kept only for the
-    benchmark's jobs=1 call); anything else raises ValueError.
+    A nonzero defect whose pattern triple was decided clean fails the
+    shortcut that decided it, `abelian ideal` or `label reduction`, and the
+    two transposed images of each sample check the `swap identity` and the
+    `b<->c identity`; a shortcut that fails is listed before any nonzero
+    defect.  The details count the triples covered (n^3 after a full scan),
+    the triples computed by the scan and the samples spot-checked, and
+    `abelian_ideal` counts the pattern triples the lemma decided, the
+    triples they cover and the samples that fell in them.  The level is
+    "base" or "extended", grid_max is at least 0, and jobs is 1 (it is kept
+    only for the benchmark's jobs=1 call); anything else raises ValueError.
     """
     if level not in _GRID_LEVELS:
         raise ValueError(f"the Jacobi grid verifies the levels "
@@ -590,26 +641,42 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     n = len(gens)
     rules = rules_base(L) if level == "base" else rules_extended(L)
     computed, decided, failures = _scan_patterns(rules, gens)
+    full_scan = len(failures) < _DEFECT_LIMIT
     samples = sorted(_spot_sample(L, level, grid_max, n))
+    in_ideal = 0
     for ia, ib, ic in samples:
         a, b, c = gens[ia], gens[ib], gens[ic]
         d = defect_poly(rules, a, b, c)
-        if d and decided.get(tuple(sorted(map(_pattern, (a, b, c))))):
+        shortcut = decided.get(tuple(sorted(map(_pattern, (a, b, c)))))
+        in_ideal += shortcut == _ABELIAN_IDEAL
+        if d and shortcut:
             failures.append({"triple": [str(a), str(b), str(c)],
                              "defect": format_lambda_poly(d),
-                             "shortcut": "label reduction", "inferred": "0"})
+                             "shortcut": shortcut, "inferred": "0"})
         fail = _spot_check(rules, a, b, c, d)
         if fail is not None:
             failures.append(fail)
-    # the ordered triples of a pattern triple's permutations, over all labels
-    covered = sum(len(set(permutations(t))) * L.dim ** sum(g.label >= 0 for g in t)
-                  for t in decided)
+
+    def cover(t: Tuple[GenSymbol, ...]) -> int:
+        # the ordered triples of a pattern triple's permutations, over all labels
+        return len(set(permutations(t))) * L.dim ** sum(g.label >= 0 for g in t)
+
+    lemma = [t for t, shortcut in decided.items() if shortcut == _ABELIAN_IDEAL]
+    ideal = {"patterns": len(lemma), "triples": sum(map(cover, lemma)),
+             "spot_checked": in_ideal}
+    covered = sum(cover(t) for t, shortcut in decided.items()
+                  if shortcut != _ABELIAN_IDEAL) + ideal["triples"]
+    if full_scan and covered != n ** 3:
+        raise InternalConsistencyError(
+            f"the grid-{grid_max} scan of {L.name} covers {covered} triples, "
+            f"not {n}^3: the computed and inferred parts do not add up")
     failures.sort(key=lambda f: "shortcut" not in f)
     return Report(check="jacobi_grid", algebra=L.name, passed=not failures,
                   first_counterexample=failures[0] if failures else None,
                   details={"level": level, "grid_max": grid_max,
                            "generators": n, "triples": covered,
-                           "computed": computed, "spot_checked": len(samples)})
+                           "computed": computed, "spot_checked": len(samples),
+                           "abelian_ideal": ideal})
 
 
 # --- constant solving -------------------------------------------------------------

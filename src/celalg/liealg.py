@@ -27,9 +27,10 @@ from __future__ import annotations
 import os
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Coeffs = Tuple[int, ...]
@@ -319,8 +320,8 @@ class LieAlgebra:
         return e, h, fneg
 
 
-# basis triples i < j < k the Jacobi check recomputes beside the derivation
-# argument
+# distinct basis triples i < j < k the Jacobi check recomputes beside the
+# derivation argument, at most C(dim, 3)
 JACOBI_SAMPLE = 512
 
 
@@ -332,8 +333,8 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     commutator of derivations is one.  So Jacobi holds on all of g once
     (1) f is antisymmetric, (2) the simple root vectors e_i, f_i generate
     g, and (3) Jacobi holds on (x, y, z) for each such generator x and every
-    basis pair y < z.  A seeded sample of JACOBI_SAMPLE basis triples
-    i < j < k is recomputed beside the argument.
+    basis pair y < z.  A seeded sample of min(JACOBI_SAMPLE, C(dim, 3))
+    distinct basis triples i < j < k is recomputed beside the argument.
     """
     for (i, j), comp in f.items():
         if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
@@ -346,9 +347,16 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     _check_generated(dim, generators, f)
     _check_derivations(dim, generators, f)
     rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
+    # distinct ranks, unranked in colex order: k is the largest index with
+    # C(k, 3) <= rank, then j the largest with C(j, 2) <= the rest
+    c3 = [comb(m, 3) for m in range(dim)]
+    c2 = [comb(m, 2) for m in range(dim)]
     empty: Dict[int, int] = {}
-    for _ in range(JACOBI_SAMPLE):
-        i, j, k = sorted(rng.sample(range(dim), 3))
+    for r in rng.sample(range(comb(dim, 3)), min(JACOBI_SAMPLE, comb(dim, 3))):
+        k = bisect_right(c3, r) - 1
+        r -= c3[k]
+        j = bisect_right(c2, r) - 1
+        i = r - c2[j]
         acc: Dict[int, int] = {}
         for m, u in f.get((i, j), empty).items():
             for l, v in f.get((m, k), empty).items():

@@ -265,10 +265,36 @@ def test_verify_jacobi_grid_sl2(sl2):
     assert rep.passed
     assert rep.details["triples"] == 71 ** 3
     assert rep.details["generators"] == 71
-    # 35 patterns, 18 of them labelled (J, I), decided by the labels
-    # (x_-theta, x_theta, e_k): C(37, 3) + (3 - 1) C(20, 3) of 71^3
-    assert rep.details["computed"] == 7770 + 2 * 1140 == 10050
+    # 35 patterns: 9 J, 9 I, 8 E and 9 F.  The C(37, 3) = 7770 pattern
+    # triples less the 6435 with two slots in span(I, E, F) leave C(11, 3)
+    # J-J-J and C(10, 2) 26 J-J-A ones; the 165 + 405 of them with three
+    # labelled slots take dim = 3 representatives (x_-theta, x_theta, e_k)
+    assert rep.details["computed"] == 1335 + 2 * 570 == 2475
     assert rep.details["spot_checked"] == 510
+    # 71^3 less the 27^3 J-J-J and 3 27^2 44 J-J-A ordered triples
+    assert rep.details["abelian_ideal"] == {
+        "patterns": 7770 - 1335, "triples": 242000, "spot_checked": 332}
+
+
+def test_verify_jacobi_grid_ledger_sl3(sl3):
+    rep = verify_jacobi_grid(sl3, 1)
+    assert rep.passed
+    # 15 patterns (4 J, 4 I, 3 E, 4 F): C(17, 3) = 680 pattern triples, of
+    # which C(6, 3) J-J-J and C(5, 2) 11 J-J-A are computed, 130 in all,
+    # 20 + 40 of them on dim = 8 representatives
+    assert rep.details["computed"] == 130 + 7 * 60 == 550
+    assert rep.details["abelian_ideal"] == {
+        "patterns": 680 - 130, "triples": 205335, "spot_checked": 301}
+    ideal = rep.details["abelian_ideal"]["triples"]
+    scanned = 32 ** 3 + 3 * 32 ** 2 * 39
+    assert scanned + ideal == rep.details["triples"] == 71 ** 3
+
+
+@pytest.mark.parametrize("build,kinds", [
+    (rules_base, {"I"}), (rules_extended, {"I", "E", "F"}),
+    (rules_deformed, {"I", "E", "F"})])
+def test_abelian_kinds_are_derived_from_the_rules(sl2, build, kinds):
+    assert {"JIEF"[k] for k in build(sl2).abelian} == kinds
 
 
 def test_verify_jacobi_grid_base_level_small(sl3):
@@ -723,6 +749,38 @@ def test_construction_guard_rejects_skew_inconsistent_zero_sector(sl2, monkeypat
     for build in (rules_extended, rules_deformed):
         with pytest.raises(RuleIntegrityError, match="skew inconsistency"):
             build(sl2)
+
+
+def _leaky_je(min_label):
+    """J-E plus J_a[0,0] on the labels a >= min_label: a J letter out of the
+    abelian ideal, of lower weight than the pair."""
+    orig = celestial.je_rule_poly
+
+    def leaky(rs, a, b):
+        val = orig(rs, a, b)
+        if a.label >= min_label:
+            lp_iadd(val, (0, 0), {(J(a.label, 0, 0),): s_rational(1)})
+        return val
+    return leaky
+
+
+def test_construction_guard_rejects_a_j_letter_from_je(sl2, monkeypatch):
+    monkeypatch.setattr(celestial, "je_rule_poly", _leaky_je(0))
+    for build in (rules_extended, rules_deformed):
+        with pytest.raises(RuleIntegrityError, match=r"abelian ideal span\(I, E, F\)"):
+            build(sl2)
+
+
+def test_abelian_ideal_spot_check_catches_a_leak_past_the_probe(sl3, monkeypatch):
+    # the probe grid holds the labels 0, 1 and 2 only, so a J letter from
+    # J_a-E with a >= 3 builds; the lemma's patterns are uncomputed, and
+    # only their spot samples can see the fault
+    monkeypatch.setattr(celestial, "je_rule_poly", _leaky_je(3))
+    rules_extended(sl3)
+    rep = verify_jacobi_grid(sl3, 1)
+    assert not rep.passed
+    assert rep.first_counterexample["shortcut"] == "abelian ideal"
+    assert rep.first_counterexample["inferred"] == "0"
 
 
 def test_rule_integrity_negative_bidegree_guard(sl2):
