@@ -19,9 +19,9 @@ the Jacobi defect (1) - (2) - (3) of a generator triple, a grid verifier
 asserting zero defect at the base and extended levels, and the exact
 linear solver that extracts the unique (D, C) as multiples of beta^2 from
 the defect of the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero
-solution exists.  The solver decides the Jacobi identity of the deformed
-table on those triples only; other triples, J-J-I ones among them, keep
-nonzero defects that no check here looks at.
+solution exists, by one row reduction over the table's own unknowns.  It
+decides the Jacobi identity of the deformed table on those triples only;
+other triples, J-J-I ones among them, keep nonzero defects unchecked.
 
 The solver and the grid verifier compute label representatives only: the
 g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
@@ -75,7 +75,9 @@ from .scalar import (
     BETA,
     CCOEF,
     DCOEF,
+    Exponent,
     Scalar,
+    s_format,
     s_monomial,
     s_rational,
     s_scale,
@@ -506,12 +508,17 @@ def _swap_mu_nu(rules: RuleSet, p: LambdaPoly) -> LambdaPoly:
     return normal_order_poly(rules, out)
 
 
+def _seeded_triples(seed: str, n: int, count: int) -> List[Tuple[int, int, int]]:
+    """min(count, n^3) distinct index triples of the n^3 grid, seeded by seed."""
+    return [(idx // (n * n), idx // n % n, idx % n) for idx in
+            random.Random(seed).sample(range(n ** 3), min(count, n ** 3))]
+
+
 def _spot_sample(L: LieAlgebra, level: str, grid_max: int,
                  n: int) -> Set[Tuple[int, int, int]]:
     """Seeded sorted index triples ia <= ib <= ic, drawn from the n^3 grid."""
-    rng = random.Random(f"jacobi-spot:{L.name}:{level}:{grid_max}")
-    return {tuple(sorted((idx // (n * n), idx // n % n, idx % n)))
-            for idx in rng.sample(range(n ** 3), min(_SPOT_CHECKS, n ** 3))}
+    return {tuple(sorted(t)) for t in _seeded_triples(
+        f"jacobi-spot:{L.name}:{level}:{grid_max}", n, _SPOT_CHECKS)}
 
 
 def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
@@ -681,9 +688,6 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
 
 # --- constant solving -------------------------------------------------------------
 
-_DEFECT_SPAN = {(2, 0, 0): 0, DCOEF: 1, CCOEF: 2}
-
-
 @dataclass
 class ConstantSolution:
     status: str  # unique | trivial_only | inconsistent
@@ -703,42 +707,41 @@ class ConstantSolution:
         return out
 
 
-def _defect_rows(rules: RuleSet, la: int, lb: int, lc: int) -> List[Tuple]:
-    """Linear constraints over (beta^2, D, C) from one label triple."""
-    d = defect_poly(rules, J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0))
+def _defect_rows(rules: RuleSet, triple: Tuple[GenSymbol, ...],
+                 columns: Sequence[Exponent]) -> List[Tuple[Fraction, ...]]:
+    """Linear constraints over the unknowns `columns` from one triple's defect."""
     rows = []
-    for ws in d.values():
-        for word, sc in ws.items():
-            row = [Fraction(0)] * 3
+    for ws in defect_poly(rules, *triple).values():
+        for sc in ws.values():
+            row = [Fraction(0)] * len(columns)
             for exp, coeff in sc.items():
-                slot = _DEFECT_SPAN.get(exp)
-                if slot is None:
-                    raise ModelError(
-                        f"defect coefficient {exp} outside span(beta^2, D, C) "
-                        f"on triple ({la},{lb},{lc})")
-                row[slot] += coeff
+                if exp not in columns:
+                    span = ", ".join(s_format(s_monomial(e)) for e in columns)
+                    raise ModelError(f"defect coefficient {exp} outside span({span}) "
+                                     f"on triple ({', '.join(map(str, triple))})")
+                row[columns.index(exp)] += coeff
             if any(row):
                 rows.append(tuple(row))
     return rows
 
 
-def _solve_rows(rows) -> ConstantSolution:
-    mat, pivots = row_reduce(sorted(rows), 3)
-    rank = len(pivots)
-    if rank == 3:
-        return ConstantSolution(status="trivial_only", rows=len(rows))
-    if rank <= 1:
-        return ConstantSolution(status="inconsistent", rows=len(rows))
-    # rank 2: one-dimensional null space spanned by the cross product of the
-    # two pivot rows
-    r1, r2 = mat[0], mat[1]
-    v = (r1[1] * r2[2] - r1[2] * r2[1],
-         r1[2] * r2[0] - r1[0] * r2[2],
-         r1[0] * r2[1] - r1[1] * r2[0])
-    if v[0] == 0:
-        return ConstantSolution(status="inconsistent", rows=len(rows))
-    return ConstantSolution(status="unique", d_over_beta2=v[1] / v[0],
-                            c_over_beta2=v[2] / v[0], rows=len(rows))
+def _solve_rows(rows, k: int) -> Tuple[str, Optional[Tuple[Fraction, ...]],
+                                       List[List[Fraction]]]:
+    """(status, solution, basis) of the rows over k unknowns, beta^2 first,
+    from the free columns of one exact echelon form: none is trivial_only;
+    one whose null vector v has v[0] != 0 is unique, solution v[1:] / v[0];
+    anything else is inconsistent.  basis is the nonzero reduced rows."""
+    mat, pivots = row_reduce(sorted(rows), k)
+    basis = mat[:len(pivots)]
+    free = [col for col in range(k) if col not in pivots]
+    if len(free) == 1:
+        # 1 at the free column, minus that column of each pivot row at its pivot
+        v = [Fraction(col == free[0]) for col in range(k)]
+        for row, col in zip(basis, pivots):
+            v[col] = -row[free[0]]
+        if v[0]:
+            return "unique", tuple(x / v[0] for x in v[1:]), basis
+    return "inconsistent" if free else "trivial_only", None, basis
 
 
 # seeded basis triples each solve recomputes beside the reduced ones
@@ -748,12 +751,14 @@ _SPAN_CHECKS = 64
 def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
     """Extract (D, C) as exact multiples of beta^2 from the defect system.
 
-    The rows come from the dim label triples (x_-theta, x_theta, e_k), with
-    theta the highest root, and have the null space of all dim^3 triples.
-    Each rule is built from f, the pairing and its dual basis, so at fixed
-    (beta^2, D, C) the defect is a g-equivariant map on g (x) g (x) g and
-    its kernel K is a g-submodule.  V (x) M = U(g)(v (x) M) when V = U(g) v,
-    and g = U(g) x_-theta = U(b_-) x_theta, so K is everything once it holds
+    One row reduction over beta^2 and the table's formal constants gives the
+    status, the solution and the span-check basis.  The rows come from the
+    dim label triples (x_-theta, x_theta, e_k), with theta the highest root,
+    and have the null space of all dim^3 triples.  Each rule is built from
+    f, the pairing and its dual basis, so at fixed (beta^2, D, C) the defect
+    is a g-equivariant map on g (x) g (x) g and its kernel K is a
+    g-submodule.  V (x) M = U(g)(v (x) M) when V = U(g) v, and
+    g = U(g) x_-theta = U(b_-) x_theta, so K is everything once it holds
     x_-theta (x) x_theta (x) g (the tensor identity for cyclic modules).  A
     trivial_only answer needs no lemma: more rows cannot lower the rank.
 
@@ -767,25 +772,24 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
     rules = rules_deformed(L)
     n = L.dim
     low, high = _theta_labels(L)
-    rows = set()
-    for k in range(n):
-        rows.update(_defect_rows(rules, low, high, k))
-    sol = _solve_rows(rows)
-    basis, pivots = row_reduce(sorted(rows), 3)
-    basis = basis[:len(pivots)]
-    rng = random.Random(f"{master_seed}:solve:{L.name}")
-    spot = rng.sample(range(n ** 3), min(_SPAN_CHECKS, n ** 3))
-    for idx in spot:
-        la, lb, lc = idx // (n * n), idx // n % n, idx % n
-        if len(row_reduce(basis + _defect_rows(rules, la, lb, lc), 3)[1]) > len(basis):
+    columns = ((2, 0, 0), *rules.d_const, *rules.c_const)
+
+    def rows_of(la: int, lb: int, lc: int) -> List[Tuple[Fraction, ...]]:
+        return _defect_rows(rules, (J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0)), columns)
+
+    rows = {row for k in range(n) for row in rows_of(low, high, k)}
+    status, solution, basis = _solve_rows(rows, len(columns))
+    spot = _seeded_triples(f"{master_seed}:solve:{L.name}", n, _SPAN_CHECKS)
+    for la, lb, lc in spot:
+        if len(row_reduce(basis + rows_of(la, lb, lc), len(columns))[1]) > len(basis):
             raise InternalConsistencyError(
                 f"triple ({J(la, 1, 0)}, {J(lb, 0, 1)}, {J(lc, 0, 0)}) of "
                 f"{L.name} has a defect row outside the span of the "
                 f"(x_-theta, x_theta, e_k) rows: the rule tables are not "
                 f"g-equivariant")
-    sol.triples = n ** 3
-    sol.computed = n + len(spot)
-    return sol
+    d, c = solution or (None, None)
+    return ConstantSolution(status, d, c, rows=len(rows), triples=n ** 3,
+                            computed=n + len(spot))
 
 
 def matches_closed_form(L: LieAlgebra, sol: ConstantSolution) -> bool:

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
@@ -677,11 +677,10 @@ def simple_lie_algebra(series: str, rank: int) -> LieAlgebra:
 # structure-constant cache files
 #
 # Format: the version line CACHE_FORMAT, a header line "dim rank
-# h_dual_coxeter", then one line "i j k p/q" per nonzero constant (0-based
-# indices, exact rational, sorted by (i,j,k)).
+# h_dual_coxeter", then one line "i j k c" per nonzero constant (0-based
+# indices, c an integer, sorted by (i,j,k)).
 
 CACHE_FORMAT = "celalg-structure-constants 1"
-# a value token read with int; any other token goes through Fraction
 _INT_TOKEN = re.compile(r"[+-]?\d+")
 
 
@@ -709,9 +708,8 @@ def save_structure_constants(L: LieAlgebra, path: str) -> None:
 
 
 def load_structure_constants(path: str) -> Tuple[
-        int, int, int, Dict[Tuple[int, int], Dict[int, Union[int, Fraction]]]]:
-    """Parse a cache file; returns (dim, rank, h_dual_coxeter, f), each value
-    an int or, for a token that is not a plain integer, a Fraction."""
+        int, int, int, Dict[Tuple[int, int], Dict[int, int]]]:
+    """Parse a cache file into (dim, rank, h_dual_coxeter, f), f integral."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -726,13 +724,15 @@ def load_structure_constants(path: str) -> Tuple[
     if len(head) != 3:
         raise ConfigurationError("malformed header in structure-constant file")
     dim, rank, hdc = (int(x) for x in head)
-    f: Dict[Tuple[int, int], Dict[int, Union[int, Fraction]]] = {}
+    f: Dict[Tuple[int, int], Dict[int, int]] = {}
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ConfigurationError(f"malformed line {ln!r}")
-        i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-        val = int(parts[3]) if _INT_TOKEN.fullmatch(parts[3]) else Fraction(parts[3])
+        if not _INT_TOKEN.fullmatch(parts[3]):
+            raise ConfigurationError(
+                f"non-integral cached structure constant {parts[3]!r} in line {ln!r}")
+        i, j, k, val = map(int, parts)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ConfigurationError(f"index out of range in line {ln!r}")
         f.setdefault((i, j), {})[k] = val
@@ -749,14 +749,9 @@ def algebra_from_cache(series: str, rank: int, path: str) -> LieAlgebra:
     """
     rs = build_root_system(series, rank)
     try:
-        dim, rank_in, hdc_in, f_raw = load_structure_constants(path)
+        dim, rank_in, hdc_in, f = load_structure_constants(path)
         if dim != rs.rank + 2 * len(rs.positive_roots) or rank_in != rs.rank:
             raise ConfigurationError(f"shape does not match type {rs.series}{rs.rank}")
-        f: Dict[Tuple[int, int], Dict[int, int]] = {}
-        for key, comp in f_raw.items():
-            if any(v.denominator != 1 for v in comp.values()):
-                raise ConfigurationError("non-integral cached structure constant")
-            f[key] = {k: int(v) for k, v in comp.items()}
         L = _finish(rs, f)
         if L.h_dual_coxeter != hdc_in:
             raise ConfigurationError(

@@ -5,9 +5,9 @@ the benchmark's calls must bind to the package's signatures.
 `bench/run.py --trace 1` reads the memo dicts of the rule tables it
 captures; a rename in the package would otherwise only show as missing
 metrics.  `bench/workloads.py` calls package functions with keyword
-arguments; a renamed or removed parameter would otherwise only show as
-failed benchmark items.  The files under `bench/` are read here, never
-changed.
+arguments and reads fields of the results; a renamed or removed parameter
+or field would otherwise only show as failed benchmark items.  The files
+under `bench/` are read here, never changed.
 """
 
 import ast
@@ -80,3 +80,39 @@ def test_workloads_call_the_grid_and_the_solver_with_keywords():
 def test_workload_call_binds(home, name, npos, keywords):
     function = getattr(importlib.import_module(f"celalg.{home}"), name)
     inspect.signature(function).bind(*range(npos), **dict.fromkeys(keywords))
+
+
+def _result_reads():
+    """{variable: (attributes read, keys read from its details)} for the
+    result variables `sol` and `rep` of bench/workloads.py."""
+    reads = {"sol": (set(), set()), "rep": (set(), set())}
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in reads):
+            reads[node.value.id][0].add(node.attr)
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "details" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in reads
+                and isinstance(node.slice, ast.Constant)):
+            reads[node.value.value.id][1].add(node.slice.value)
+    return reads
+
+
+def test_workloads_read_fields_the_results_have():
+    # a renamed or reshaped result field would otherwise only show as
+    # failed benchmark items
+    from celalg.celestial import solve_constants, verify_jacobi_grid
+    reads = _result_reads()
+    assert {"status", "d_over_beta2", "c_over_beta2", "triples", "rows"} <= reads["sol"][0]
+    assert {"details", "passed"} <= reads["rep"][0] and "triples" in reads["rep"][1]
+    L = simple_lie_algebra("A", 1)
+    sol = solve_constants(L, master_seed=0)
+    rep = verify_jacobi_grid(L, 0, level="extended", jobs=1)
+    for attrs, keys, result in ((*reads["sol"], sol), (*reads["rep"], rep)):
+        for attr in attrs:
+            assert hasattr(result, attr), attr
+        for key in keys:
+            assert key in result.details, key
+    assert isinstance(sol.status, str) and isinstance(sol.triples, int)
+    assert isinstance(sol.rows, int) and isinstance(rep.passed, bool)
+    assert rep.details["triples"] == rep.details["generators"] ** 3

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from celalg import celestial
 from celalg.celestial import (
@@ -503,9 +504,9 @@ def _solver_rows(L, monkeypatch):
     seen = []
     orig = celestial._solve_rows
 
-    def capture(rows):
+    def capture(rows, k):
         seen.append(set(rows))
-        return orig(rows)
+        return orig(rows, k)
 
     monkeypatch.setattr(celestial, "_solve_rows", capture)
     solve_constants(L)
@@ -514,8 +515,19 @@ def _solver_rows(L, monkeypatch):
 
 
 def _span(rows):
-    mat, pivots = row_reduce(sorted(rows), 3)
-    return mat[:len(pivots)]
+    """The reduced basis the solver returns for the rows."""
+    return celestial._solve_rows(rows, 3)[2]
+
+
+def _columns(rules):
+    """The solver's unknowns: beta^2, then the table's formal D and C."""
+    return ((2, 0, 0), *rules.d_const, *rules.c_const)
+
+
+def _label_rows(rules, la, lb, lc):
+    """The defect rows of the label triple (J_la[1,0], J_lb[0,1], J_lc[0,0])."""
+    return celestial._defect_rows(rules, (J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0)),
+                                  _columns(rules))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2)])
@@ -529,7 +541,7 @@ def test_reduced_rows_span_all_label_triples(monkeypatch, series, rank):
     for la in range(n):
         for lb in range(n):
             for lc in range(n):
-                full.update(celestial._defect_rows(fresh, la, lb, lc))
+                full.update(_label_rows(fresh, la, lb, lc))
     reduced = _solver_rows(L, monkeypatch)
     assert len(reduced) < len(full)
     assert _span(reduced) == _span(full)
@@ -556,10 +568,9 @@ def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     # check can see the fault
     top = len(G2.root_system.positive_roots) - 1
     low, high = G2.neg_root_index(top), G2.pos_root_index(top)
-    reduced = celestial._solve_rows(
-        {row for k in range(G2.dim) for row in celestial._defect_rows(rd, low, high, k)})
-    assert (reduced.status, reduced.d_over_beta2, reduced.c_over_beta2) == \
-        ("unique", Fraction(-1, 5), Fraction(3, 20))
+    status, solution, _ = celestial._solve_rows(
+        {row for k in range(G2.dim) for row in _label_rows(rd, low, high, k)}, 3)
+    assert (status, solution) == ("unique", (Fraction(-1, 5), Fraction(3, 20)))
     with pytest.raises(InternalConsistencyError, match=r"triple \(J_\d+\[1,0\], "
                        r"J_\d+\[0,1\], J_\d+\[0,0\]\) of G2"):
         solve_constants(G2)
@@ -568,6 +579,10 @@ def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("internal error: InternalConsistencyError: triple (J_")
+
+
+def _rank(rows, k):
+    return len(row_reduce(rows, k)[1])
 
 
 @pytest.mark.parametrize("rows,status,d,c", [
@@ -583,10 +598,79 @@ def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     ([(Fraction(1, 2), -1, 0), (0, 1, 3)], "unique", Fraction(1, 2), Fraction(-1, 6)),
 ])
 def test_solve_rows_outcomes(rows, status, d, c):
-    sol = celestial._solve_rows(set(rows))
-    assert sol.status == status
-    assert sol.rows == len(rows)
-    assert (sol.d_over_beta2, sol.c_over_beta2) == (d, c)
+    got, solution, basis = celestial._solve_rows(set(rows), 3)
+    assert got == status
+    assert solution == (None if d is None else (d, c))
+    assert len(basis) == _rank(rows, 3)
+
+
+@pytest.mark.parametrize("rows,k,status,solution", [
+    # one unknown beside beta^2: D = -beta^2 / 2
+    ([(1, 2)], 2, "unique", (Fraction(-1, 2),)),
+    # beta^2 free, D = 0
+    ([(0, 1)], 2, "unique", (Fraction(0),)),
+    # the null space (0, 1): beta must vanish
+    ([(1, 0)], 2, "inconsistent", None),
+    ([(1, 2), (3, 4)], 2, "trivial_only", None),
+    # no rows: a two-dimensional null space
+    ([], 2, "inconsistent", None),
+    # null space (2, -3, -1, 1)
+    ([(1, 0, 0, -2), (0, 1, 0, 3), (0, 0, 1, 1)], 4, "unique",
+     (Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2))),
+    # the same without its last row: a two-dimensional null space
+    ([(1, 0, 0, -2), (0, 1, 0, 3)], 4, "inconsistent", None),
+    ([(1, 0, 0, -2), (0, 1, 0, 3), (0, 0, 1, 1), (0, 0, 0, 5)], 4, "trivial_only", None),
+])
+def test_solve_rows_over_k_unknowns(rows, k, status, solution):
+    assert celestial._solve_rows(set(rows), k)[:2] == (status, solution)
+
+
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.tuples(*[st.integers(-3, 3)] * k), max_size=5))))
+def test_solve_rows_reads_the_null_space(case):
+    k, rows = case
+    status, solution, basis = celestial._solve_rows(set(rows), k)
+    rank = _rank(rows, k)
+    # the basis is a basis of the row space
+    assert len(basis) == rank == _rank(basis + rows, k)
+    beta_in_span = _rank(rows + [(1,) + (0,) * (k - 1)], k) == rank
+    if status == "unique":
+        # a one-dimensional null space, spanned by (1, *solution)
+        assert rank == k - 1
+        v = (1, *solution)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows)
+    elif status == "trivial_only":
+        assert rank == k
+    else:
+        assert status == "inconsistent"
+        assert solution is None
+        # a larger null space, or a line on which beta^2 vanishes
+        assert rank < k - 1 or (rank == k - 1 and beta_in_span)
+
+
+@pytest.mark.parametrize("series,rank,distinct", [("A", 1, 2), ("A", 2, 4), ("G", 2, 16)])
+def test_jji_rows_are_inconsistent(series, rank, distinct):
+    # the current model: the (J_-theta[1,0], J_theta[0,1], I_k[0,0]) triples
+    # force C = 0 and so contradict the J-J-J solution.  This records the
+    # deformed table as it stands; it does not close J-J-I.
+    L = simple_lie_algebra(series, rank)
+    rules = rules_deformed(L)
+    low, high = celestial._theta_labels(L)
+    rows = {row for k in range(L.dim) for row in celestial._defect_rows(
+        rules, (J(low, 1, 0), J(high, 0, 1), I(k, 0, 0)), _columns(rules))}
+    assert len(rows) == distinct
+    status, solution, basis = celestial._solve_rows(rows, 3)
+    assert (status, solution) == ("inconsistent", None)
+    assert basis == [[0, 0, 1]]
+
+
+def test_seeded_triple_draws_are_stable():
+    # the solver's span check and the grid's spot samples decode one seeded
+    # draw over the n^3 grid: a seed keeps drawing the same ordered triples
+    assert celestial._seeded_triples("0:solve:A2", 8, 64)[:6] == [
+        (3, 7, 5), (5, 2, 3), (6, 5, 4), (5, 0, 2), (4, 5, 1), (5, 1, 3)]
+    draws = celestial._seeded_triples("any", 3, 64)
+    assert sorted(draws) == [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
 
 
 def test_substituted_solution_kills_all_defects(sl2):
@@ -663,7 +747,9 @@ def test_model_error_on_foreign_monomial(sl2, monkeypatch):
         return s_mul(sc, mono(BETA))
 
     monkeypatch.setattr(celestial, "_quadratic_words", polluted)
-    with pytest.raises(ModelError):
+    # the message names the span in letters and the triple by its generators
+    with pytest.raises(ModelError, match=r"\(1, 0, 1\) outside span\(beta\^2, D, C\) "
+                       r"on triple \(J_\d+\[1,0\], J_\d+\[0,1\], J_\d+\[0,0\]\)$"):
         solve_constants(sl2)
 
 

@@ -566,11 +566,13 @@ def test_row_reduce_augmented_block():
     ("8 2 4", None, "dual Coxeter number 4 disagrees"),
     ("15 3 4", None, "shape does not match type A2"),
     (None, "1/2", "non-integral"),
-    # integer tokens are read with int, any other value token with Fraction
+    # a value is a plain integer token; any other token is refused by line
     (None, "3/2", "non-integral cached structure constant"),
     (None, "1.5", "non-integral cached structure constant"),
-    (None, "7.0", "not antisymmetric"),
-    (None, "one", "Invalid literal for Fraction: 'one'"),
+    (None, "7.0", "'7.0' in line '0 2 2 7.0'"),
+    (None, "one", "'one' in line '0 2 2 one'"),
+    # an integer that is not the negative of its antisymmetric partner
+    (None, "7", "not antisymmetric"),
 ])
 def test_corrupt_cache_is_configuration_error(tmp_path, header, entry, error):
     path = tmp_path / "a2.sc"
