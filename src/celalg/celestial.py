@@ -25,11 +25,14 @@ other triples, J-J-I ones among them, keep nonzero defects unchecked.
 
 The solver and the grid verifier compute label representatives only: the
 g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
-decide every label (see solve_constants and verify_jacobi_grid).  The grid
-verifier also leaves out every triple with two slots in the abelian ideal
-that each table derives from its zero rules (the I letters at the base
-level, I, E and F above it), whose defect vanishes by lemma.  Every run
-recomputes a seeded sample of other triples to check those premises.
+decide every label (see _representatives).  The grid verifier computes
+sorted pattern triples only, and leaves out every triple with two slots in
+the abelian ideal that each table derives from its zero rules (the I
+letters at the base level, I, E and F above it), whose defect vanishes by
+lemma.  Every grid run recomputes seeded ordered triples of the full grid,
+each of which must vanish where the scan decided its pattern clean, and
+every solve recomputes seeded label triples whose rows must lie in the span
+of the reduced ones.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .lambdacalc import (
     E,
@@ -65,7 +66,6 @@ from .lambdacalc import (
     normal_order_poly,
     skew,
     substitute_lambda_plus_mu,
-    t_power,
     weight,
     ws_iadd,
 )
@@ -114,10 +114,8 @@ class RuleSet:
     `abelian` holds the kinds of the abelian ideal A, read off the rules.
     """
 
-    def __init__(self, algebra: LieAlgebra, beta: Optional[Fraction],
-                 rules: Dict[Tuple[int, int], Rule]):
+    def __init__(self, algebra: LieAlgebra, rules: Dict[Tuple[int, int], Rule]):
         self.algebra = algebra
-        self.beta = s_monomial(BETA) if beta is None else s_rational(beta)
         self.rules = rules
         self.abelian = _abelian_kinds(rules)
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
@@ -219,7 +217,7 @@ def je_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     if n_out < 0 or m_out < 0:
         raise RuleIntegrityError(
             f"nonzero J-E coefficient on negative bidegree ({n_out},{m_out})")
-    coeff = s_scale(rs.beta, Fraction(num, e1 + e2))
+    coeff = s_monomial(BETA, Fraction(num, e1 + e2))
     return {(0, 0): {(I(a.label, n_out, m_out),): coeff}}
 
 
@@ -229,9 +227,9 @@ def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     f1, f2 = b.bidegree
     k = Fraction(j1 + j2, f1 + f2 + 2)
     letter = I(a.label, j1 + f1, j2 + f2)
-    out: LambdaPoly = {(1, 0): {(letter,): s_scale(rs.beta, -(1 + k))}}
+    out: LambdaPoly = {(1, 0): {(letter,): s_monomial(BETA, -(1 + k))}}
     if k:
-        out[(0, 0)] = {(letter.d(),): s_scale(rs.beta, -k)}
+        out[(0, 0)] = {(letter.d(),): s_monomial(BETA, -k)}
     return out
 
 
@@ -272,7 +270,7 @@ def _deformed_jj(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly
     if a.bidegree == (1, 0) and b.bidegree == (0, 1):
         out = _current(rs, a, b)
         if pair:
-            coeff = s_scale(rs.beta, -pair)
+            coeff = s_monomial(BETA, -pair)
             lp_iadd(out, (1, 0), {(E(1, 1),): s_scale(coeff, 2)})
             lp_iadd(out, (0, 0), {(E(1, 1, 1),): coeff})
             lp_iadd(out, (0, 0), {(F(0, 0),): coeff})
@@ -287,7 +285,7 @@ def _deformed_jj(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly
         out = _current(rs, a, b)
         total = sum(a.bidegree)
         if total and pair:
-            coeff = s_scale(rs.beta, -total * pair)
+            coeff = s_monomial(BETA, -total * pair)
             lp_iadd(out, (1, 0), {(E(*a.bidegree),): coeff})
             lp_iadd(out, (0, 0), {(E(*a.bidegree, 1),): coeff})
         return out
@@ -309,7 +307,7 @@ def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 # --- rule tables ------------------------------------------------------------------
 
 def rules_base(L: LieAlgebra) -> RuleSet:
-    return _probed(RuleSet(L, None, {
+    return _probed(RuleSet(L, {
         (KIND_J, KIND_J): _current,
         (KIND_J, KIND_I): _current,
         (KIND_I, KIND_I): _zero_rule,
@@ -331,8 +329,8 @@ def _extended_rules() -> Dict[Tuple[int, int], Rule]:
     return rules
 
 
-def rules_extended(L: LieAlgebra, beta: Optional[Fraction] = None) -> RuleSet:
-    return _probed(RuleSet(L, beta, _extended_rules()))
+def rules_extended(L: LieAlgebra) -> RuleSet:
+    return _probed(RuleSet(L, _extended_rules()))
 
 
 def _as_scalar(value, formal_exp) -> Scalar:
@@ -343,8 +341,7 @@ def _as_scalar(value, formal_exp) -> Scalar:
     return s_rational(Fraction(value))
 
 
-def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
-                   d_const=None, c_const=None) -> RuleSet:
+def rules_deformed(L: LieAlgebra, d_const=None, c_const=None) -> RuleSet:
     """Deformed table; d_const and c_const default to formal parameters.
 
     J-J brackets are defined only at the deformed patterns (and their skew
@@ -353,7 +350,7 @@ def rules_deformed(L: LieAlgebra, beta: Optional[Fraction] = None,
     """
     rules = _extended_rules()
     rules.update({(KIND_J, KIND_J): _deformed_jj, (KIND_J, KIND_I): _deformed_ji})
-    rs = RuleSet(L, beta, rules)
+    rs = RuleSet(L, rules)
     rs.d_const = _as_scalar(d_const, DCOEF)
     rs.c_const = _as_scalar(c_const, CCOEF)
     return _probed(rs)
@@ -480,63 +477,16 @@ def grid_generators(L: LieAlgebra, grid_max: int,
     return gens
 
 
-# sampled triples whose shortcuts every grid run recomputes directly
-_SPOT_CHECKS = 512
+# ordered triples of the full grid that every grid run recomputes
+_SPOT_CHECKS = 1024
 # nonzero defects after which a grid scan stops
 _DEFECT_LIMIT = 3
-
-
-def _swap_lambda_mu(p: LambdaPoly) -> LambdaPoly:
-    """-p(mu, lambda).  Skew-symmetry and sesquilinearity give the swap
-    identity defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda)."""
-    return {(j, i): {w: s_scale(sc, -1) for w, sc in ws.items()}
-            for (i, j), ws in p.items()}
-
-
-def _swap_mu_nu(rules: RuleSet, p: LambdaPoly) -> LambdaPoly:
-    """-p(lambda, nu), normal ordered, with nu = -lambda - mu - T.  The same
-    two axioms give the b <-> c identity (an involution)
-    defect(a, c, b)(lambda, mu) = -defect(a, b, c)(lambda, nu)."""
-    out: LambdaPoly = {}
-    for (i, j), ws in p.items():
-        # (-lambda - mu - T)^j, multinomially, with T on the words
-        for r in range(j + 1):
-            words = t_power(ws, r)
-            for q in range(j - r + 1):
-                lp_iadd(out, (i + j - r - q, q), words,
-                        (-1) ** (j + 1) * comb(j, r) * comb(j - r, q))
-    return normal_order_poly(rules, out)
 
 
 def _seeded_triples(seed: str, n: int, count: int) -> List[Tuple[int, int, int]]:
     """min(count, n^3) distinct index triples of the n^3 grid, seeded by seed."""
     return [(idx // (n * n), idx // n % n, idx % n) for idx in
             random.Random(seed).sample(range(n ** 3), min(count, n ** 3))]
-
-
-def _spot_sample(L: LieAlgebra, level: str, grid_max: int,
-                 n: int) -> Set[Tuple[int, int, int]]:
-    """Seeded sorted index triples ia <= ib <= ic, drawn from the n^3 grid."""
-    return {tuple(sorted(t)) for t in _seeded_triples(
-        f"jacobi-spot:{L.name}:{level}:{grid_max}", n, _SPOT_CHECKS)}
-
-
-def _spot_check(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
-                d: LambdaPoly) -> Optional[dict]:
-    """Compute the two transposed images of the sorted triple (a, b, c)
-    directly and compare them with the images inferred from its defect d;
-    None when both identities hold.  An image that is the triple itself
-    (a == b, or b == c) is d, not computed again."""
-    for shortcut, image, inferred in (
-            ("swap identity", (b, a, c), _swap_lambda_mu(d)),
-            ("b<->c identity", (a, c, b), _swap_mu_nu(rules, d))):
-        direct = d if image == (a, b, c) else defect_poly(rules, *image)
-        if not lp_equal(direct, inferred):
-            return {"triple": [str(g) for g in image],
-                    "defect": format_lambda_poly(direct),
-                    "shortcut": shortcut,
-                    "inferred": format_lambda_poly(inferred)}
-    return None
 
 
 def _theta_labels(L: LieAlgebra) -> Tuple[int, int]:
@@ -555,16 +505,28 @@ def _pattern(g: GenSymbol) -> GenSymbol:
 def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...]
                      ) -> Iterator[Tuple[GenSymbol, ...]]:
     """The label triples that decide a pattern triple: its labelled (J, I)
-    slots take x_-theta, then x_theta, then every basis label, in order."""
+    slots take x_-theta, then x_theta, then every basis label, in order.
+
+    They decide every label when the defect is a g-equivariant map of the
+    labels of those slots (E and F carry none), as it is for tables built
+    from f, the pairing and its dual basis: its kernel K is then a
+    g-submodule.  V (x) M = U(g)(v (x) M) when V = U(g) v, and
+    g = U(g) x_-theta = U(b_-) x_theta, so with three labelled slots K is
+    everything once it holds x_-theta (x) x_theta (x) g (the tensor identity
+    for cyclic modules), and the same argument on fewer factors covers one
+    or two labelled slots.
+    """
     choices = iter([(label,) for label in _theta_labels(L)] + [range(L.dim)])
     slots = [[g._replace(label=label) for label in next(choices)] if g.label >= 0
              else [g] for g in triple]
     return product(*slots)
 
 
-# the shortcuts that decide a pattern triple's other triples clean
+# the shortcuts that decide a pattern triple's other triples clean, and the
+# S3 identities behind the sorted pattern triples
 _ABELIAN_IDEAL = "abelian ideal"
 _LABEL_REDUCTION = "label reduction"
+_SORTED_PATTERNS = "sorted patterns"
 
 
 def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
@@ -611,30 +573,33 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     """Zero Jacobi defect for every generator triple on the bidegree grid.
 
     The scan decides the sorted kind/bidegree pattern triples P <= Q <= R
-    only: the swap identity (a <-> b) and the b <-> c identity hold for
-    every label and generate S3.  A pattern triple with two slots in the
-    abelian ideal A (the span of I at the base level, of I, E and F at the
-    extended one) is decided by the abelian-ideal lemma, uncomputed: each of
-    its three Jacobi terms brackets two elements of A, or an element of A
-    with a bracket that lies in A, so its defect is zero.  The rule table
-    derives A and checks its premises on a probe grid when it is built.
-    Within every other pattern triple the defect is a g-equivariant map of
-    the labels of its J and I slots (E and F carry none), so its kernel is a
-    g-submodule, and as in solve_constants the labels (x_-theta, x_theta,
-    e_k) of those slots, in order, decide every label.  So only the pattern
-    triples with two or three J slots are computed.
+    only.  Skew-symmetry and sesquilinearity give, for every label, the swap
+    identity defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda) and
+    the b <-> c identity defect(a, c, b)(lambda, mu) =
+    -defect(a, b, c)(lambda, -lambda - mu - T), and the two transpositions
+    generate S3.  A pattern triple with two slots in the abelian ideal A
+    (the span of I at the base level, of I, E and F at the extended one) is
+    decided by the abelian-ideal lemma, uncomputed: each of its three Jacobi
+    terms brackets two elements of A, or an element of A with a bracket that
+    lies in A, so its defect is zero.  The rule table derives A and checks
+    its premises on a probe grid when it is built.  Every other pattern
+    triple is decided by its _representatives, whose docstring gives the
+    label reduction.  So only the pattern triples with two or three J slots
+    are computed.
 
-    Every run recomputes the seeded sorted triples of _spot_sample directly.
-    A nonzero defect whose pattern triple was decided clean fails the
-    shortcut that decided it, `abelian ideal` or `label reduction`, and the
-    two transposed images of each sample check the `swap identity` and the
-    `b<->c identity`; a shortcut that fails is listed before any nonzero
-    defect.  The details count the triples covered (n^3 after a full scan),
-    the triples computed by the scan and the samples spot-checked, and
-    `abelian_ideal` counts the pattern triples the lemma decided, the
-    triples they cover and the samples that fell in them.  The level is
-    "base" or "extended", grid_max is at least 0, and jobs is 1 (it is kept
-    only for the benchmark's jobs=1 call); anything else raises ValueError.
+    Every run recomputes the seeded ordered triples of _seeded_triples,
+    min(_SPOT_CHECKS, n^3) of the full grid, whose sorted pattern triple the
+    scan decided clean; each must vanish.  A nonzero one fails the shortcut
+    it rests on: `abelian ideal` in a pattern triple the lemma decided;
+    otherwise `sorted patterns` when it is out of pattern order and its
+    pattern-ordered permutation vanishes, and `label reduction` when not.
+    A failed shortcut is listed before any nonzero defect.  The details
+    count the triples covered (n^3 after a full scan), the triples computed
+    by the scan and the samples spot-checked, and `abelian_ideal` counts the
+    pattern triples the lemma decided, the triples they cover and the
+    samples that fell in them.  The level is "base" or "extended", grid_max
+    is at least 0, and jobs is 1 (it is kept only for the benchmark's jobs=1
+    call); anything else raises ValueError.
     """
     if level not in _GRID_LEVELS:
         raise ValueError(f"the Jacobi grid verifies the levels "
@@ -649,20 +614,28 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     rules = rules_base(L) if level == "base" else rules_extended(L)
     computed, decided, failures = _scan_patterns(rules, gens)
     full_scan = len(failures) < _DEFECT_LIMIT
-    samples = sorted(_spot_sample(L, level, grid_max, n))
-    in_ideal = 0
-    for ia, ib, ic in samples:
-        a, b, c = gens[ia], gens[ib], gens[ic]
-        d = defect_poly(rules, a, b, c)
-        shortcut = decided.get(tuple(sorted(map(_pattern, (a, b, c)))))
+    patterns = [_pattern(g) for g in gens]
+    checked = in_ideal = 0
+    for draw in _seeded_triples(f"jacobi-spot:{L.name}:{level}:{grid_max}", n,
+                                _SPOT_CHECKS):
+        shortcut = decided.get(tuple(sorted(patterns[i] for i in draw)))
+        if not shortcut:
+            continue
+        checked += 1
         in_ideal += shortcut == _ABELIAN_IDEAL
-        if d and shortcut:
-            failures.append({"triple": [str(a), str(b), str(c)],
-                             "defect": format_lambda_poly(d),
-                             "shortcut": shortcut, "inferred": "0"})
-        fail = _spot_check(rules, a, b, c, d)
-        if fail is not None:
-            failures.append(fail)
+        triple = tuple(gens[i] for i in draw)
+        d = defect_poly(rules, *triple)
+        if not d:
+            continue
+        if shortcut == _LABEL_REDUCTION:
+            # the pattern-ordered permutation has the same labels, so only
+            # the S3 identities stand between it and the triple
+            ordered = tuple(sorted(triple, key=_pattern))
+            if ordered != triple and not defect_poly(rules, *ordered):
+                shortcut = _SORTED_PATTERNS
+        failures.append({"triple": [str(g) for g in triple],
+                         "defect": format_lambda_poly(d),
+                         "shortcut": shortcut, "inferred": "0"})
 
     def cover(t: Tuple[GenSymbol, ...]) -> int:
         # the ordered triples of a pattern triple's permutations, over all labels
@@ -682,7 +655,7 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                   first_counterexample=failures[0] if failures else None,
                   details={"level": level, "grid_max": grid_max,
                            "generators": n, "triples": covered,
-                           "computed": computed, "spot_checked": len(samples),
+                           "computed": computed, "spot_checked": checked,
                            "abelian_ideal": ideal})
 
 
@@ -699,7 +672,9 @@ class ConstantSolution:
 
     def to_dict(self) -> dict:
         out = {"status": self.status, "rows": self.rows, "triples": self.triples,
-               # no solve samples; the key keeps the document's shape
+               # always False: no solve path stands a sample in for its
+               # reduced triples (its span checks count in computed); the
+               # key keeps the document's shape
                "computed": self.computed, "sampled": False}
         if self.status == "unique":
             out["D_over_beta2"] = str(self.d_over_beta2)
@@ -753,14 +728,12 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
 
     One row reduction over beta^2 and the table's formal constants gives the
     status, the solution and the span-check basis.  The rows come from the
-    dim label triples (x_-theta, x_theta, e_k), with theta the highest root,
-    and have the null space of all dim^3 triples.  Each rule is built from
-    f, the pairing and its dual basis, so at fixed (beta^2, D, C) the defect
-    is a g-equivariant map on g (x) g (x) g and its kernel K is a
-    g-submodule.  V (x) M = U(g)(v (x) M) when V = U(g) v, and
-    g = U(g) x_-theta = U(b_-) x_theta, so K is everything once it holds
-    x_-theta (x) x_theta (x) g (the tensor identity for cyclic modules).  A
-    trivial_only answer needs no lemma: more rows cannot lower the rank.
+    _representatives of (J[1,0], J[0,1], J[0,0]), the dim label triples
+    (x_-theta, x_theta, e_k) with theta the highest root, and have the null
+    space of all dim^3 triples: at fixed (beta^2, D, C) the defect is a
+    g-equivariant map on g (x) g (x) g, and the _representatives docstring
+    gives the lemma.  A trivial_only answer needs no lemma: more rows cannot
+    lower the rank.
 
     The lemma rests on the tables being equivariant, so every solve
     recomputes min(_SPAN_CHECKS, dim^3) distinct triples drawn from
@@ -771,19 +744,18 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
     """
     rules = rules_deformed(L)
     n = L.dim
-    low, high = _theta_labels(L)
+    pattern = (J(0, 1, 0), J(0, 0, 1), J(0, 0, 0))
     columns = ((2, 0, 0), *rules.d_const, *rules.c_const)
-
-    def rows_of(la: int, lb: int, lc: int) -> List[Tuple[Fraction, ...]]:
-        return _defect_rows(rules, (J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0)), columns)
-
-    rows = {row for k in range(n) for row in rows_of(low, high, k)}
+    rows = {row for rep in _representatives(L, pattern)
+            for row in _defect_rows(rules, rep, columns)}
     status, solution, basis = _solve_rows(rows, len(columns))
     spot = _seeded_triples(f"{master_seed}:solve:{L.name}", n, _SPAN_CHECKS)
-    for la, lb, lc in spot:
-        if len(row_reduce(basis + rows_of(la, lb, lc), len(columns))[1]) > len(basis):
+    for labels in spot:
+        triple = tuple(g._replace(label=label) for g, label in zip(pattern, labels))
+        if len(row_reduce(basis + _defect_rows(rules, triple, columns),
+                          len(columns))[1]) > len(basis):
             raise InternalConsistencyError(
-                f"triple ({J(la, 1, 0)}, {J(lb, 0, 1)}, {J(lc, 0, 0)}) of "
+                f"triple ({', '.join(map(str, triple))}) of "
                 f"{L.name} has a defect row outside the span of the "
                 f"(x_-theta, x_theta, e_k) rows: the rule tables are not "
                 f"g-equivariant")
@@ -812,11 +784,7 @@ def closed_form_fractions(L: LieAlgebra) -> Tuple[Fraction, Fraction]:
     return (Fraction(-(2 + dim), 20 * h), Fraction(3 * (2 + dim), 20 * h * h))
 
 
-def closed_form_constants(L: LieAlgebra, beta: Optional[Fraction] = None
-                          ) -> Tuple[Scalar, Scalar]:
-    """(D, C) as Scalars, with beta formal by default."""
+def closed_form_constants(L: LieAlgebra) -> Tuple[Scalar, Scalar]:
+    """(D, C) as Scalars in the formal beta."""
     d, c = closed_form_fractions(L)
-    if beta is None:
-        return s_monomial((2, 0, 0), d), s_monomial((2, 0, 0), c)
-    b2 = Fraction(beta) ** 2
-    return s_rational(d * b2), s_rational(c * b2)
+    return s_monomial((2, 0, 0), d), s_monomial((2, 0, 0), c)

@@ -150,11 +150,18 @@ def get_algebra(series: str, rank: int, cache_dir: Optional[str]) -> LieAlgebra:
 
 
 def _emit(cfg: RunConfig, document: dict, text_lines: List[str]) -> None:
-    if cfg.json_output:
-        print(json.dumps(document, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Write the document or the text lines to stdout.  A reader that closed
+    stdout ends the writing, not the run: the verdict's exit code stands."""
+    text = (json.dumps(document, sort_keys=True, indent=2) if cfg.json_output
+            else "\n".join(text_lines))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten rest stays buffered; at devnull the exit flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _status(flag: bool) -> str:

@@ -81,6 +81,69 @@ def test_verify_text_mode():
     assert "jacobi_grid" in out and "verification pass" in out
 
 
+def test_verify_a1_grid1_golden():
+    # the grid's ledger (computed, covered and spot-checked counts) shows up
+    # here as a diff whenever it changes
+    code, out, _ = run_cli(["verify", "A1", "--grid", "1", "--samples", "5",
+                            "--seed", "0", "--json"])
+    assert code == 0
+    assert out == (GOLDEN / "verify_a1_grid1.json").read_text()
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "A1", "--grid", "0", "--samples", "1", "--json"], 0),
+    (["verify", "A1", "--grid", "0", "--samples", "1"], 0),
+    (["solve", "A1", "--json"], 0),
+    # a failed verification keeps its own code with the reader gone
+    (["solve", "A1", "--json"], 1),
+])
+def test_closed_stdout_keeps_the_verdict(tmp_path, monkeypatch, argv, code):
+    if code:
+        monkeypatch.setattr("celalg.cli.matches_closed_form", lambda L, sol: False)
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert main(argv) == code
+        # the descriptor now points at devnull, so the exit flush is quiet
+        os.write(fh.fileno(), b"after the reader left")
+    assert target.read_bytes() == b""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # `celalg verify ... | head -1`, with the reader gone before any write
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    # block-buffered, as stdout to a pipe is by default, so that a write
+    # left to the exit flush would meet the closed pipe there
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "celalg.cli", "verify", "A1",
+                               "--grid", "0", "--samples", "1", "--json"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_configuration_error_exit_two():
     code, _, err = run_cli(["solve", "Q9"])
     assert code == 2
