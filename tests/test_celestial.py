@@ -783,18 +783,37 @@ def test_tampered_jf_rule_fails_with_jjf_triple(sl2, monkeypatch):
     assert sorted(kinds) == ["F", "J", "J"], names
 
 
-def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch):
-    # a fake defect on the J-J-J triples out of pattern order only: the scan
-    # computes pattern-ordered representatives and never meets it, and the
-    # pattern-ordered permutation of a failing sample vanishes, so the S3
-    # identities are named
+def _fake_mirror_defect(a, b, c):
+    # nonzero only on J-J-J triples with pattern(a) > pattern(b): triples the
+    # swap identity carries onto pattern-ordered ones
+    patterns = [celestial._pattern(g) for g in (a, b, c)]
+    jjj = all(g.kind == KIND_J for g in (a, b, c))
+    return {(0, 0): {(c,): s_rational(1)}} if jjj and patterns[0] > patterns[1] else {}
+
+
+def _fake_transposed_defect(a, b, c):
+    # nonzero only on J-J-J triples with pattern(b) > pattern(c): triples the
+    # b <-> c identity carries onto pattern-ordered ones
+    patterns = [celestial._pattern(g) for g in (a, b, c)]
+    jjj = all(g.kind == KIND_J for g in (a, b, c))
+    return {(0, 0): {(a,): s_rational(1)}} if jjj and patterns[1] > patterns[2] else {}
+
+
+@pytest.mark.parametrize("fake,identity", [
+    (_fake_mirror_defect, "swap identity"),
+    (_fake_transposed_defect, "b<->c identity"),
+])
+def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, identity):
+    # a fake defect out of pattern order only, breaking one S3 identity: the
+    # scan computes pattern-ordered representatives and never meets it, and
+    # the pattern-ordered permutation of a failing sample vanishes, so the
+    # ordered spot check names the S3 identities
     orig = celestial.defect_poly
 
     def faulty(rules, a, b, c):
         d = orig(rules, a, b, c)
-        patterns = [celestial._pattern(g) for g in (a, b, c)]
-        if all(g.kind == KIND_J for g in (a, b, c)) and patterns != sorted(patterns):
-            lp_iadd(d, (0, 0), {(c,): s_rational(1)})
+        for key, ws in fake(a, b, c).items():
+            lp_iadd(d, key, ws)
         return d
 
     monkeypatch.setattr(celestial, "defect_poly", faulty)
