@@ -8,6 +8,15 @@ Every identity is read from the ad matrices alone (L.ad_matrix, L.ad_entries,
 L.pairing_inv) through the one matrix kernel below, and each check forms
 each distinct product once.
 
+The proportionality is decided exactly, not sampled.  Both sides are
+ad-invariant polynomials on g, so by Chevalley's restriction theorem
+(Humphreys 1972, section 23) they agree on g iff they agree on the Cartan
+subalgebra h, where ad is diagonal and the identity is one polynomial
+comparison in rank variables (cartan_alpha).  The diagonal is read off the
+built algebra and cross-checked against the root data, and quartic_alpha
+adds one seeded polarized tuple away from h; a failure of any of the three
+is a ConstructionError.
+
 For classical types the quartic trace is also checked against the defining
 representation: Tr(ad_a^4) = c4 * Tr(a^4) + c22 * (Tr(a^2))^2 with exact
 series-dependent coefficients.
@@ -18,17 +27,14 @@ from __future__ import annotations
 import random
 import struct
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, combinations_with_replacement, compress, product
 from math import lcm
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .liealg import Element, LieAlgebra, UsageError, simple_lie_algebra
+from .liealg import (ConstructionError, Element, LieAlgebra, RootSystem, UsageError,
+                     simple_lie_algebra)
 from .report import Report
-
-
-class SamplingError(RuntimeError):
-    """All sampled elements were degenerate; signals a bug, not bad luck."""
 
 
 def expected_alpha(dim: int) -> Fraction:
@@ -295,31 +301,115 @@ def _quartic_ratio(L: LieAlgebra, a: Element) -> Optional[Fraction]:
     return Fraction(trace_mul(m2, m2), t2 * t2)
 
 
-def quartic_alpha(L: LieAlgebra, samples: int = 24,
-                  master_seed=0) -> Optional[Fraction]:
-    """The exact ratio Tr(ad_a^4) / (Tr(ad_a^2))^2 if it is constant over the
-    sample AND the polarized identity holds on sampled 4-tuples, else None."""
-    if samples < 20:
-        raise UsageError("quartic_alpha needs at least 20 samples")
+# --- the quartic identity on the Cartan subalgebra ---------------------------
+#
+# On h = sum_i x_i h_i, ad_h is diagonal in the Chevalley basis: 0 on the
+# Cartan slots and w(h) = w.x on the root vector of weight w, with w_i the
+# pairing <root, alpha_i^vee>.  So Tr(ad_h^4) = P4(x) = sum_w (w.x)^4 and
+# Tr(ad_h^2) = P2(x) = sum_w (w.x)^2 over the nonzero weights w (the roots).
+
+def root_weights(rs: RootSystem) -> List[Tuple[int, ...]]:
+    """(w(h_1), ..., w(h_rank)) for each basis slot in the basis order: 0 on
+    the Cartan slots, the Cartan pairings of positive root k on its vector
+    and their negatives on the vector of -root k."""
+    pos = [tuple(rs.cartan_pairing(r, i) for i in range(rs.rank))
+           for r in rs.positive_roots]
+    return [(0,) * rs.rank] * rs.rank + pos + [tuple(-c for c in w) for w in pos]
+
+
+def weight_alpha(weights: Sequence[Tuple[int, ...]]) -> Optional[Fraction]:
+    """alpha with P4 = alpha P2^2 as polynomials in x_1..x_rank, else None.
+
+    The x_i x_j x_k x_l coefficient (i <= j <= k <= l) of P4 is the
+    multinomial of (i, j, k, l) times T4_ijkl = sum_w w_i w_j w_k w_l, and
+    that of P2^2 the same multinomial times
+    (T2_ij T2_kl + T2_ik T2_jl + T2_il T2_jk) / 3, T2_ij = sum_w w_i w_j.
+    alpha is read at x_1^4, T4_1111 / T2_11^2, and every coefficient is
+    compared times 3 T2_11^2, in ints.  T2_11 = Tr(ad_{h_1}^2) > 0 for root
+    data: the first simple root pairs to 2 with h_1."""
+    cols = list(zip(*(w for w in weights if any(w))))
+    pairs = {ij: list(map(mul, cols[ij[0]], cols[ij[1]]))
+             for ij in combinations_with_replacement(range(len(cols)), 2)}
+    t2 = {ij: sum(p) for ij, p in pairs.items()}
+    top, base = sum(map(mul, pairs[0, 0], pairs[0, 0])), t2[0, 0] ** 2
+    for i, j, k, l in combinations_with_replacement(range(len(cols)), 4):
+        t4 = sum(map(mul, pairs[i, j], pairs[k, l]))
+        if 3 * t4 * base != top * (t2[i, j] * t2[k, l] + t2[i, k] * t2[j, l]
+                                   + t2[i, l] * t2[j, k]):
+            return None
+    return Fraction(top, base)
+
+
+def cartan_alpha(L: LieAlgebra) -> Optional[Fraction]:
+    """The quartic alpha of L decided on h, or None where there is none.
+
+    ad_{h_i} is read off L.ad_entries[i].  It must be diagonal, and its
+    diagonal must be the root values of root_weights(L.root_system); either
+    failure is a ConstructionError.  Then weight_alpha compares the two
+    polynomials."""
+    diagonal = [[0] * L.dim for _ in range(L.rank)]
+    for i, row in enumerate(diagonal):
+        for (b, k, c) in L.ad_entries[i]:
+            if b != k:
+                raise ConstructionError(
+                    f"{L.name}: ad_h{i + 1} has an entry off the diagonal, "
+                    f"[h{i + 1}, {L.basis_labels[b]}] has a "
+                    f"{L.basis_labels[k]} component")
+            row[b] = c
+    weights = root_weights(L.root_system)
+    for b, (got, want) in enumerate(zip(zip(*diagonal), weights)):
+        if got != want:
+            raise ConstructionError(
+                f"{L.name}: the Cartan weights {got} of {L.basis_labels[b]} "
+                f"differ from the root data {want}")
+    return weight_alpha(weights)
+
+
+def quartic_alpha(L: LieAlgebra, master_seed=0) -> Optional[Fraction]:
+    """The exact alpha with Tr(ad_a^4) = alpha (Tr(ad_a^2))^2 for all a in g,
+    or None where no constant alpha exists.
+
+    Both sides are ad-invariant polynomials on g, so by Chevalley's
+    restriction theorem they agree on g iff they agree on the Cartan
+    subalgebra h; cartan_alpha decides that and cross-checks the diagonal of
+    ad_h against the root data.  When alpha exists, one polarized 4-tuple
+    drawn from element_rng(master_seed, L, "quartic_alpha") checks the
+    construction away from h.  An off-diagonal or misweighted ad_h, or a
+    failing spot tuple, raises ConstructionError: the algebra is then not
+    the one its root data describe."""
+    alpha = cartan_alpha(L)
+    if alpha is None:
+        return None
     rng = element_rng(master_seed, L, "quartic_alpha")
-    alpha: Optional[Fraction] = None
-    usable = 0
-    for _ in range(samples):
-        ratio = _quartic_ratio(L, random_element(L, rng))
-        if ratio is None:
-            continue
-        usable += 1
-        if alpha is None:
-            alpha = ratio
-        elif ratio != alpha:
-            return None
-    if usable == 0:
-        raise SamplingError(f"all sampled elements of {L.name} had zero quadratic trace")
-    for _ in range(10):
-        tup = [random_element(L, rng) for _ in range(4)]
-        if not check_polarized(L, *tup, alpha).passed:
-            return None
+    spot = check_polarized(L, *(random_element(L, rng) for _ in range(4)), alpha)
+    if not spot.passed:
+        raise ConstructionError(
+            f"{L.name}: the polarized quartic identity holds on h at alpha "
+            f"{alpha} but fails on the spot tuple at seed {master_seed}: "
+            f"{spot.first_counterexample}")
     return alpha
+
+
+def _cartan_witness(L: LieAlgebra) -> dict:
+    """Two Cartan elements whose quartic ratios, computed through the ad
+    matrices, differ: h_1 and the first h = sum_i x_i h_i, x in {0..4}^rank
+    in lexicographic order, whose ratio differs from that of h_1.
+
+    For a type without alpha, Q(x) = P4(x) P2(e_1)^2 - P4(e_1) P2(x)^2 is a
+    nonzero polynomial of degree at most 4 in each x_i, so it is nonzero at
+    some x in {0..4}^rank (Combinatorial Nullstellensatz, Alon 1999), and
+    there P2(x) > 0 and the two ratios differ."""
+    def h(x):
+        return tuple(x) + (0,) * (L.dim - L.rank)
+
+    first = (1,) + (0,) * (L.rank - 1)
+    r1 = _quartic_ratio(L, h(first))
+    for x in product(range(5), repeat=L.rank):
+        r = _quartic_ratio(L, h(x))
+        if r is not None and r != r1:
+            return {"elements": [list(first), list(x)], "ratios": [str(r1), str(r)]}
+    raise ConstructionError(f"{L.name}: no alpha on h, but every ratio on "
+                            f"{{0..4}}^{L.rank} equals that of h1")
 
 
 def find_polarized_counterexample(L: LieAlgebra, alpha: Fraction,
@@ -361,13 +451,13 @@ def classification_types(max_rank: int = 4, enable_e78: bool = False
     return types
 
 
-def classify(max_rank: int = 4, enable_e78: bool = False, samples: int = 24,
+def classify(max_rank: int = 4, enable_e78: bool = False,
              master_seed=0) -> List[Tuple[str, bool, Optional[Fraction]]]:
     """(name, satisfies quartic proportionality, alpha) for each scanned type."""
     out = []
     for series, rank in classification_types(max_rank, enable_e78):
         L = simple_lie_algebra(series, rank)
-        alpha = quartic_alpha(L, samples=samples, master_seed=master_seed)
+        alpha = quartic_alpha(L, master_seed=master_seed)
         out.append((f"{series}{rank}", alpha is not None, alpha))
     return out
 
@@ -375,9 +465,9 @@ def classify(max_rank: int = 4, enable_e78: bool = False, samples: int = 24,
 def trace_identity_suite(L: LieAlgebra, samples: int = 100, master_seed=0) -> List[Report]:
     """The four trace-identity batches on seeded random tuples.
 
-    The polarized batch adapts to the algebra: when a constant alpha exists
-    it must hold on every sampled tuple; otherwise every candidate ratio
-    observed in the sample stream must admit an explicit counterexample.
+    The polarized batch takes alpha from cartan_alpha: where it exists the
+    identity must hold on every sampled tuple; where it does not, the report
+    names two Cartan elements with different quartic ratios.
     """
     reports: List[Report] = []
 
@@ -403,31 +493,17 @@ def trace_identity_suite(L: LieAlgebra, samples: int = 100, master_seed=0) -> Li
           lambda rng: check_commutator_identity(
               L, *(random_element(L, rng) for _ in range(4))))
 
-    alpha = quartic_alpha(L, samples=24, master_seed=master_seed)
+    alpha = cartan_alpha(L)
     if alpha is not None:
         batch("polarized_quartic",
               lambda rng: check_polarized(
                   L, *(random_element(L, rng) for _ in range(4)), alpha))
         reports[-1].details["alpha"] = str(alpha)
     else:
-        rng = element_rng(master_seed, L, "polarized_candidates")
-        candidates = set()
-        guard = 0
-        while len(candidates) < 3 and guard < 200:
-            guard += 1
-            ratio = _quartic_ratio(L, random_element(L, rng))
-            if ratio is not None:
-                candidates.add(ratio)
-        missing = [str(alpha_c) for alpha_c in sorted(candidates)
-                   if find_polarized_counterexample(L, alpha_c,
-                                                    master_seed=master_seed) is None]
         reports.append(Report(
-            check="polarized_quartic", algebra=L.name, passed=not missing,
+            check="polarized_quartic", algebra=L.name, passed=True,
             samples=samples, seed=master_seed,
-            first_counterexample=(
-                None if not missing
-                else {"candidates_without_counterexample": missing}),
-            details={"alpha": None, "candidates": [str(c) for c in sorted(candidates)]}))
+            details={"alpha": None, "witness": _cartan_witness(L)}))
     return reports
 
 

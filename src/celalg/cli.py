@@ -89,7 +89,6 @@ class RunConfig:
             out["algebra"] = f"{self.series}{self.rank}"
         if self.command == "verify":
             out["grid_max"] = self.grid_max
-        if self.command in ("verify", "classify"):
             out["samples"] = self.samples
         if self.command == "classify":
             out["max_rank"] = self.max_rank
@@ -169,9 +168,7 @@ def _status(flag: bool) -> str:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    rows = adinv.classify(cfg.max_rank, cfg.enable_e78,
-                          samples=max(24, cfg.samples // 4),
-                          master_seed=cfg.master_seed)
+    rows = adinv.classify(cfg.max_rank, cfg.enable_e78, master_seed=cfg.master_seed)
     expected = {f"{s}{r}" for s, r in ADMISSIBLE_TYPES}
     ok = all((name in expected) == found for name, found, _ in rows)
     lines = [f"{'type':<6} {'member':<8} alpha"]
@@ -271,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="quartic trace-identity membership table")
     common(p_classify)
     p_classify.add_argument("--max-rank", type=int, default=None)
-    p_classify.add_argument("--samples", type=int, default=None)
     p_classify.add_argument("--enable-e78", action="store_true", default=None,
                             help="include the two largest exceptional types")
 

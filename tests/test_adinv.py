@@ -29,7 +29,13 @@ from celalg.adinv import (
     random_element,
     trace_identity_suite,
 )
-from celalg.liealg import LieAlgebra, UsageError, simple_lie_algebra
+from celalg.liealg import (
+    ConstructionError,
+    LieAlgebra,
+    UsageError,
+    build_root_system,
+    simple_lie_algebra,
+)
 
 
 def _rng(tag):
@@ -141,20 +147,91 @@ def test_commutator_identity_random(series, rank, n):
 ])
 def test_quartic_alpha_admissible(series, rank, alpha):
     L = simple_lie_algebra(series, rank)
-    got = quartic_alpha(L, samples=24, master_seed=7)
+    got = quartic_alpha(L, master_seed=7)
     assert got == alpha == expected_alpha(L.dim)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("B", 2), ("C", 3)])
 def test_quartic_alpha_absent(series, rank):
     L = simple_lie_algebra(series, rank)
-    assert quartic_alpha(L, samples=24, master_seed=7) is None
+    assert quartic_alpha(L, master_seed=7) is None
 
 
-def test_quartic_alpha_sample_floor():
-    L = simple_lie_algebra("A", 1)
-    with pytest.raises(UsageError):
-        quartic_alpha(L, samples=5)
+# the 32 types of rank <= 8 (D to rank 9), decided from root data alone
+_ROOT_DATA_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                    + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 10)]
+                    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+
+
+def test_root_data_admits_exactly_the_admissible_types():
+    admitted = {}
+    for series, rank in _ROOT_DATA_TYPES:
+        rs = build_root_system(series, rank)
+        alpha = adinv.weight_alpha(adinv.root_weights(rs))
+        if alpha is not None:
+            admitted[f"{series}{rank}"] = alpha
+            assert alpha == expected_alpha(rank + 2 * len(rs.positive_roots))
+    assert len(_ROOT_DATA_TYPES) == 32
+    assert sorted(admitted) == ["A1", "A2", "D4", "E6", "E7", "E8", "F4", "G2"]
+
+
+def _with_h1_entries(L, entries):
+    ad_entries = list(L.ad_entries)
+    ad_entries[0] = tuple(entries)
+    return dataclasses.replace(L, ad_entries=ad_entries)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3)])
+def test_quartic_alpha_refuses_a_broken_cartan(series, rank):
+    L = simple_lie_algebra(series, rank)
+    (b, k, c), *rest = L.ad_entries[0]
+    assert b == k >= L.rank  # a root vector on the diagonal
+    # one Cartan weight changed: the diagonal no longer matches the root data
+    with pytest.raises(ConstructionError, match="differ from the root data"):
+        quartic_alpha(_with_h1_entries(L, [(b, b, c + 1), *rest]))
+    # one entry of ad_{h_1} moved off the diagonal
+    with pytest.raises(ConstructionError, match="off the diagonal"):
+        quartic_alpha(_with_h1_entries(L, [(b, k + 1, c), *rest]))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
+def test_quartic_alpha_spot_tuple_refuses_a_flipped_constant(series, rank):
+    # the Cartan entries are intact, so only the tuple away from h sees it
+    L = _flipped(series, rank)
+    assert adinv.cartan_alpha(L) == expected_alpha(L.dim)
+    with pytest.raises(ConstructionError, match="fails on the spot tuple"):
+        quartic_alpha(L)
+
+
+@pytest.mark.parametrize("series,rank,n_products", [("A", 2, 6), ("G", 2, 6),
+                                                    ("A", 3, 0)])
+def test_quartic_alpha_cost(monkeypatch, series, rank, n_products):
+    # the Cartan route forms no matrix product; the spot tuple forms the six
+    # of one polarized check, and only where alpha exists
+    L = simple_lie_algebra(series, rank)
+    product, formed = adinv._product, []
+    monkeypatch.setattr(adinv, "_product",
+                        lambda *args: formed.append(args) or product(*args))
+    quartic_alpha(L, master_seed=3)
+    assert len(formed) == n_products
+
+
+@pytest.mark.parametrize("series,rank,witness", [
+    ("A", 3, {"elements": [[1, 0, 0], [1, 0, 1]], "ratios": ["5/32", "1/8"]}),
+    ("B", 2, {"elements": [[1, 0], [0, 1]], "ratios": ["1/4", "1/6"]}),
+    ("C", 3, {"elements": [[1, 0, 0], [0, 0, 1]], "ratios": ["13/128", "5/32"]}),
+])
+def test_polarized_report_names_a_cartan_witness(series, rank, witness):
+    L = simple_lie_algebra(series, rank)
+    polarized = trace_identity_suite(L, samples=2, master_seed=5)[3]
+    assert polarized.passed and polarized.first_counterexample is None
+    assert polarized.details == {"alpha": None, "witness": witness}
+    # the ratios, recomputed as Tr(ad_h^4) / Tr(ad_h^2)^2 by the definition
+    for x, ratio in zip(witness["elements"], witness["ratios"]):
+        h = tuple(x) + (0,) * (L.dim - L.rank)
+        m = L.ad_matrix(h)
+        assert Fraction(quartic_trace(L, h, h, h, h), adinv.trace_mul(m, m) ** 2) \
+            == Fraction(ratio)
 
 
 def test_polarized_collapse_equal_arguments():
@@ -254,15 +331,6 @@ def test_footnote_witness_sl2_value():
     assert footnote_witness_trace(simple_lie_algebra("A", 1)) == 4
 
 
-def test_quartic_alpha_degenerate_sample_raises(monkeypatch):
-    # force every sample to the nilpotent e, whose squared adjoint trace is 0
-    L = simple_lie_algebra("A", 1)
-    monkeypatch.setattr(adinv, "random_element",
-                        lambda lie, rng: lie.basis_element(1))
-    with pytest.raises(adinv.SamplingError):
-        adinv.quartic_alpha(L, samples=20, master_seed=1)
-
-
 # --- the identity checks can fail --------------------------------------------
 #
 # One root-root structure constant flipped in both orders: the bracket stays
@@ -299,13 +367,11 @@ def test_suite_fails_on_a_flipped_constant(series, rank):
     reports = trace_identity_suite(_flipped(series, rank), samples=10, master_seed=20240)
     assert [r.check for r in reports] == ["contract_identity", "dihedral_symmetry",
                                           "commutator_trace_identity", "polarized_quartic"]
-    for r in reports[:3]:
+    # the polarized batch takes alpha from h, where the flip does not reach,
+    # and its first tuple away from h sees the flip like the other three
+    for r in reports:
         assert not r.passed and r.first_counterexample["sample_index"] == 0
-    # by design the adaptive polarized batch passes here: no constant alpha
-    # exists, and each candidate ratio has an explicit counterexample
-    polarized = reports[3]
-    assert polarized.passed and polarized.details["alpha"] is None
-    assert polarized.details["candidates"]
+    assert reports[3].details == {"alpha": str(expected_alpha(_flipped(series, rank).dim))}
 
 
 def test_contract_sides_are_their_definitions_on_a_flipped_constant():

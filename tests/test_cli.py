@@ -158,8 +158,9 @@ def test_configuration_error_exit_two():
         assert (code, out) == (2, ""), (args, env)
         assert err.startswith("configuration error: --") and "at least" in err
         assert len(err.splitlines()) == 1
-    code, _, _ = run_cli(["classify", "--samples", "0"])
-    assert code == 2
+    # classify decides alpha exactly and takes no sample count
+    code, _, err = run_cli(["classify", "--samples", "0"])
+    assert code == 2 and "unrecognized arguments: --samples" in err
 
 
 def test_unknown_flag_exit_two():

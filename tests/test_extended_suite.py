@@ -34,7 +34,7 @@ def test_trace_identity_suite_large_exceptional(series, rank):
 ])
 def test_quartic_alpha_e_series(series, rank, alpha):
     L = simple_lie_algebra(series, rank)
-    assert quartic_alpha(L, samples=20, master_seed=11) == alpha == expected_alpha(L.dim)
+    assert quartic_alpha(L, master_seed=11) == alpha == expected_alpha(L.dim)
 
 
 @extended
