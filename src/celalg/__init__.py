@@ -36,7 +36,6 @@ from .celestial import (
     closed_form_constants,
     closed_form_fractions,
     jacobi_defect,
-    rules_base,
     rules_deformed,
     rules_extended,
     solve_constants,
@@ -50,8 +49,8 @@ __all__ = [
     "E", "F", "GenSymbol", "I", "J", "InternalConsistencyError",
     "UndefinedBracket", "ConstantSolution", "DomainError", "ModelError",
     "RuleIntegrityError", "RuleSet", "closed_form_constants",
-    "closed_form_fractions", "jacobi_defect", "rules_base", "rules_deformed",
-    "rules_extended", "solve_constants", "verify_jacobi_grid", "Report",
+    "closed_form_fractions", "jacobi_defect", "rules_deformed", "rules_extended",
+    "solve_constants", "verify_jacobi_grid", "Report",
 ]
 
 __version__ = "0.1.0"

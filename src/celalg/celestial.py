@@ -1,10 +1,12 @@
 """Bracket rule tables of the celestial current algebras and their checks.
 
-Three nested levels of rule tables over a simple Lie algebra g:
+Two rule tables over a simple Lie algebra g, both built on one declared
+zero block: every bracket among I, E and F vanishes.
 
-  * base:      the current brackets [J,J] -> J, [J,I] -> I, [I,I] = 0.
-  * extended:  base plus the abelian pair E, F coupled to J with
-               bidegree-dependent coefficients proportional to beta.
+  * extended:  the current brackets [J,J] -> J and [J,I] -> I (the base
+               current algebra is this table's J/I part; no J/I bracket
+               outputs an E or F letter), plus the pair E, F coupled to J
+               with bidegree-dependent coefficients proportional to beta.
   * deformed:  the finite deformation with constants D and C on the
                low-bidegree generators; quadratic terms are expanded over a
                concrete dual basis of g.  J-J brackets exist only at the
@@ -13,10 +15,10 @@ Three nested levels of rule tables over a simple Lie algebra g:
                every pattern except the two with +-C quadratic words,
                [J[1,0] I[0,1]] and [J[0,1] I[1,0]].
 
-Each level is one dict from a generator kind pair to its rule; a pair the
+Each table is one dict from a generator kind pair to its rule; a pair the
 table leaves out is the skew image of its reverse.  On top of the tables:
 the Jacobi defect (1) - (2) - (3) of a generator triple, a grid verifier
-asserting zero defect at the base and extended levels, and the exact
+asserting zero defect on the extended table, and the exact
 linear solver that extracts the unique (D, C) as multiples of beta^2 from
 the defect of the (J[1,0], J[0,1], J[0,0]) triples, when a nonzero
 solution exists, by one row reduction over the table's own unknowns.  It
@@ -27,8 +29,8 @@ The solver and the grid verifier compute label representatives only: the
 g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
 decide every label (see _representatives).  The grid verifier computes
 sorted pattern triples only, and leaves out every triple with two slots in
-the abelian ideal that each table derives from its zero rules (the I
-letters at the base level, I, E and F above it), whose defect vanishes by
+the abelian ideal spanned by the I, E and F letters, declared with the
+zero block and checked by the construction probe, whose defect vanishes by
 lemma.  Every grid run recomputes seeded ordered triples of the full grid,
 each of which must vanish where the scan decided its pattern clean, and
 every solve recomputes seeded label triples whose rows must lie in the span
@@ -40,8 +42,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, permutations, product
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .lambdacalc import (
     E,
@@ -99,9 +101,13 @@ class DomainError(ValueError):
 ADMISSIBLE_TYPES = {("A", 1), ("A", 2), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
                     ("F", 4), ("G", 2)}
 
-# rule(rs, a, b): the bracket [a b] of one kind pair, or None where the level
+# rule(rs, a, b): the bracket [a b] of one kind pair, or None where the table
 # leaves the bidegree pattern undefined
 Rule = Callable[["RuleSet", GenSymbol, GenSymbol], Optional[LambdaPoly]]
+
+# the kinds of the abelian ideal A: every rule among them is zero, and
+# _probed checks on its grid that J brackets them into their span
+ABELIAN_KINDS = frozenset((KIND_I, KIND_E, KIND_F))
 
 
 class RuleSet:
@@ -111,13 +117,15 @@ class RuleSet:
     value of its own retries the reversed pair and returns the skew image.
     Values are memoized and are checked on first build to strictly decrease
     total weight, the guarantee the reordering algorithm depends on.
-    `abelian` holds the kinds of the abelian ideal A, read off the rules.
+    `abelian` holds the kinds of the abelian ideal A, whose zero block
+    every table is built on.
     """
+
+    abelian = ABELIAN_KINDS
 
     def __init__(self, algebra: LieAlgebra, rules: Dict[Tuple[int, int], Rule]):
         self.algebra = algebra
         self.rules = rules
-        self.abelian = _abelian_kinds(rules)
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self._dual_brackets: Optional[List[List[Dict[int, Fraction]]]] = None
@@ -190,20 +198,6 @@ def _current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 
 def _zero_rule(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     return {}
-
-
-def _abelian_kinds(rules: Dict[Tuple[int, int], Rule]) -> FrozenSet[int]:
-    """The largest set of kinds whose mutual rules, each kind's rule with
-    itself included, are all _zero_rule: {I} at the base level, {I, E, F}
-    above it.  _probed checks on its grid that J brackets them into their
-    span, which makes that span an abelian ideal."""
-    kinds = sorted({k for pair in rules for k in pair})
-    for size in range(len(kinds), 0, -1):
-        for subset in combinations(kinds, size):
-            if all(rules.get((ka, kb), rules.get((kb, ka))) is _zero_rule
-                   for ka, kb in combinations_with_replacement(subset, 2)):
-                return frozenset(subset)
-    return frozenset()
 
 
 def je_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
@@ -306,20 +300,11 @@ def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 
 # --- rule tables ------------------------------------------------------------------
 
-def rules_base(L: LieAlgebra) -> RuleSet:
-    return _probed(RuleSet(L, {
-        (KIND_J, KIND_J): _current,
-        (KIND_J, KIND_I): _current,
-        (KIND_I, KIND_I): _zero_rule,
-    }))
-
-
 def _extended_rules() -> Dict[Tuple[int, int], Rule]:
     # brackets among I, E, F all vanish (the pair (E, F) spans an abelian
     # algebra, and I couples to nothing but J)
-    zero_kinds = (KIND_I, KIND_E, KIND_F)
     rules: Dict[Tuple[int, int], Rule] = {
-        (ka, kb): _zero_rule for ka in zero_kinds for kb in zero_kinds}
+        (ka, kb): _zero_rule for ka in ABELIAN_KINDS for kb in ABELIAN_KINDS}
     rules.update({
         (KIND_J, KIND_J): _current,
         (KIND_J, KIND_I): _current,
@@ -458,12 +443,10 @@ def jacobi_defect(rules: RuleSet, a: GenSymbol, b: GenSymbol,
 
 # --- grid verification -----------------------------------------------------------
 
-def grid_generators(L: LieAlgebra, grid_max: int,
-                    with_ef: bool = True) -> List[GenSymbol]:
+def grid_generators(L: LieAlgebra, grid_max: int) -> List[GenSymbol]:
     """All generators with bidegree entries <= grid_max over all basis labels.
 
-    E excludes the normalized-away (0,0); the E/F family is dropped for the
-    base-level table, which only knows J and I.
+    E excludes the normalized-away (0,0).
     """
     bids = [(n, m) for n in range(grid_max + 1) for m in range(grid_max + 1)]
     gens: List[GenSymbol] = []
@@ -471,9 +454,8 @@ def grid_generators(L: LieAlgebra, grid_max: int,
         gens += [J(la, n, m) for n, m in bids]
     for la in range(L.dim):
         gens += [I(la, n, m) for n, m in bids]
-    if with_ef:
-        gens += [E(n, m) for n, m in bids if (n, m) != (0, 0)]
-        gens += [F(n, m) for n, m in bids]
+    gens += [E(n, m) for n, m in bids if (n, m) != (0, 0)]
+    gens += [F(n, m) for n, m in bids]
     return gens
 
 
@@ -563,11 +545,6 @@ def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
     return computed, decided, failures
 
 
-# the deformed table is partial by design (J-J brackets only at the deformed
-# patterns), so no grid beyond grid 0 could run on it
-_GRID_LEVELS = ("base", "extended")
-
-
 def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                        jobs: int = 1) -> Report:
     """Zero Jacobi defect for every generator triple on the bidegree grid.
@@ -577,12 +554,12 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     identity defect(b, a, c)(lambda, mu) = -defect(a, b, c)(mu, lambda) and
     the b <-> c identity defect(a, c, b)(lambda, mu) =
     -defect(a, b, c)(lambda, -lambda - mu - T), and the two transpositions
-    generate S3.  A pattern triple with two slots in the abelian ideal A
-    (the span of I at the base level, of I, E and F at the extended one) is
-    decided by the abelian-ideal lemma, uncomputed: each of its three Jacobi
-    terms brackets two elements of A, or an element of A with a bracket that
-    lies in A, so its defect is zero.  The rule table derives A and checks
-    its premises on a probe grid when it is built.  Every other pattern
+    generate S3.  A pattern triple with two slots in the abelian ideal A,
+    the span of I, E and F, is decided by the abelian-ideal lemma,
+    uncomputed: each of its three Jacobi terms brackets two elements of A,
+    or an element of A with a bracket that lies in A, so its defect is zero.
+    A is declared with the table's zero block, and the table checks the
+    lemma's premises on a probe grid when it is built.  Every other pattern
     triple is decided by its _representatives, whose docstring gives the
     label reduction.  So only the pattern triples with two or three J slots
     are computed.
@@ -597,21 +574,24 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     count the triples covered (n^3 after a full scan), the triples computed
     by the scan and the samples spot-checked, and `abelian_ideal` counts the
     pattern triples the lemma decided, the triples they cover and the
-    samples that fell in them.  The level is "base" or "extended", grid_max
-    is at least 0, and jobs is 1 (it is kept only for the benchmark's jobs=1
-    call); anything else raises ValueError.
+    samples that fell in them.  The level is "extended", grid_max is at
+    least 0, and jobs is 1 (level and jobs are kept only for the benchmark's
+    level="extended", jobs=1 call); anything else raises ValueError before
+    any work.
     """
-    if level not in _GRID_LEVELS:
-        raise ValueError(f"the Jacobi grid verifies the levels "
-                         f"{', '.join(_GRID_LEVELS)}, not {level!r}")
+    # the deformed table is partial by design (J-J brackets only at the
+    # deformed patterns), so no grid beyond grid 0 could run on it
+    if level != "extended":
+        raise ValueError(f"the Jacobi grid verifies the extended table only, "
+                         f"not {level!r}")
     if grid_max < 0:
         raise ValueError(f"the Jacobi grid needs grid_max >= 0, not {grid_max}")
     if jobs != 1:
         raise ValueError(f"the Jacobi grid runs serially, so jobs must be 1, "
                          f"not {jobs}")
-    gens = grid_generators(L, grid_max, with_ef=level != "base")
+    gens = grid_generators(L, grid_max)
     n = len(gens)
-    rules = rules_base(L) if level == "base" else rules_extended(L)
+    rules = rules_extended(L)
     computed, decided, failures = _scan_patterns(rules, gens)
     full_scan = len(failures) < _DEFECT_LIMIT
     patterns = [_pattern(g) for g in gens]

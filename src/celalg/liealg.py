@@ -735,7 +735,13 @@ def load_structure_constants(path: str) -> Tuple[
         i, j, k, val = map(int, parts)
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ConfigurationError(f"index out of range in line {ln!r}")
-        f.setdefault((i, j), {})[k] = val
+        # the writer emits each nonzero constant once
+        if val == 0:
+            raise ConfigurationError(f"zero structure constant in line {ln!r}")
+        comp = f.setdefault((i, j), {})
+        if k in comp:
+            raise ConfigurationError(f"repeated structure constant in line {ln!r}")
+        comp[k] = val
     return dim, rank, hdc, f
 
 

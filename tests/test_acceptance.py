@@ -30,6 +30,8 @@ from celalg.celestial import (
 )
 from celalg.cli import main
 from celalg.lambdacalc import (
+    I,
+    InternalConsistencyError,
     J,
     bracket_words,
     is_canonical,
@@ -168,7 +170,7 @@ def test_criterion_6_classical_table(capsys):
     assert ok
 
 
-def test_criterion_7_engine_self_consistency(capsys):
+def test_criterion_7_engine_self_consistency(capsys, monkeypatch):
     t0 = time.time()
     from tests_support_random import random_poly, random_word  # noqa: F401
 
@@ -185,7 +187,6 @@ def test_criterion_7_engine_self_consistency(capsys):
         from celalg.celestial import defect_poly
         defect_poly(rd, J(la, 1, 0), J(lb, 0, 1), J(lc_, 0, 0))
     ok = ok and lc.STATS["dual_path_checks"] > 0
-    checks_so_far = lc.STATS["dual_path_checks"]
 
     # skew involution on 500 seeded random polynomials
     rng = random.Random(f"{SEED}:skew")
@@ -204,7 +205,22 @@ def test_criterion_7_engine_self_consistency(capsys):
         ok = ok and normal_order(rx, once) == once
         ok = ok and once == rightmost_normal_order(rx, ws)
         ok = ok and all(is_canonical(w) for w in once)
-    ok = ok and lc.STATS["dual_path_checks"] >= checks_so_far
+
+    # a planted disagreement: one extra term on the shift route must trip
+    # the dual-route assert
+    left_extension = lc._left_extension
+
+    def one_term_off(rules, left, right):
+        return {**left_extension(rules, left, right),
+                (5, 0): {(J(0, 0, 0),): s_rational(1)}}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lc, "_left_extension", one_term_off)
+        try:
+            bracket_words(rx, (J(1, 0, 0), I(2, 0, 0)), (J(0, 0, 0),))
+            ok = False
+        except InternalConsistencyError:
+            pass
     with capsys.disabled():
         _line(7, ok, "dual-route asserts, skew involution, ordering confluence", t0)
     assert ok

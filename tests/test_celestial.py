@@ -23,7 +23,6 @@ from celalg.celestial import (
     defect_poly,
     grid_generators,
     jacobi_defect,
-    rules_base,
     rules_deformed,
     rules_extended,
     solve_constants,
@@ -61,25 +60,25 @@ def sl3():
     return simple_lie_algebra("A", 2)
 
 
-# --- base rules ---------------------------------------------------------------
+# --- current brackets: the extended table's J/I part ----------------------------
 
 def test_base_jj_bidegree_addition(sl2):
-    rb = rules_base(sl2)
-    got = bracket_words(rb, (J(0, 1, 2),), (J(1, 3, 4),))
+    rx = rules_extended(sl2)
+    got = bracket_words(rx, (J(0, 1, 2),), (J(1, 3, 4),))
     # [h, e] = 2e
     assert got == {(0, 0): {(J(1, 4, 6),): s_rational(2)}}
 
 
 def test_base_ii_zero_all_bidegrees(sl2):
-    rb = rules_base(sl2)
+    rx = rules_extended(sl2)
     for bids in [((0, 0), (0, 0)), ((1, 2), (3, 1))]:
         (n1, m1), (n2, m2) = bids
-        assert bracket_words(rb, (I(0, n1, m1),), (I(1, n2, m2),)) == {}
+        assert bracket_words(rx, (I(0, n1, m1),), (I(1, n2, m2),)) == {}
 
 
 def test_base_ji(sl2):
-    rb = rules_base(sl2)
-    got = bracket_words(rb, (J(0, 0, 0),), (I(1, 0, 0),))
+    rx = rules_extended(sl2)
+    got = bracket_words(rx, (J(0, 0, 0),), (I(1, 0, 0),))
     assert got == {(0, 0): {(I(1, 0, 0),): s_rational(2)}}
 
 
@@ -206,13 +205,13 @@ def test_deformed_base_ji_other_patterns(sl2):
 # --- Jacobi defects ---------------------------------------------------------------
 
 def test_defect_zero_base_jjj(sl3):
-    rb = rules_base(sl3)
+    rx = rules_extended(sl3)
     rng = random.Random("base-jjj")
     for _ in range(20):
         labels = [rng.randrange(sl3.dim) for _ in range(3)]
         bids = [(rng.randrange(3), rng.randrange(3)) for _ in range(3)]
         triple = tuple(J(l, *b) for l, b in zip(labels, bids))
-        assert not defect_poly(rb, *triple)
+        assert not defect_poly(rx, *triple)
 
 
 def test_defect_terms_structure(sl2):
@@ -288,15 +287,14 @@ def test_verify_jacobi_grid_ledger_sl3(sl3):
 
 
 @pytest.mark.parametrize("build,kinds", [
-    (rules_base, {"I"}), (rules_extended, {"I", "E", "F"}),
-    (rules_deformed, {"I", "E", "F"})])
+    pytest.param(rules_extended, {"I", "E", "F"}, id="rules_extended-kinds1"),
+    pytest.param(rules_deformed, {"I", "E", "F"}, id="rules_deformed-kinds2")])
 def test_abelian_kinds_are_derived_from_the_rules(sl2, build, kinds):
-    assert {"JIEF"[k] for k in build(sl2).abelian} == kinds
-
-
-def test_verify_jacobi_grid_base_level_small(sl3):
-    rep = verify_jacobi_grid(sl3, 1, level="base")
-    assert rep.passed
+    # the declared ideal, and the zero block each table is built on
+    rs = build(sl2)
+    assert {"JIEF"[k] for k in rs.abelian} == kinds
+    assert {pair for pair, rule in rs.rules.items() if rule is celestial._zero_rule} == {
+        (ka, kb) for ka in rs.abelian for kb in rs.abelian}
 
 
 def _not_lie(L):
@@ -402,12 +400,15 @@ def _must_not_run(*args, **kwargs):
 @pytest.mark.parametrize("level,grid_max,words", [
     # the deformed table defines J-J brackets only at the deformed patterns,
     # so its grid would stop on an undefined bracket
-    pytest.param("deformed", 1, ("base", "extended", "'deformed'"), id="deformed"),
-    pytest.param("no-such-level", 1, ("base", "extended", "'no-such-level'"),
+    pytest.param("deformed", 1, ("extended", "'deformed'"), id="deformed"),
+    # the base current algebra is the extended table's J/I part
+    pytest.param("base", 1, ("extended", "'base'"), id="base"),
+    pytest.param("no-such-level", 1, ("extended", "'no-such-level'"),
                  id="no-such-level"),
     # a negative grid has no generators, so it would pass on zero triples
     pytest.param("extended", -1, ("grid_max >= 0", "-1"), id="negative-grid"),
-    pytest.param("base", -2, ("grid_max >= 0", "-2"), id="negative-base-grid"),
+    # a bad level is named before a bad grid
+    pytest.param("base", -2, ("extended", "'base'"), id="negative-base-grid"),
 ])
 def test_verify_jacobi_grid_rejects_other_levels(sl2, monkeypatch, level, grid_max,
                                                  words, jobs):

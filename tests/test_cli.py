@@ -302,10 +302,34 @@ def test_corrupt_cache_file_exit_two(tmp_path, corrupt):
     assert "A2.sc" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("added,before,error", [
+    # A1 is (h, e, f) = (0, 1, 2): a zero constant appended in each order
+    (["1 2 1 0", "2 1 1 0"], None, "zero structure constant in line '1 2 1 0'"),
+    # a second value of [h, e] before the true "0 1 1 2": the later line is named
+    (["0 1 1 99"], "0 1 1 2", "repeated structure constant in line '0 1 1 2'"),
+], ids=["zero", "repeated"])
+def test_zero_or_repeated_cache_constant_exit_two(tmp_path, capsys, command, added,
+                                                  before, error):
+    from celalg.liealg import save_structure_constants, simple_lie_algebra
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A1.sc"
+    save_structure_constants(simple_lie_algebra("A", 1), str(path))
+    lines = path.read_text().splitlines()
+    at = len(lines) if before is None else lines.index(before)
+    path.write_text("\n".join(lines[:at] + added + lines[at:]) + "\n")
+    assert main([command, "A1", "--cache-dir", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"configuration error: cache file {path}: {error}"]
+
+
 @pytest.mark.parametrize("algebra,pair,zero,error", [
     # A2: [e_2, e_3] = N e_4 given the same sign in both orders
     ("A2", (2, 3), False, "structure constants are not antisymmetric at basis pair (2,3)"),
-    # B3: [e_3, f_12] = h_2 zeroed in both orders; nothing else gives h_2 alone
+    # B3: [e_3, f_12] = h_2 dropped in both orders; nothing else gives h_2 alone
     ("B3", (3, 12), True, "the simple root vectors do not generate basis element 2"),
 ])
 def test_cache_file_failing_a_lie_check_exit_two(tmp_path, capsys, algebra, pair, zero,
@@ -320,9 +344,10 @@ def test_cache_file_failing_a_lie_check_exit_two(tmp_path, capsys, algebra, pair
     n = next(n for n, ln in enumerate(lines) if ln.startswith(f"{i} {j} "))
     m = next(m for m, ln in enumerate(lines) if ln.startswith(f"{j} {i} "))
     k, v = lines[m].split()[2:]
-    lines[n] = f"{i} {j} {k} {0 if zero else v}"
+    lines[n] = f"{i} {j} {k} {v}"
     if zero:
-        lines[m] = f"{j} {i} {k} 0"
+        # a zero constant has no line (a line with value 0 is refused)
+        del lines[max(n, m)], lines[min(n, m)]
     path.write_text("\n".join(lines) + "\n")
     assert main(["solve", algebra, "--cache-dir", str(cache)]) == 2
     captured = capsys.readouterr()

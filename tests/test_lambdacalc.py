@@ -34,7 +34,7 @@ from celalg.lambdacalc import (
     total_derivative,
     weight,
 )
-from celalg.celestial import rules_base, rules_extended
+from celalg.celestial import rules_deformed, rules_extended
 from celalg.liealg import simple_lie_algebra
 from celalg.scalar import s_rational, s_scale
 
@@ -46,7 +46,8 @@ def sl2():
 
 @pytest.fixture(scope="module")
 def base(sl2):
-    return rules_base(sl2)
+    # the current brackets: the extended table's J/I part
+    return rules_extended(sl2)
 
 
 @pytest.fixture(scope="module")
@@ -258,11 +259,11 @@ def test_weight_grading():
     assert weight(()) == 0
 
 
-def test_undefined_bracket_reports_pair(base):
-    # base rules never define J-E brackets
+def test_undefined_bracket_reports_pair(sl2):
+    # the deformed table defines J-J brackets only at the deformed patterns
     with pytest.raises(UndefinedBracket) as exc:
-        bracket_words(base, (J(0, 0, 0),), (E(1, 0),))
-    assert "E[1,0]" in str(exc.value)
+        bracket_words(rules_deformed(sl2), (J(0, 2, 0),), (J(1, 0, 1),))
+    assert "J_0[2,0]" in str(exc.value) and "J_1[0,1]" in str(exc.value)
 
 
 def test_format_stable_ordering(base):

@@ -454,10 +454,12 @@ def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
         lines[n] = f"{i} {j} {k} {-int(v)}"
     elif corrupt == "self-bracket":
         lines.append(f"2 2 {k} 1")
+    elif corrupt == "both orders flipped":
+        lines[n] = f"{i} {j} {k} {-int(v)}"
+        lines[m] = f"{j} {i} {k} {v}"
     else:
-        sign = -1 if corrupt == "both orders flipped" else 0
-        lines[n] = f"{i} {j} {k} {sign * int(v)}"
-        lines[m] = f"{j} {i} {k} {-sign * int(v)}"
+        # a zero constant has no line (a line with value 0 is refused)
+        lines = [ln for p, ln in enumerate(lines) if p not in (n, m)]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=f"f.sc: {re.escape(error)}"):
         algebra_from_cache(series, rank, str(path))
@@ -601,6 +603,23 @@ def test_malformed_cache_line_is_configuration_error(tmp_path, line, error):
     with pytest.raises(ConfigurationError,
                        match=f"a2.sc: {re.escape(error.format(i=i, j=j, k=k, v=v))}$"):
         algebra_from_cache("A", 2, str(path))
+
+
+@pytest.mark.parametrize("added,before,error", [
+    # A1 is (h, e, f) = (0, 1, 2): a zero constant appended in each order
+    (["1 2 1 0", "2 1 1 0"], None, "zero structure constant in line '1 2 1 0'"),
+    # a second value of [h, e] before the true "0 1 1 2": the later line is named
+    (["0 1 1 99"], "0 1 1 2", "repeated structure constant in line '0 1 1 2'"),
+], ids=["zero", "repeated"])
+def test_zero_or_repeated_cache_constant_is_configuration_error(tmp_path, added, before,
+                                                                error):
+    path = tmp_path / "a1.sc"
+    save_structure_constants(simple_lie_algebra("A", 1), str(path))
+    lines = path.read_text().splitlines()
+    at = len(lines) if before is None else lines.index(before)
+    path.write_text("\n".join(lines[:at] + added + lines[at:]) + "\n")
+    with pytest.raises(ConfigurationError, match=f"a1.sc: {re.escape(error)}$"):
+        algebra_from_cache("A", 1, str(path))
 
 
 @pytest.mark.parametrize("first,error", [
