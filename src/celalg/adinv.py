@@ -4,9 +4,9 @@ Provides exact quartic traces Tr(ad ad ad ad), the identities they satisfy
 (dual-basis contraction, dihedral symmetry, the commutator trace relation,
 and the polarized quartic identity), and the resulting classification of
 simple algebras where Tr(ad_a^4) is proportional to Tr(ad_a^2)^2 for all a.
-Every identity is read from the ad matrices alone (L.ad_matrix, L.ad_entries,
-L.pairing_inv) through the one matrix kernel below, and each check forms
-each distinct product once.
+Every identity is read from the ad matrices alone (L.ad_matrix, the structure
+constants L.f, L.pairing_inv) through the one matrix kernel below, and each
+check forms each distinct product once.
 
 The proportionality is decided exactly, not sampled.  Both sides are
 ad-invariant polynomials on g, so by Chevalley's restriction theorem
@@ -196,10 +196,10 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
 
     With e^i = sum_q P^-1_iq e_q (P^-1 = L.pairing_inv) the left side is
     sum_pq N_pq [e_p, e_q] for N = ad_c ad_b P^-1 ad_a^T.  The expansion is
-    bilinear and uses no Jacobi identity, so both sides are read off the ad
-    entries in one loop.  With ad_a ad_b ad_c formed as A (B C), each ad
-    matrix enters the kernel once.  P^-1 enters as Q / d with Q an int
-    matrix, so both sides are compared times d, in ints."""
+    bilinear and uses no Jacobi identity, so both sides are read off the
+    structure constants L.f in one loop.  With ad_a ad_b ad_c formed as
+    A (B C), each ad matrix enters the kernel once.  P^-1 enters as Q / d
+    with Q an int matrix, so both sides are compared times d, in ints."""
     A, B, C = (L.ad_matrix(x) for x in (a, b, c))
     bc, cb = products([B, C], [(0, 1), (1, 0)]).values()
     m = mat_mul(A, bc)
@@ -207,14 +207,13 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
     Q, d = inv.ints, inv.denom
     N = mat_mul(mat_mul(cb, Q), list(zip(*A)))
     lhs = [0] * L.dim
-    traces = []
-    for i, row in enumerate(N):
-        tr = 0
+    traces = [0] * L.dim
+    for (i, q), comp in L.f.items():
+        mq, nq = m[q], N[i][q]
         # (ad_{e_i})_{kq} = coeff: [e_i, e_q] = coeff e_k
-        for (q, k, coeff) in L.ad_entries[i]:
-            tr += m[q][k] * coeff
-            lhs[k] += row[q] * coeff
-        traces.append(tr)
+        for k, coeff in comp.items():
+            traces[i] += mq[k] * coeff
+            lhs[k] += nq * coeff
     rhs = [-x for x in mat_mul([traces], Q)[0]]
     ok = lhs == rhs
     ce = None if ok else {"lhs": [str(Fraction(x, d)) for x in lhs],
@@ -343,19 +342,20 @@ def weight_alpha(weights: Sequence[Tuple[int, ...]]) -> Optional[Fraction]:
 def cartan_alpha(L: LieAlgebra) -> Optional[Fraction]:
     """The quartic alpha of L decided on h, or None where there is none.
 
-    ad_{h_i} is read off L.ad_entries[i].  It must be diagonal, and its
-    diagonal must be the root values of root_weights(L.root_system); either
-    failure is a ConstructionError.  Then weight_alpha compares the two
-    polynomials."""
+    ad_{h_i} is read off the structure constants [h_i, e_b] =
+    L.bracket_basis(i, b).  It must be diagonal, and its diagonal must be
+    the root values of root_weights(L.root_system); either failure is a
+    ConstructionError.  Then weight_alpha compares the two polynomials."""
     diagonal = [[0] * L.dim for _ in range(L.rank)]
     for i, row in enumerate(diagonal):
-        for (b, k, c) in L.ad_entries[i]:
-            if b != k:
-                raise ConstructionError(
-                    f"{L.name}: ad_h{i + 1} has an entry off the diagonal, "
-                    f"[h{i + 1}, {L.basis_labels[b]}] has a "
-                    f"{L.basis_labels[k]} component")
-            row[b] = c
+        for b in range(L.dim):
+            for k, c in L.bracket_basis(i, b).items():
+                if b != k:
+                    raise ConstructionError(
+                        f"{L.name}: ad_h{i + 1} has an entry off the diagonal, "
+                        f"[h{i + 1}, {L.basis_labels[b]}] has a "
+                        f"{L.basis_labels[k]} component")
+                row[b] = c
     weights = root_weights(L.root_system)
     for b, (got, want) in enumerate(zip(zip(*diagonal), weights)):
         if got != want:

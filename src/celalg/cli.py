@@ -194,7 +194,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     agree = matches_closed_form(L, sol)
     lines = [f"algebra {L.name}: dim {L.dim}, dual Coxeter {L.h_dual_coxeter}",
              f"solver status: {sol.status} ({sol.rows} distinct rows; "
-             f"{sol.triples} triples, {sol.computed} computed)"]
+             f"{sol.triples} triples, {sol.computed} computed, "
+             f"{sol.spot_checked} spot-checked)"]
     if sol.status == "unique":
         lines.append(f"  D = ({sol.d_over_beta2}) beta^2")
         lines.append(f"  C = ({sol.c_over_beta2}) beta^2")
@@ -289,17 +290,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "algebra", None) is not None:
         cfg.series, cfg.rank = parse_algebra(args.algebra)
-    cfg.master_seed = _resolve(args.seed, "seed", int, 0)
-    cfg.json_output = _resolve(args.json, "json", _bool_cast, False)
-    cfg.cache_dir = _resolve(args.cache_dir, "cache_dir", str, None)
+    cfg.master_seed = _resolve(args.seed, "seed", int, cfg.master_seed)
+    cfg.json_output = _resolve(args.json, "json", _bool_cast, cfg.json_output)
+    cfg.cache_dir = _resolve(args.cache_dir, "cache_dir", str, cfg.cache_dir)
     if hasattr(args, "samples"):
-        cfg.samples = _resolve(args.samples, "samples", int, 100, least=1)
+        cfg.samples = _resolve(args.samples, "samples", int, cfg.samples, least=1)
     if hasattr(args, "grid"):
-        cfg.grid_max = _resolve(args.grid, "grid", int, 2, least=0)
+        cfg.grid_max = _resolve(args.grid, "grid", int, cfg.grid_max, least=0)
     if hasattr(args, "max_rank"):
-        cfg.max_rank = _resolve(args.max_rank, "max_rank", int, 4, least=4)
+        cfg.max_rank = _resolve(args.max_rank, "max_rank", int, cfg.max_rank, least=4)
     if hasattr(args, "enable_e78"):
-        cfg.enable_e78 = _resolve(args.enable_e78, "enable_e78", _bool_cast, False)
+        cfg.enable_e78 = _resolve(args.enable_e78, "enable_e78", _bool_cast,
+                                  cfg.enable_e78)
     return cfg
 
 

@@ -181,18 +181,7 @@ def lp_cleanup(p: LambdaPoly) -> LambdaPoly:
 
 
 def lp_equal(a: LambdaPoly, b: LambdaPoly) -> bool:
-    a = lp_cleanup(a)
-    b = lp_cleanup(b)
-    if set(a) != set(b):
-        return False
-    for key, ws in a.items():
-        other = b[key]
-        if set(ws) != set(other):
-            return False
-        for word, sc in ws.items():
-            if other[word] != sc:
-                return False
-    return True
+    return lp_cleanup(a) == lp_cleanup(b)
 
 
 # --- derivative operator ------------------------------------------------------

@@ -232,7 +232,6 @@ class LieAlgebra:
     pairing: List[List[Fraction]]
     pairing_inv: List[List[Fraction]]
     h_dual_coxeter: int
-    ad_entries: List[Tuple[Tuple[int, int, int], ...]] = field(repr=False, default=None)
 
     @property
     def series(self) -> str:
@@ -290,11 +289,11 @@ class LieAlgebra:
             raise UsageError("dimension mismatch in ad_matrix")
         n = self.dim
         mat = [[0] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for (m, k, c) in self.ad_entries[i]:
-                mat[k][m] += xi * c
+        for (i, m), comp in self.f.items():
+            xi = x[i]
+            if xi:
+                for k, c in comp.items():
+                    mat[k][m] += xi * c
         return mat
 
     def pair(self, a: Element, b: Element) -> Fraction:
@@ -344,8 +343,12 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     dim = rank + 2 * npos
     simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
     generators = [rank + k for k in simple] + [rank + npos + k for k in simple]
-    _check_generated(dim, generators, f)
-    _check_derivations(dim, generators, f)
+    # row[i][j] = f[(i, j)]: the one index of f both argument checks walk
+    row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
+    for (i, j), comp in f.items():
+        row[i][j] = comp
+    _check_generated(dim, generators, row)
+    _check_derivations(dim, generators, row)
     rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
     # distinct ranks, unranked in colex order: k is the largest index with
     # C(k, 3) <= rank, then j the largest with C(j, 2) <= the rest
@@ -357,38 +360,32 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
         r -= c3[k]
         j = bisect_right(c2, r) - 1
         i = r - c2[j]
+        # [[i, j], k] + [[j, k], i] + [[k, i], j]
         acc: Dict[int, int] = {}
-        for m, u in f.get((i, j), empty).items():
-            for l, v in f.get((m, k), empty).items():
-                acc[l] = acc.get(l, 0) + u * v
-        for m, u in f.get((j, k), empty).items():
-            for l, v in f.get((m, i), empty).items():
-                acc[l] = acc.get(l, 0) + u * v
-        for m, u in f.get((k, i), empty).items():
-            for l, v in f.get((m, j), empty).items():
-                acc[l] = acc.get(l, 0) + u * v
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, u in row[a].get(b, empty).items():
+                for l, v in row[m].get(c, empty).items():
+                    acc[l] = acc.get(l, 0) + u * v
         if any(acc.values()):
             raise ConstructionError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
 
 def _check_generated(dim: int, generators: List[int],
-                     f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
-    """Every basis element is reached from the generators, read off f alone:
-    e_k counts only as a nonzero multiple of one bracket [x, y] of reached
-    basis elements, never as one term of a longer bracket."""
-    single: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
-    for (i, j), comp in f.items():
-        terms = [k for k, v in comp.items() if v]
-        if len(terms) == 1:
-            single[i].append((j, terms[0]))
+                     row: List[Dict[int, Dict[int, int]]]) -> None:
+    """Every basis element is reached from the generators, read off the rows
+    row[i][j] = f[(i, j)] alone: e_k counts only as a nonzero multiple of one
+    bracket [x, y] of reached basis elements, never as one term of a longer
+    bracket."""
     reached = set(generators)
     todo = list(generators)
     while todo:
         x = todo.pop()  # [x, y] = -[y, x], so pairs with x first suffice
-        for y, k in single[x]:
-            if y in reached and k not in reached:
-                reached.add(k)
-                todo.append(k)
+        for y, comp in row[x].items():
+            if y in reached:
+                terms = [k for k, v in comp.items() if v]
+                if len(terms) == 1 and terms[0] not in reached:
+                    reached.add(terms[0])
+                    todo.append(terms[0])
     if len(reached) < dim:
         missing = min(set(range(dim)) - reached)
         raise ConstructionError(
@@ -396,12 +393,10 @@ def _check_generated(dim: int, generators: List[int],
 
 
 def _check_derivations(dim: int, generators: List[int],
-                       f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
+                       row: List[Dict[int, Dict[int, int]]]) -> None:
     """Jacobi on (x, y, z) for every generator x and basis pair y < z, as
-    [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only."""
-    row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
-    for (i, j), comp in f.items():
-        row[i][j] = comp
+    [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only, read off
+    the rows row[i][j] = f[(i, j)]."""
     empty: Dict[int, int] = {}
     for x in generators:
         ad_x = row[x]
@@ -520,18 +515,19 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     return f
 
 
-def _killing_matrix(dim: int, f, ad_entries) -> List[List[int]]:
+def _killing_matrix(dim: int, f) -> List[List[int]]:
     """K_ij = Tr(ad_i ad_j) = sum_km (ad_i)_km (ad_j)_mk, every entry summed
-    over the nonzero entries alone: each entry (m, k, c) of ad_i, which is
-    (ad_i)_km = c, meets the entries of every ad_j at position (m, k)."""
+    over the nonzero constants alone: each constant f[(i, m)][k] = c, which
+    is (ad_i)_km = c, meets those of every ad_j at position (m, k)."""
     # (ad_j)_mk = f[(j, k)][m], indexed by the position (m, k)
     at: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for (j, k), comp in f.items():
         for m, v in comp.items():
             at.setdefault((m, k), []).append((j, v))
     kf = [[0] * dim for _ in range(dim)]
-    for row, entries in zip(kf, ad_entries):
-        for (m, k, c) in entries:
+    for (i, m), comp in f.items():
+        row = kf[i]
+        for k, c in comp.items():
             for j, v in at.get((m, k), ()):
                 row[j] += c * v
     return kf
@@ -611,8 +607,9 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     _build_f or one read from a file, and every type gets the same checks.
     They are the Jacobi identity by the derivation argument (antisymmetry,
     generation by the e_i and f_i, Jacobi on every triple with a generator
-    first) plus a seeded sample of basis triples, then the ad entries, the dual Coxeter number and the pairing from
-    adjoint traces, and the pairing inverse written from root data.  The one
+    first) plus a seeded sample of basis triples, then the dual Coxeter
+    number and the pairing from adjoint traces, and the pairing inverse
+    written from root data, all read off f itself.  The one
     pairing check is pairing . pairing_inv = I exactly; since the inverse is
     invertible, that holds iff every pairing entry equals its closed form.
     Both the trace matrix K (_killing_matrix) and that check run over the
@@ -623,16 +620,7 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     npos = len(rs.positive_roots)
     dim = rank + 2 * npos
     _jacobi_check(rs, f)
-
-    # sorted, so the entries do not depend on the order f was filled in
-    entry_lists: List[List[Tuple[int, int, int]]] = [[] for _ in range(dim)]
-    for (a, b), comp in sorted(f.items()):
-        lst = entry_lists[a]
-        for k, c in sorted(comp.items()):
-            lst.append((b, k, c))
-    ad_entries = [tuple(lst) for lst in entry_lists]
-
-    killing = _killing_matrix(dim, f, ad_entries)
+    killing = _killing_matrix(dim, f)
 
     # dual Coxeter number from the highest-root coroot: (t, t) = 2 in the
     # target normalization, so Tr(ad_t ad_t) = 2h * 2.
@@ -654,7 +642,7 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
                    + [f"f{k}" for k in range(npos)])
     return LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
                       pairing=pairing, pairing_inv=pairing_inv,
-                      h_dual_coxeter=hdc, ad_entries=ad_entries)
+                      h_dual_coxeter=hdc)
 
 
 def chevalley_basis(rs: RootSystem) -> LieAlgebra:

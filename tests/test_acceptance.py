@@ -85,7 +85,7 @@ def test_criterion_2_constant_solving(capsys):
         ok = ok and sol.status == "unique" and (sol.d_over_beta2, sol.c_over_beta2) == (d, c)
     d4 = simple_lie_algebra("D", 4)
     sol = solve_constants(d4)  # 28 reduced triples and 64 spot checks cover 28^3
-    ok = ok and sol.computed == 28 + 64 and sol.triples == 28 ** 3
+    ok = ok and sol.computed == 28 and sol.spot_checked == 64 and sol.triples == 28 ** 3
     ok = ok and sol.status == "unique"
     ok = ok and (sol.d_over_beta2, sol.c_over_beta2) == closed_form_fractions(d4)
     for series, rank in (("A", 3), ("B", 2)):

@@ -175,23 +175,23 @@ def test_root_data_admits_exactly_the_admissible_types():
     assert sorted(admitted) == ["A1", "A2", "D4", "E6", "E7", "E8", "F4", "G2"]
 
 
-def _with_h1_entries(L, entries):
-    ad_entries = list(L.ad_entries)
-    ad_entries[0] = tuple(entries)
-    return dataclasses.replace(L, ad_entries=ad_entries)
+def _with_h1_bracket(L, b, comp):
+    """L with [h_1, e_b] = comp, every other constant as built."""
+    return dataclasses.replace(L, f={**L.f, (0, b): comp})
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3)])
 def test_quartic_alpha_refuses_a_broken_cartan(series, rank):
     L = simple_lie_algebra(series, rank)
-    (b, k, c), *rest = L.ad_entries[0]
+    b = min(j for i, j in L.f if i == 0)
+    ((k, c),) = L.f[0, b].items()
     assert b == k >= L.rank  # a root vector on the diagonal
     # one Cartan weight changed: the diagonal no longer matches the root data
     with pytest.raises(ConstructionError, match="differ from the root data"):
-        quartic_alpha(_with_h1_entries(L, [(b, b, c + 1), *rest]))
+        quartic_alpha(_with_h1_bracket(L, b, {b: c + 1}))
     # one entry of ad_{h_1} moved off the diagonal
     with pytest.raises(ConstructionError, match="off the diagonal"):
-        quartic_alpha(_with_h1_entries(L, [(b, k + 1, c), *rest]))
+        quartic_alpha(_with_h1_bracket(L, b, {k + 1: c}))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])
@@ -334,8 +334,8 @@ def test_footnote_witness_sl2_value():
 # --- the identity checks can fail --------------------------------------------
 #
 # One root-root structure constant flipped in both orders: the bracket stays
-# antisymmetric and the ad entries stay those of f, but the Jacobi identity
-# fails, so the build would refuse it; the algebra is assembled past it.
+# antisymmetric, but the Jacobi identity fails, so the build would refuse
+# it; the algebra is assembled past it.
 
 def _flipped(series, rank):
     L = simple_lie_algebra(series, rank)
@@ -343,10 +343,7 @@ def _flipped(series, rank):
     f = dict(L.f)
     for key in ((i, j), (j, i)):
         f[key] = {k: -v for k, v in f[key].items()}
-    entries = [[] for _ in range(L.dim)]
-    for (p, q), comp in sorted(f.items()):
-        entries[p].extend((q, k, c) for k, c in sorted(comp.items()))
-    return dataclasses.replace(L, f=f, ad_entries=[tuple(e) for e in entries])
+    return dataclasses.replace(L, f=f)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2)])

@@ -5,9 +5,10 @@ the benchmark's calls must bind to the package's signatures.
 `bench/run.py --trace 1` reads the memo dicts of the rule tables it
 captures; a rename in the package would otherwise only show as missing
 metrics.  `bench/workloads.py` calls package functions with keyword
-arguments and reads fields of the results; a renamed or removed parameter
-or field would otherwise only show as failed benchmark items.  The files
-under `bench/` are read here, never changed.
+arguments and reads fields of the results, and both bench files read
+fields of the algebras; a renamed or removed parameter or field would
+otherwise only show as failed benchmark items.  The files under `bench/`
+are read here, never changed.
 """
 
 import ast
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from celalg.celestial import rules_deformed, rules_extended
-from celalg.liealg import simple_lie_algebra
+from celalg.liealg import (algebra_from_cache, build_root_system, chevalley_basis,
+                           save_structure_constants, simple_lie_algebra)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -116,3 +118,30 @@ def test_workloads_read_fields_the_results_have():
     assert isinstance(sol.status, str) and isinstance(sol.triples, int)
     assert isinstance(sol.rows, int) and isinstance(rep.passed, bool)
     assert rep.details["triples"] == rep.details["generators"] ** 3
+
+
+def _algebra_reads():
+    """The attributes bench/workloads.py and bench/run.py read off their
+    algebra variables L and M."""
+    reads = set()
+    for path in (BENCH / "workloads.py", BENCH / "run.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("L", "M")):
+                reads.add(node.attr)
+    return reads
+
+
+def test_bench_reads_fields_the_algebras_have(tmp_path):
+    # fresh builds and cache loads alike: the cache round trip and the
+    # warm-cache reload compare fields of both
+    reads = _algebra_reads()
+    assert {"dim", "f", "h_dual_coxeter", "pairing", "pairing_inv", "series",
+            "rank"} <= reads
+    fresh = chevalley_basis(build_root_system("A", 2))
+    path = tmp_path / "A2.sc"
+    save_structure_constants(fresh, str(path))
+    loaded = algebra_from_cache("A", 2, str(path))
+    for L in (fresh, loaded):
+        for attr in sorted(reads):
+            assert hasattr(L, attr), attr

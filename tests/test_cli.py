@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, golden files, env vars."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from celalg.cli import build_parser, config_from_args, main, parse_algebra
+from celalg.cli import RunConfig, build_parser, config_from_args, main, parse_algebra
 from celalg.liealg import ConfigurationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,6 +203,18 @@ def test_bool_env_words(monkeypatch, raw, value):
     monkeypatch.setenv("CELALG_JSON", raw)
     cfg = config_from_args(build_parser().parse_args(["solve", "A1"]))
     assert cfg.json_output is value
+
+
+@pytest.mark.parametrize("argv,bare", [
+    (["verify", "A1"], RunConfig("verify", "A", 1)),
+    (["classify"], RunConfig("classify")),
+])
+def test_unset_flags_take_the_run_config_defaults(monkeypatch, argv, bare):
+    # no flag and no CELALG_ variable: every field is RunConfig's own default
+    for name in [name for name in os.environ if name.startswith("CELALG_")]:
+        monkeypatch.delenv(name)
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(bare)
 
 
 def test_unknown_bool_env_exit_two(monkeypatch, capsys):

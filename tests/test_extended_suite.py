@@ -43,7 +43,8 @@ def test_full_solve_large_exceptional(series, rank):
     # dim reduced triples plus 64 spot checks decide all dim^3 triples
     L = simple_lie_algebra(series, rank)
     sol = solve_constants(L, master_seed=11)
-    assert sol.triples == L.dim ** 3 and sol.computed == L.dim + 64
+    assert sol.triples == L.dim ** 3 and sol.computed == L.dim
+    assert sol.spot_checked == 64
     assert sol.status == "unique"
     assert (sol.d_over_beta2, sol.c_over_beta2) == closed_form_fractions(L)
 
