@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .lambdacalc import (
@@ -137,19 +137,20 @@ class RuleSet:
         if self._dual_brackets is None:
             L = self.algebra
             n = L.dim
+            # the nonzero (l, value) entries of each row of pairing_inv
+            duals = [[(l, v) for l, v in enumerate(row) if v] for row in L.pairing_inv]
             table: List[List[Dict[int, Fraction]]] = []
             for x in range(n):
                 row = []
                 for i in range(n):
                     acc: Dict[int, Fraction] = {}
-                    for l, kil in enumerate(L.pairing_inv[i]):
-                        if kil:
-                            for k, c in L.bracket_basis(x, l).items():
-                                v = acc.get(k, 0) + kil * c
-                                if v:
-                                    acc[k] = v
-                                else:
-                                    acc.pop(k, None)
+                    for l, kil in duals[i]:
+                        for k, c in L.bracket_basis(x, l).items():
+                            v = acc.get(k, 0) + kil * c
+                            if v:
+                                acc[k] = v
+                            else:
+                                acc.pop(k, None)
                     row.append(acc)
                 table.append(row)
             self._dual_brackets = table
@@ -618,8 +619,8 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
                          "shortcut": shortcut, "inferred": "0"})
 
     def cover(t: Tuple[GenSymbol, ...]) -> int:
-        # the ordered triples of a pattern triple's permutations, over all labels
-        return len(set(permutations(t))) * L.dim ** sum(g.label >= 0 for g in t)
+        # the ordered triples of a pattern triple's 1, 3 or 6 orderings, all labels
+        return (1, 3, 6)[len(set(t)) - 1] * L.dim ** sum(g.label >= 0 for g in t)
 
     lemma = [t for t, shortcut in decided.items() if shortcut == _ABELIAN_IDEAL]
     ideal = {"patterns": len(lemma), "triples": sum(map(cover, lemma)),
@@ -728,16 +729,23 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
     rows = {row for rep in _representatives(L, pattern)
             for row in _defect_rows(rules, rep, columns)}
     status, solution, basis = _solve_rows(rows, len(columns))
+    # reduced rows by pivot (first nonzero column); a row is in their span iff
+    # subtracting row[pivot] times each leaves zero
+    pivoted = [(next(col for col, x in enumerate(b) if x), b) for b in basis]
     spot = _seeded_triples(f"{master_seed}:solve:{L.name}", n, _SPAN_CHECKS)
     for labels in spot:
         triple = tuple(g._replace(label=label) for g, label in zip(pattern, labels))
-        if len(row_reduce(basis + _defect_rows(rules, triple, columns),
-                          len(columns))[1]) > len(basis):
-            raise InternalConsistencyError(
-                f"triple ({', '.join(map(str, triple))}) of "
-                f"{L.name} has a defect row outside the span of the "
-                f"(x_-theta, x_theta, e_k) rows: the rule tables are not "
-                f"g-equivariant")
+        for row in _defect_rows(rules, triple, columns):
+            for col, b in pivoted:
+                c = row[col]
+                if c:
+                    row = [x - c * y for x, y in zip(row, b)]
+            if any(row):
+                raise InternalConsistencyError(
+                    f"triple ({', '.join(map(str, triple))}) of "
+                    f"{L.name} has a defect row outside the span of the "
+                    f"(x_-theta, x_theta, e_k) rows: the rule tables are not "
+                    f"g-equivariant")
     d, c = solution or (None, None)
     return ConstantSolution(status, d, c, rows=len(rows), triples=n ** 3,
                             computed=n, spot_checked=len(spot))

@@ -13,13 +13,14 @@ is computed from adjoint traces, where h is the dual Coxeter number.  Simple
 root lengths are normalized so the highest root theta has (theta, theta) = 2,
 which makes h a positive integer; this is asserted during construction along
 with the structure-constant Jacobi identity.  That identity is decided by the
-derivation argument: the constants are antisymmetric, the simple root vectors
-e_i, f_i generate every basis element, and Jacobi holds on each triple
-(generator, y, z); a seeded sample of basis triples is recomputed beside it
-(_jacobi_check).
+derivation argument: the constants are antisymmetric and invariant under the
+Chevalley involution omega, the simple root vectors e_i, f_i generate every
+basis element, and Jacobi holds on each triple (e_i, y, z), which omega
+carries to (f_i, y, z); a seeded sample of basis triples is recomputed beside
+it (_jacobi_check).
 
-Everything is exact: structure constants are ints, pairings are Fractions.
-No floating point is used anywhere.
+Everything is exact: structure constants are ints; root norms and pairing
+entries are ints where integral, else Fractions.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
+Rat = Union[int, Fraction]
 
 
 class ConfigurationError(ValueError):
@@ -106,10 +108,10 @@ class RootSystem:
     positive_roots: Tuple[Coeffs, ...]  # ordered by (height, lexicographic)
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     # (root, root) for every positive and negative root, computed once
-    norms: Dict[Coeffs, Fraction] = field(default_factory=dict, compare=False,
-                                          repr=False)
+    norms: Dict[Coeffs, Rat] = field(default_factory=dict, compare=False,
+                                     repr=False)
 
-    def norm2(self, root: Coeffs) -> Fraction:
+    def norm2(self, root: Coeffs) -> Rat:
         """(root, root) of a positive or negative root, read from the table."""
         return self.norms[root]
 
@@ -128,13 +130,13 @@ class RootSystem:
 
     def coroot(self, root: Coeffs) -> Coeffs:
         """root^vee = 2 root / (root, root) over the simple coroots, always integral."""
-        n2 = self.norm2(root)
+        n2 = self.norms[root]
         out = []
-        for i, k in enumerate(root):
-            c = k * self.gram[i][i] / n2
-            if c.denominator != 1:
+        for k, simple in zip(root, self.simple_roots):
+            c, rem = divmod(k * self.norms[simple], n2)
+            if rem:
                 raise ConstructionError(f"non-integral coroot of {root}")
-            out.append(int(c))
+            out.append(c)
         return tuple(out)
 
     @property
@@ -181,9 +183,13 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     if heights.count(max(heights)) != 1:
         raise ConstructionError("highest root is not unique")
 
+    # 6 (r, r) from 6 gram, integral on every type; (r, r) an int where it is
+    g6 = [[int(6 * v) for v in row] for row in gram]
     norms = {}
     for r in positive:
-        norms[r] = norms[_vneg(r)] = interim.inner(r, r)
+        n6 = sum(ri * sum(g6[i][j] * rj for j, rj in enumerate(r) if rj)
+                 for i, ri in enumerate(r) if ri)
+        norms[r] = norms[_vneg(r)] = _ratio(n6, 6)
 
     rs = RootSystem(series, rank, interim.gram, interim.simple_roots,
                     tuple(positive), cartan, norms)
@@ -191,6 +197,12 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     if n2 != 2:
         raise ConstructionError(f"highest-root norm {n2} != 2: bad normalization")
     return rs
+
+
+def _ratio(num: Rat, den: int) -> Rat:
+    """num / den exactly: an int where it is integral, else a Fraction."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def _vadd(a: Coeffs, b: Coeffs) -> Coeffs:
@@ -229,8 +241,8 @@ class LieAlgebra:
     dim: int
     basis_labels: Tuple[str, ...]
     f: Dict[Tuple[int, int], Dict[int, int]]
-    pairing: List[List[Fraction]]
-    pairing_inv: List[List[Fraction]]
+    pairing: List[List[Rat]]
+    pairing_inv: List[List[Rat]]
     h_dual_coxeter: int
 
     @property
@@ -331,9 +343,15 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     subalgebra: Jacobi on (x, y, -) gives ad_[x,y] = [ad_x, ad_y], and a
     commutator of derivations is one.  So Jacobi holds on all of g once
     (1) f is antisymmetric, (2) the simple root vectors e_i, f_i generate
-    g, and (3) Jacobi holds on (x, y, z) for each such generator x and every
-    basis pair y < z.  A seeded sample of min(JACOBI_SAMPLE, C(dim, 3))
-    distinct basis triples i < j < k is recomputed beside the argument.
+    g, and (3) ad_x is a derivation for each such generator x.  One exact
+    pass shows that the Chevalley involution omega (h -> -h, x_a -> -x_-a)
+    preserves the bracket: f[(sigma i, sigma j)] = {sigma k: -c} for every
+    constant f[(i, j)][k] = c, sigma swapping the basis positions of x_a and
+    x_-a.  Then ad_omega(x) = omega ad_x omega^-1, a derivation conjugated
+    by an automorphism is one, and ad_f_i = -ad_omega(e_i); so (3) is
+    checked on the e_i alone (_check_derivations), while (2) walks the e_i
+    and f_i (_check_generated).  A seeded sample of min(JACOBI_SAMPLE,
+    C(dim, 3)) distinct basis triples i < j < k is recomputed beside it.
     """
     for (i, j), comp in f.items():
         if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
@@ -341,14 +359,20 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
                 f"structure constants are not antisymmetric at basis pair ({i},{j})")
     rank, npos = rs.rank, len(rs.positive_roots)
     dim = rank + 2 * npos
+    sigma = list(range(rank)) + list(range(rank + npos, dim)) + list(range(rank, rank + npos))
+    for (i, j), comp in f.items():
+        if f.get((sigma[i], sigma[j])) != {sigma[k]: -v for k, v in comp.items()}:
+            raise ConstructionError(
+                f"structure constants are not invariant under the Chevalley "
+                f"involution at basis pair ({i},{j})")
     simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
-    generators = [rank + k for k in simple] + [rank + npos + k for k in simple]
+    e_gens = [rank + k for k in simple]
     # row[i][j] = f[(i, j)]: the one index of f both argument checks walk
     row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
     for (i, j), comp in f.items():
         row[i][j] = comp
-    _check_generated(dim, generators, row)
-    _check_derivations(dim, generators, row)
+    _check_generated(dim, e_gens + [sigma[x] for x in e_gens], row)
+    _check_derivations(dim, e_gens, row)
     rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
     # distinct ranks, unranked in colex order: k is the largest index with
     # C(k, 3) <= rank, then j the largest with C(j, 2) <= the rest
@@ -394,9 +418,10 @@ def _check_generated(dim: int, generators: List[int],
 
 def _check_derivations(dim: int, generators: List[int],
                        row: List[Dict[int, Dict[int, int]]]) -> None:
-    """Jacobi on (x, y, z) for every generator x and basis pair y < z, as
-    [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only, read off
-    the rows row[i][j] = f[(i, j)]."""
+    """Jacobi on (x, y, z) for every x in generators and basis pair y < z,
+    as [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only, read
+    off the rows row[i][j] = f[(i, j)].  _jacobi_check passes the e_i alone:
+    the involution carries the check to the f_i."""
     empty: Dict[int, int] = {}
     for x in generators:
         ad_x = row[x]
@@ -449,7 +474,8 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     top = rank + npos  # positions below top hold the positive roots
     index = {r: rank + k for k, r in enumerate(pos)}
     index.update({_vneg(r): top + k for k, r in enumerate(pos)})
-    norm = [Fraction(0)] * rank + [rs.norm2(r) for r in pos] * 2  # by position
+    # 6 (r, r) by position, an int on every type
+    norm = [0] * rank + [int(6 * rs.norm2(r)) for r in pos] * 2
     is_root = index.__contains__
     f: Dict[Tuple[int, int], Dict[int, int]] = {}
 
@@ -468,11 +494,11 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     def write(a: int, b: int, g: int, n: int) -> None:
         """[x_a, x_b] = n x_g for positive a + b = g, and the rest of the
         triples (a, b, -g) and (-a, -b, g)."""
-        for x, y, z, v in ((a, b, g, n), (b, neg(g), neg(a), n * norm[a] / norm[g]),
-                           (neg(g), a, neg(b), n * norm[b] / norm[g])):
-            if v.denominator != 1:
+        for x, y, z, (v, rem) in ((a, b, g, (n, 0)),
+                                  (b, neg(g), neg(a), divmod(n * norm[a], norm[g])),
+                                  (neg(g), a, neg(b), divmod(n * norm[b], norm[g]))):
+            if rem:
                 raise ConstructionError("non-integral structure constant")
-            v = int(v)
             f[x, y], f[y, x] = {z: v}, {z: -v}
             f[neg(x), neg(y)], f[neg(y), neg(x)] = {neg(z): -v}, {neg(z): v}
 
@@ -501,10 +527,10 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
             total = Fraction(0)
             d = index.get(_vsub(beta, pos[xi - rank]))
             if d is not None:
-                total += f[b, neg(xi)][d] * f[a, neg(eta)][neg(d)] / norm[d]
+                total += Fraction(f[b, neg(xi)][d] * f[a, neg(eta)][neg(d)], norm[d])
             d = index.get(_vsub(alpha, pos[xi - rank]))
             if d is not None:
-                total += f[neg(xi), a][d] * f[b, neg(eta)][neg(d)] / norm[d]
+                total += Fraction(f[neg(xi), a][d] * f[b, neg(eta)][neg(d)], norm[d])
             n = norm[g] * total / n0
             if n.denominator != 1:
                 raise ConstructionError("non-integral structure constant")
@@ -558,7 +584,7 @@ def row_reduce(rows: Sequence[Sequence], ncols: int
     return mat, pivots
 
 
-def _pairing_inverse(rs: RootSystem) -> List[List[Fraction]]:
+def _pairing_inverse(rs: RootSystem) -> List[List[Rat]]:
     """Inverse of the pairing in its closed form from root data.
 
     In the normalization (theta, theta) = 2 the pairing is
@@ -572,12 +598,12 @@ def _pairing_inverse(rs: RootSystem) -> List[List[Fraction]]:
            + [int(i == j) for j in range(rank)] for i in range(rank)]
     reduced, _ = row_reduce(aug, rank)
     dim = rank + 2 * npos
-    inv = [[Fraction(0)] * dim for _ in range(dim)]
+    inv = [[0] * dim for _ in range(dim)]
     for i in range(rank):
-        inv[i][:rank] = reduced[i][rank:]
+        inv[i][:rank] = [_ratio(v, 1) for v in reduced[i][rank:]]
     for k, root in enumerate(rs.positive_roots):
         pos, neg = rank + k, rank + npos + k
-        inv[pos][neg] = inv[neg][pos] = rs.norm2(root) / 2
+        inv[pos][neg] = inv[neg][pos] = _ratio(rs.norm2(root), 2)
     return inv
 
 
@@ -606,15 +632,16 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     Shared by fresh builds and cache loads: f is the signed table of
     _build_f or one read from a file, and every type gets the same checks.
     They are the Jacobi identity by the derivation argument (antisymmetry,
-    generation by the e_i and f_i, Jacobi on every triple with a generator
-    first) plus a seeded sample of basis triples, then the dual Coxeter
-    number and the pairing from adjoint traces, and the pairing inverse
-    written from root data, all read off f itself.  The one
-    pairing check is pairing . pairing_inv = I exactly; since the inverse is
-    invertible, that holds iff every pairing entry equals its closed form.
-    Both the trace matrix K (_killing_matrix) and that check run over the
-    nonzero entries only and in integers: pairing = K / 2h, so the check is
-    K . pairing_inv = 2h I, every entry of which is compared.
+    invariance under the Chevalley involution, generation by the e_i and
+    f_i, Jacobi on every triple with an e_i first) plus a seeded sample of
+    basis triples, then the dual Coxeter number and the pairing from
+    adjoint traces, and the pairing inverse written from root data, all
+    read off f itself.  The one pairing check is pairing . pairing_inv = I
+    exactly; since the inverse is invertible, that holds iff every pairing
+    entry equals its closed form.  Both the trace matrix K (_killing_matrix)
+    and that check run over the nonzero entries only and in integers:
+    pairing = K / 2h, so the check is K . pairing_inv = 2h I, every entry of
+    which is compared.
     """
     rank = rs.rank
     npos = len(rs.positive_roots)
@@ -632,8 +659,7 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
         raise ConstructionError(f"dual Coxeter number {hdc} is not a positive integer")
     hdc = int(hdc)
 
-    zero = Fraction(0)
-    pairing = [[Fraction(v, 2 * hdc) if v else zero for v in row] for row in killing]
+    pairing = [[_ratio(v, 2 * hdc) if v else 0 for v in row] for row in killing]
     pairing_inv = _pairing_inverse(rs)
     _verify_inverse(killing, 2 * hdc, pairing_inv)
 

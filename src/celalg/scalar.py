@@ -5,9 +5,10 @@ C-power) to nonzero exact rational coefficients.  The zero polynomial is the
 empty dict.  All bracket coefficients in the deformed current algebras live
 in this ring, so every identity is decided by exact dictionary equality.
 
-Coefficients may be Python ints or fractions.Fraction; arithmetic keeps ints
-as ints where possible (structure constants are integral) and only promotes
-to Fraction when a division forces it.
+Coefficients may be Python ints or fractions.Fraction; an integral value is
+held as an int (structure constants are integral), and only a division that
+leaves a remainder makes a Fraction.  s_coeff enforces this on every value
+that s_rational, s_monomial, s_iadd, s_scale and s_mul store.
 """
 
 from __future__ import annotations
@@ -25,17 +26,22 @@ DCOEF: Exponent = (0, 1, 0)
 CCOEF: Exponent = (0, 0, 1)
 
 
+def s_coeff(value: Rat) -> Rat:
+    """value as an int where it is integral."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def s_rational(value: Rat) -> Scalar:
     """Constant polynomial (empty dict for zero)."""
     if value == 0:
         return {}
-    return {_UNIT_EXP: value}
+    return {_UNIT_EXP: s_coeff(value)}
 
 
 def s_monomial(exp: Exponent, coeff: Rat = 1) -> Scalar:
     if coeff == 0:
         return {}
-    return {exp: coeff}
+    return {exp: s_coeff(coeff)}
 
 
 def s_iadd(out: Scalar, b: Scalar) -> None:
@@ -45,13 +51,13 @@ def s_iadd(out: Scalar, b: Scalar) -> None:
         if v == 0:
             out.pop(exp, None)
         else:
-            out[exp] = v
+            out[exp] = s_coeff(v)
 
 
 def s_scale(a: Scalar, factor: Rat) -> Scalar:
     if factor == 0:
         return {}
-    return {exp: c * factor for exp, c in a.items()}
+    return {exp: s_coeff(c * factor) for exp, c in a.items()}
 
 
 def s_mul(a: Scalar, b: Scalar) -> Scalar:
@@ -65,7 +71,7 @@ def s_mul(a: Scalar, b: Scalar) -> Scalar:
             if v == 0:
                 out.pop(exp, None)
             else:
-                out[exp] = v
+                out[exp] = s_coeff(v)
     return out
 
 

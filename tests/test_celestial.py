@@ -896,3 +896,24 @@ def test_grid_generators_exclude_e00(sl2):
     assert all(not (g.kind == 2 and g.bidegree == (0, 0)) for g in gens)
     kinds = {g.kind for g in gens}
     assert kinds == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("run", ["solve G2", "grid A1"])
+def test_memo_scalars_hold_integral_values_as_ints(monkeypatch, run):
+    # no float and no integral Fraction among the scalars a real run memoizes
+    made = []
+    for name in ("rules_deformed", "rules_extended"):
+        def recording(*args, _build=getattr(celestial, name), **kwargs):
+            made.append(_build(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(celestial, name, recording)
+    if run == "solve G2":
+        celestial.solve_constants(simple_lie_algebra("G", 2))
+    else:
+        celestial.verify_jacobi_grid(simple_lie_algebra("A", 1), 1)
+    coeffs = [c for rs in made for memo in (rs.base_memo, rs.full_memo)
+              for val in memo.values() for ws in val.values()
+              for sc in ws.values() for c in sc.values()]
+    assert coeffs and any(isinstance(c, Fraction) for c in coeffs)
+    assert not [c for c in coeffs if isinstance(c, float)
+                or (isinstance(c, Fraction) and c.denominator == 1)]

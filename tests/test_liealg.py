@@ -15,6 +15,7 @@ import pytest
 from celalg.adinv import cartan_alpha
 from celalg.liealg import (
     CACHE_FORMAT,
+    VALID_RANKS,
     ConfigurationError,
     UsageError,
     _format_structure_constants,
@@ -103,7 +104,12 @@ def test_root_data_match_sympy(series, rank):
         assert [list(row) for row in rs.cartan_matrix] == theirs
 
 
-@pytest.mark.parametrize("series,rank", sorted(CLOSED_FORM))
+# every type up to rank 8, E8 among them
+ALL_TYPES_TO_RANK_8 = [(s, r) for s in "ABCDEFG" for r in range(1, 9)
+                       if VALID_RANKS[s](r)]
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES_TO_RANK_8)
 def test_norm_table_matches_inner_product(series, rank):
     rs = build_root_system(series, rank)
     for root in rs.positive_roots:
@@ -434,17 +440,33 @@ def _other_order(lines, n):
     return lines.index(f"{j} {i} {k} {-int(v)}")
 
 
+def _omega_image(lines, n):
+    """Index of the line that the Chevalley involution maps line n to:
+    x_a <-> x_-a on the basis positions, the constant negated."""
+    dim, rank = (int(x) for x in lines[1].split()[:2])
+    npos = (dim - rank) // 2
+
+    def sigma(i):
+        return i if i < rank else i + npos if i < rank + npos else i - npos
+
+    i, j, k, v = (int(x) for x in lines[n].split())
+    return lines.index(f"{sigma(i)} {sigma(j)} {sigma(k)} {-v}")
+
+
+INVOLUTION_ERROR = "structure constants are not invariant under the Chevalley involution"
+
+
 @pytest.mark.parametrize("corrupt", ["one order flipped", "self-bracket",
                                      "both orders flipped", "root zeroed",
-                                     "coroot zeroed"])
+                                     "coroot zeroed", "involution broken"])
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("A", 4)])
-def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
-    # one corrupted root-root constant, caught by the derivation argument
+def test_cache_failing_a_lie_algebra_check(tmp_path, capsys, series, rank, corrupt):
+    # one corrupted root-root constant; with its omega-image corrupted alike
+    # the table stays omega-invariant and the derivation argument catches it
     path = tmp_path / "f.sc"
     save_structure_constants(simple_lie_algebra(series, rank), str(path))
     lines = path.read_text().splitlines()
     n = _simple_bracket_line(lines, "coroot" if corrupt == "coroot zeroed" else "root")
-    i, j, k, v = lines[n].split()
     if corrupt in ("one order flipped", "self-bracket"):
         error = "structure constants are not antisymmetric at basis pair"
     elif corrupt == "coroot zeroed" or (
@@ -452,41 +474,82 @@ def test_cache_failing_a_lie_algebra_check(tmp_path, series, rank, corrupt):
         # [e_a, f_a] is the only bracket that gives h_c alone, and on A2 and
         # G2 the bracket of two simple root vectors the only one giving e_c
         error = "the simple root vectors do not generate basis element"
+    elif corrupt == "involution broken":
+        error = INVOLUTION_ERROR
     else:
         # Jacobi at the generators fails; a zeroed e_c stays generated on B3
         # and A4 through a longer root
         error = "Jacobi identity fails on basis triple"
-    m = _other_order(lines, n)
-    if corrupt == "one order flipped":
-        lines[n] = f"{i} {j} {k} {-int(v)}"
-    elif corrupt == "self-bracket":
-        lines.append(f"2 2 {k} 1")
-    elif corrupt == "both orders flipped":
-        lines[n] = f"{i} {j} {k} {-int(v)}"
-        lines[m] = f"{j} {i} {k} {v}"
-    else:
+    # the line, its other order, and their omega-images ("coroot zeroed"
+    # drops a pair that is its own image)
+    both = [n, _other_order(lines, n)]
+    images = [_omega_image(lines, p) for p in both]
+    targets = {"one order flipped": both[:1], "self-bracket": [],
+               "both orders flipped": both + images, "root zeroed": both + images,
+               "coroot zeroed": both, "involution broken": images}[corrupt]
+    if corrupt == "self-bracket":
+        lines.append(f"2 2 {lines[n].split()[2]} 1")
+    elif corrupt.endswith("zeroed"):
         # a zero constant has no line (a line with value 0 is refused)
-        lines = [ln for p, ln in enumerate(lines) if p not in (n, m)]
+        lines = [ln for p, ln in enumerate(lines) if p not in targets]
+    else:
+        for p in targets:
+            i, j, k, v = lines[p].split()
+            lines[p] = f"{i} {j} {k} {-int(v)}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=f"f.sc: {re.escape(error)}"):
         algebra_from_cache(series, rank, str(path))
+    if corrupt == "involution broken":
+        from celalg.cli import main
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cached = cache / f"{series}{rank}.sc"
+        path.rename(cached)
+        assert main(["verify", f"{series}{rank}", "--cache-dir", str(cache)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"configuration error: cache file {cached}: {INVOLUTION_ERROR} at basis pair")
 
 
-@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3), ("B", 3), ("F", 4)])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3), ("B", 3), ("A", 4),
+                                         ("F", 4), ("E", 6)])
 def test_derivation_argument_without_the_sample(monkeypatch, series, rank):
     # with no sampled triples the generator checks alone pass the true
     # constants and reject one root-root constant flipped in both orders
+    # together with its omega-image: an omega-invariant table, so the
+    # derivation check at the e_i alone must see it
     from celalg import liealg
     monkeypatch.setattr(liealg, "JACOBI_SAMPLE", 0)
     rs = build_root_system(series, rank)
     f = liealg._build_f(rs)
     liealg._jacobi_check(rs, f)
+    npos = len(rs.positive_roots)
     a, b = next((a, b) for (a, b), comp in sorted(f.items())
                 if rank <= a < b and list(comp) == [2 * rank])
-    for key in ((a, b), (b, a)):
+    for key in ((a, b), (b, a), (a + npos, b + npos), (b + npos, a + npos)):
         f[key] = {k: -v for k, v in f[key].items()}
     with pytest.raises(liealg.ConstructionError, match="Jacobi identity fails"):
         liealg._jacobi_check(rs, f)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("F", 4)])
+def test_table_not_invariant_under_the_involution_is_refused(series, rank):
+    # the omega-image of one root-root constant flipped in both orders: the
+    # table stays antisymmetric, and the involution pass refuses it
+    from celalg import liealg
+    rs = build_root_system(series, rank)
+    f = liealg._build_f(rs)
+    npos = len(rs.positive_roots)
+    a, b = next((a, b) for (a, b), comp in sorted(f.items())
+                if rank <= a < b and list(comp) == [2 * rank])
+    for key in ((a + npos, b + npos), (b + npos, a + npos)):
+        f[key] = {k: -v for k, v in f[key].items()}
+    with pytest.raises(liealg.ConstructionError,
+                       match=f"{INVOLUTION_ERROR} at basis pair"):
+        liealg._jacobi_check(rs, f)
+    with pytest.raises(liealg.ConstructionError, match=INVOLUTION_ERROR):
+        liealg._finish(rs, f)
 
 
 def _block_entry(rs, block):
@@ -655,3 +718,17 @@ def test_chevalley_constants_are_integers():
         for comp in L.f.values():
             for v in comp.values():
                 assert isinstance(v, int)
+
+
+def _inexact(v):
+    """A float, or a Fraction that should have been held as its int."""
+    return isinstance(v, float) or (isinstance(v, Fraction) and v.denominator == 1)
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES_TO_RANK_8)
+def test_integral_values_are_held_as_ints(series, rank):
+    # pairing, pairing inverse and root norms: ints where integral, never floats
+    L = simple_lie_algebra(series, rank)
+    rs = L.root_system
+    assert not any(_inexact(v) for m in (L.pairing, L.pairing_inv) for row in m for v in row)
+    assert not any(map(_inexact, rs.norms.values()))

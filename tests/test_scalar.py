@@ -51,3 +51,17 @@ def test_format_stable():
     assert s_format({}) == "0"
     assert s_format(s_monomial(BETA)) == "beta"
     assert s_format(s_monomial((1, 0, 0), -1)) == "-beta"
+
+
+def test_integral_coefficients_are_held_as_ints():
+    # an integral Fraction entering a scalar, or made by scaling, adding or
+    # multiplying, is held as its int
+    two = s_rational(Fraction(4, 2))
+    assert two == {(0, 0, 0): 2} and type(two[(0, 0, 0)]) is int
+    assert type(s_monomial(BETA, Fraction(3, 3))[BETA]) is int
+    half = s_monomial(BETA, Fraction(1, 2))
+    assert type(s_scale(half, 2)[BETA]) is int
+    assert type(s_scale({BETA: 3}, Fraction(1, 1))[BETA]) is int
+    s_iadd(half, {BETA: Fraction(1, 2)})
+    assert half == {BETA: 1} and type(half[BETA]) is int
+    assert type(s_mul({BETA: Fraction(2, 3)}, {BETA: Fraction(3, 2)})[(2, 0, 0)]) is int
