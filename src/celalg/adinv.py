@@ -15,7 +15,11 @@ subalgebra h, where ad is diagonal and the identity is one polynomial
 comparison in rank variables (cartan_alpha).  The diagonal is read off the
 built algebra and cross-checked against the root data, and quartic_alpha
 adds one seeded polarized tuple away from h; a failure of any of the three
-is a ConstructionError.
+is a ConstructionError.  Where no alpha exists, _cartan_witness names two
+elements of h with different quartic ratios, read from the same checked
+diagonal, so no alpha can hold at both.  classify runs this on every
+exceptional type and on the classical series up to a rank, so its scan holds
+the whole admissible list.
 
 For classical types the quartic trace is also checked against the defining
 representation: Tr(ad_a^4) = c4 * Tr(a^4) + c22 * (Tr(a^2))^2 with exact
@@ -291,15 +295,6 @@ def element_rng(master_seed, L: LieAlgebra, check: str) -> random.Random:
     return random.Random(f"{master_seed}:{L.name}:{check}")
 
 
-def _quartic_ratio(L: LieAlgebra, a: Element) -> Optional[Fraction]:
-    """Tr(ad_a^4) / Tr(ad_a^2)^2, or None when Tr(ad_a^2) = 0."""
-    m2 = products([L.ad_matrix(a)], [(0, 0)])[0, 0]
-    t2 = trace(m2)
-    if t2 == 0:
-        return None
-    return Fraction(trace_mul(m2, m2), t2 * t2)
-
-
 # --- the quartic identity on the Cartan subalgebra ---------------------------
 #
 # On h = sum_i x_i h_i, ad_h is diagonal in the Chevalley basis: 0 on the
@@ -391,37 +386,33 @@ def quartic_alpha(L: LieAlgebra, master_seed=0) -> Optional[Fraction]:
 
 
 def _cartan_witness(L: LieAlgebra) -> dict:
-    """Two Cartan elements whose quartic ratios, computed through the ad
-    matrices, differ: h_1 and the first h = sum_i x_i h_i, x in {0..4}^rank
-    in lexicographic order, whose ratio differs from that of h_1.
+    """Two Cartan elements with different quartic ratios P4(x) / P2(x)^2:
+    h_1 and the first h = sum_i x_i h_i, x in {0..4}^rank in lexicographic
+    order, whose ratio differs from that of h_1.
 
-    For a type without alpha, Q(x) = P4(x) P2(e_1)^2 - P4(e_1) P2(x)^2 is a
-    nonzero polynomial of degree at most 4 in each x_i, so it is nonzero at
-    some x in {0..4}^rank (Combinatorial Nullstellensatz, Alon 1999), and
-    there P2(x) > 0 and the two ratios differ."""
-    def h(x):
-        return tuple(x) + (0,) * (L.dim - L.rank)
+    P4 and P2 are summed over root_weights(L.root_system), the diagonal of
+    ad_h that cartan_alpha checked against the built algebra before it found
+    no alpha, so each ratio is Tr(ad_h^4) / Tr(ad_h^2)^2.  For a type without
+    alpha, Q(x) = P4(x) P2(e_1)^2 - P4(e_1) P2(x)^2 is a nonzero polynomial
+    of degree at most 4 in each x_i, so it is nonzero at some x in
+    {0..4}^rank (Combinatorial Nullstellensatz, Alon 1999), and there
+    P2(x) > 0 and the two ratios differ.  So for any alpha the polarized
+    identity fails at (h, h, h, h) for one of the two."""
+    weights = root_weights(L.root_system)
+
+    def ratio(x):
+        values = [sum(map(mul, w, x)) for w in weights]
+        p2 = sum(v * v for v in values)
+        return Fraction(sum(v ** 4 for v in values), p2 * p2) if p2 else None
 
     first = (1,) + (0,) * (L.rank - 1)
-    r1 = _quartic_ratio(L, h(first))
+    r1 = ratio(first)
     for x in product(range(5), repeat=L.rank):
-        r = _quartic_ratio(L, h(x))
+        r = ratio(x)
         if r is not None and r != r1:
             return {"elements": [list(first), list(x)], "ratios": [str(r1), str(r)]}
     raise ConstructionError(f"{L.name}: no alpha on h, but every ratio on "
                             f"{{0..4}}^{L.rank} equals that of h1")
-
-
-def find_polarized_counterexample(L: LieAlgebra, alpha: Fraction,
-                                  master_seed=0, attempts: int = 50
-                                  ) -> Optional[Tuple[Element, ...]]:
-    """A 4-tuple witnessing failure of the polarized identity, if one is found."""
-    rng = element_rng(master_seed, L, f"polarized_counterexample:{alpha}")
-    for _ in range(attempts):
-        tup = tuple(random_element(L, rng) for _ in range(4))
-        if not check_polarized(L, *tup, alpha).passed:
-            return tup
-    return None
 
 
 def footnote_witness_trace(L: LieAlgebra):
@@ -435,30 +426,27 @@ def footnote_witness_trace(L: LieAlgebra):
 
 # --- classification ----------------------------------------------------------
 
-def classification_types(max_rank: int = 4, enable_e78: bool = False
-                         ) -> List[Tuple[str, int]]:
+def classification_types(max_rank: int = 4) -> List[Tuple[str, int]]:
     """Type list scanned by classify: classical series up to max_rank (the D
     series one rank further, so a non-degenerate D appears next to D4) plus
-    the exceptional types."""
+    every exceptional type, so the scan holds the whole admissible list A1,
+    A2, G2, D4, F4, E6, E7 and E8."""
     types: List[Tuple[str, int]] = []
     types += [("A", r) for r in range(1, max_rank + 1)]
     types += [("B", r) for r in range(2, max_rank + 1)]
     types += [("C", r) for r in range(3, max_rank + 1)]
     types += [("D", r) for r in range(4, max_rank + 2)]
-    types += [("G", 2), ("F", 4), ("E", 6)]
-    if enable_e78:
-        types += [("E", 7), ("E", 8)]
+    types += [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
     return types
 
 
-def classify(max_rank: int = 4, enable_e78: bool = False,
-             master_seed=0) -> List[Tuple[str, bool, Optional[Fraction]]]:
-    """(name, satisfies quartic proportionality, alpha) for each scanned type."""
+def classify(max_rank: int = 4, master_seed=0
+             ) -> List[Tuple[str, int, Optional[Fraction]]]:
+    """(name, dim, alpha or None) for each scanned type."""
     out = []
-    for series, rank in classification_types(max_rank, enable_e78):
+    for series, rank in classification_types(max_rank):
         L = simple_lie_algebra(series, rank)
-        alpha = quartic_alpha(L, master_seed=master_seed)
-        out.append((f"{series}{rank}", alpha is not None, alpha))
+        out.append((L.name, L.dim, quartic_alpha(L, master_seed=master_seed)))
     return out
 
 

@@ -2,17 +2,17 @@
 
 Three subcommands:
 
-  classify   quartic trace-identity membership table over the standard scan
+  classify   quartic alpha and membership of each type, checked against the
+             admissible list and the value 5 / (2 (2 + dim))
   solve      deformation constants from the defect solver vs. closed forms
   verify     zero-defect Jacobi grid plus the trace-identity batches
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 configuration
 error, 3 internal error (a broken invariant of the construction or of the
-bracket engine, never a verdict).  Every flag can also be set through an
-environment variable with the CELALG_ prefix (flag --grid-max ->
-CELALG_GRID, see _ENV_VARS); command-line values win.  Structured output
-(--json) is a single deterministic document on stdout; progress and timing
-go to stderr.
+bracket engine, never a verdict).  Every flag can also be set through the
+environment variable CELALG_<KEY> (--grid -> CELALG_GRID, --max-rank ->
+CELALG_MAX_RANK); command-line values win.  Structured output (--json) is a
+single deterministic document on stdout; progress and timing go to stderr.
 """
 
 from __future__ import annotations
@@ -47,16 +47,6 @@ from .liealg import (
 )
 from .report import Report
 
-_ENV_VARS = {
-    "grid": "CELALG_GRID",
-    "samples": "CELALG_SAMPLES",
-    "seed": "CELALG_SEED",
-    "json": "CELALG_JSON",
-    "enable_e78": "CELALG_ENABLE_E78",
-    "cache_dir": "CELALG_CACHE_DIR",
-    "max_rank": "CELALG_MAX_RANK",
-}
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
@@ -77,7 +67,6 @@ class RunConfig:
     samples: int = 100
     master_seed: int = 0
     json_output: bool = False
-    enable_e78: bool = False
     cache_dir: Optional[str] = None
     max_rank: int = 4
 
@@ -92,7 +81,6 @@ class RunConfig:
             out["samples"] = self.samples
         if self.command == "classify":
             out["max_rank"] = self.max_rank
-            out["enable_e78"] = self.enable_e78
         return out
 
 
@@ -104,19 +92,19 @@ def parse_algebra(text: str) -> Tuple[str, int]:
 
 
 def _resolve(cli_value, key: str, cast, default, least=None):
-    """The flag's value, else its environment variable's, else the default;
-    a number below `least` is a configuration error."""
+    """The flag's value, else that of CELALG_<KEY>, else the default; a
+    number below `least` is a configuration error."""
     value = default if cli_value is None else cli_value
-    raw = os.environ.get(_ENV_VARS[key])
+    env = f"CELALG_{key.upper()}"
+    raw = os.environ.get(env)
     if cli_value is None and raw is not None:
         try:
             value = cast(raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad {_ENV_VARS[key]}={raw!r}: {exc}")
+            raise ConfigurationError(f"bad {env}={raw!r}: {exc}")
     if least is not None and value < least:
         raise ConfigurationError(
-            f"--{key.replace('_', '-')} ({_ENV_VARS[key]}) must be at least "
-            f"{least}, not {value}")
+            f"--{key.replace('_', '-')} ({env}) must be at least {least}, not {value}")
     return value
 
 
@@ -168,18 +156,21 @@ def _status(flag: bool) -> str:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    rows = adinv.classify(cfg.max_rank, cfg.enable_e78, master_seed=cfg.master_seed)
-    expected = {f"{s}{r}" for s, r in ADMISSIBLE_TYPES}
-    ok = all((name in expected) == found for name, found, _ in rows)
+    rows = adinv.classify(cfg.max_rank, master_seed=cfg.master_seed)
+    admissible = {f"{s}{r}" for s, r in ADMISSIBLE_TYPES}
+    # a member must carry 5 / (2 (2 + dim)), every other type no alpha
+    ok = all(alpha == (adinv.expected_alpha(dim) if name in admissible else None)
+             for name, dim, alpha in rows)
     lines = [f"{'type':<6} {'member':<8} alpha"]
-    for name, found, alpha in rows:
-        lines.append(f"{name:<6} {str(found).lower():<8} {alpha if alpha is not None else '-'}")
+    for name, _, alpha in rows:
+        member = str(alpha is not None).lower()
+        lines.append(f"{name:<6} {member:<8} {alpha if alpha is not None else '-'}")
     lines.append(f"classification {_status(ok)}")
     document = {
         "config": cfg.echo(),
-        "results": [{"type": name, "member": found,
+        "results": [{"type": name, "member": alpha is not None,
                      "alpha": None if alpha is None else str(alpha)}
-                    for name, found, alpha in rows],
+                    for name, _, alpha in rows],
         "pass": ok,
     }
     _emit(cfg, document, lines)
@@ -269,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="quartic trace-identity membership table")
     common(p_classify)
     p_classify.add_argument("--max-rank", type=int, default=None)
-    p_classify.add_argument("--enable-e78", action="store_true", default=None,
-                            help="include the two largest exceptional types")
 
     p_solve = sub.add_parser("solve", help="deformation constants for one algebra")
     common(p_solve)
@@ -299,9 +288,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.grid_max = _resolve(args.grid, "grid", int, cfg.grid_max, least=0)
     if hasattr(args, "max_rank"):
         cfg.max_rank = _resolve(args.max_rank, "max_rank", int, cfg.max_rank, least=4)
-    if hasattr(args, "enable_e78"):
-        cfg.enable_e78 = _resolve(args.enable_e78, "enable_e78", _bool_cast,
-                                  cfg.enable_e78)
     return cfg
 
 

@@ -115,14 +115,15 @@ class RootSystem:
         """(root, root) of a positive or negative root, read from the table."""
         return self.norms[root]
 
-    def inner(self, a: Coeffs, b: Coeffs) -> Fraction:
+    def inner(self, a: Coeffs, b: Coeffs) -> Rat:
+        """(a, b) from the Gram matrix: an int where integral."""
         g = self.gram
-        total = Fraction(0)
+        total = 0
         for i, ai in enumerate(a):
             if ai:
                 row = g[i]
                 total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
-        return total
+        return _ratio(total, 1)
 
     def cartan_pairing(self, root: Coeffs, i: int) -> int:
         """2 (root, alpha_i) / (alpha_i, alpha_i) = sum_j root_j cartan[j][i]."""
@@ -308,10 +309,10 @@ class LieAlgebra:
                     mat[k][m] += xi * c
         return mat
 
-    def pair(self, a: Element, b: Element) -> Fraction:
+    def pair(self, a: Element, b: Element) -> Rat:
         if len(a) != self.dim or len(b) != self.dim:
             raise UsageError("dimension mismatch in pairing")
-        total = Fraction(0)
+        total = 0
         for i, ai in enumerate(a):
             if ai:
                 row = self.pairing[i]

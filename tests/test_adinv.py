@@ -22,7 +22,6 @@ from celalg.adinv import (
     check_polarized,
     classify,
     expected_alpha,
-    find_polarized_counterexample,
     footnote_witness_trace,
     quartic_alpha,
     quartic_trace,
@@ -220,6 +219,10 @@ def test_quartic_alpha_cost(monkeypatch, series, rank, n_products):
     ("A", 3, {"elements": [[1, 0, 0], [1, 0, 1]], "ratios": ["5/32", "1/8"]}),
     ("B", 2, {"elements": [[1, 0], [0, 1]], "ratios": ["1/4", "1/6"]}),
     ("C", 3, {"elements": [[1, 0, 0], [0, 0, 1]], "ratios": ["13/128", "5/32"]}),
+    ("B", 3, {"elements": [[1, 0, 0], [0, 0, 1]], "ratios": ["11/100", "1/10"]}),
+    ("B", 4, {"elements": [[1, 0, 0, 0], [0, 0, 0, 1]], "ratios": ["13/196", "1/14"]}),
+    ("C", 4, {"elements": [[1, 0, 0, 0], [0, 0, 0, 1]], "ratios": ["7/100", "11/100"]}),
+    ("D", 5, {"elements": [[1, 0, 0, 0, 0], [0, 0, 0, 1, 1]], "ratios": ["7/128", "1/16"]}),
 ])
 def test_polarized_report_names_a_cartan_witness(series, rank, witness):
     L = simple_lie_algebra(series, rank)
@@ -250,7 +253,8 @@ def test_polarized_random_g2():
 
 
 def test_polarized_counterexample_a3():
-    # no candidate alpha makes the polarized identity hold on A3
+    # no candidate alpha makes the polarized identity hold on A3: the two
+    # witness elements have different ratios, so (h, h, h, h) fails at one
     L = simple_lie_algebra("A", 3)
     rng = _rng("a3-candidates")
     candidates = set()
@@ -261,22 +265,24 @@ def test_polarized_counterexample_a3():
         if t2:
             m2 = adinv.mat_mul(m, m)
             candidates.add(Fraction(adinv.trace_mul(m2, m2), t2 * t2))
+    witness = [tuple(x) + (0,) * (L.dim - L.rank)
+               for x in adinv._cartan_witness(L)["elements"]]
     for alpha in candidates:
-        assert find_polarized_counterexample(L, alpha, master_seed=13) is not None
+        assert not all(check_polarized(L, h, h, h, h, alpha).passed for h in witness)
 
 
 def test_classify_default_list():
-    rows = dict((name, (ok, alpha)) for name, ok, alpha in classify(max_rank=4))
-    assert set(rows) == {"A1", "A2", "A3", "A4", "B2", "B3", "B4",
-                         "C3", "C4", "D4", "D5", "G2", "F4", "E6"}
+    rows = {name: (dim, alpha) for name, dim, alpha in classify(max_rank=4)}
+    assert set(rows) == {"A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                         "D4", "D5", "G2", "F4", "E6", "E7", "E8"}
     admissible = {"A1": Fraction(1, 2), "A2": Fraction(1, 4),
                   "D4": Fraction(1, 12), "G2": Fraction(5, 32),
-                  "F4": Fraction(5, 108), "E6": Fraction(1, 32)}
-    for name, (ok, alpha) in rows.items():
-        if name in admissible:
-            assert ok and alpha == admissible[name]
-        else:
-            assert not ok and alpha is None
+                  "F4": Fraction(5, 108), "E6": Fraction(1, 32),
+                  "E7": Fraction(1, 54), "E8": Fraction(1, 100)}
+    for name, (dim, alpha) in rows.items():
+        rs = build_root_system(name[0], int(name[1:]))
+        assert dim == rs.rank + 2 * len(rs.positive_roots)
+        assert alpha == admissible.get(name)
 
 
 def test_classical_table_a1_diagonal():

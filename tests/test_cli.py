@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,8 +226,7 @@ def test_unknown_bool_env_exit_two(monkeypatch, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "CELALG_JSON='maybe'" in captured.err
-    monkeypatch.delenv("CELALG_JSON")
-    monkeypatch.setenv("CELALG_ENABLE_E78", "2")
+    monkeypatch.setenv("CELALG_JSON", "2")
     assert main(["classify"]) == 2
 
 
@@ -370,16 +370,44 @@ def test_cache_file_failing_a_lie_check_exit_two(tmp_path, capsys, algebra, pair
 
 
 def test_classify_via_main_inprocess(capsys):
-    # in-process invocation for speed; full default scan through E6
+    # in-process invocation for speed; the default scan holds every
+    # exceptional type, so the whole admissible list
     code = main(["classify", "--json"])
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)
     members = {r["type"] for r in doc["results"] if r["member"]}
-    assert members == {"A1", "A2", "D4", "G2", "F4", "E6"}
+    assert members == {"A1", "A2", "D4", "G2", "F4", "E6", "E7", "E8"}
     alphas = {r["type"]: r["alpha"] for r in doc["results"]}
     assert alphas["A1"] == "1/2"
+    assert (alphas["E7"], alphas["E8"]) == ("1/54", "1/100")
     assert alphas["B2"] is None
+    assert set(doc["config"]) == {"command", "seed", "beta", "max_rank"}
+
+
+@pytest.mark.parametrize("name,planted", [
+    ("G2", lambda alpha: alpha * 2),
+    ("E8", lambda alpha: None),
+    ("B3", lambda alpha: Fraction(1, 20)),
+], ids=["member-with-a-wrong-alpha", "member-missing", "non-member-with-an-alpha"])
+def test_classify_fails_on_a_planted_alpha(monkeypatch, capsys, name, planted):
+    from celalg import adinv
+    quartic_alpha = adinv.quartic_alpha
+
+    def planted_alpha(L, master_seed=0):
+        alpha = quartic_alpha(L, master_seed=master_seed)
+        return planted(alpha) if L.name == name else alpha
+
+    monkeypatch.setattr(adinv, "quartic_alpha", planted_alpha)
+    assert main(["classify"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "classification FAIL"
+
+
+def test_classify_always_scans_e7_and_e8():
+    # there is no switch for the two largest exceptional types
+    code, out, err = run_cli(["classify", "--enable-e78"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --enable-e78" in err
 
 
 def test_classify_max_rank_guard():

@@ -727,8 +727,14 @@ def _inexact(v):
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES_TO_RANK_8)
 def test_integral_values_are_held_as_ints(series, rank):
-    # pairing, pairing inverse and root norms: ints where integral, never floats
+    # pairing, pairing inverse, root norms, and the pair and inner products
+    # built from them: ints where integral, never floats
     L = simple_lie_algebra(series, rank)
     rs = L.root_system
     assert not any(_inexact(v) for m in (L.pairing, L.pairing_inv) for row in m for v in row)
     assert not any(map(_inexact, rs.norms.values()))
+    basis = [L.basis_element(i) for i in range(L.dim)]
+    assert not any(_inexact(L.pair(basis[i], basis[j]))
+                   for i in range(L.rank) for j in range(L.dim))
+    assert not any(_inexact(rs.inner(a, b)) for a in rs.simple_roots
+                   for b in rs.positive_roots)

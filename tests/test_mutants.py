@@ -1,0 +1,29 @@
+"""The mutation catalogue of tools/mutants.py.
+
+Every entry's old text must still occur once in src/: a string search,
+always run, so a change to the code updates the catalogue with it.  Running
+the mutants takes about 15 s, so it is gated behind CELALG_MUTANTS=1, and
+then any surviving mutant fails.
+"""
+
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).parent.parent / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+def test_catalogue_matches_the_code():
+    assert len(mutants.CATALOGUE) == len({m.name for m in mutants.CATALOGUE})
+    assert mutants.stale(mutants.CATALOGUE) == []
+
+
+@pytest.mark.skipif(os.environ.get("CELALG_MUTANTS") != "1",
+                    reason="set CELALG_MUTANTS=1 to run the mutation catalogue")
+def test_every_mutant_is_killed():
+    assert mutants.run(mutants.CATALOGUE) == []
