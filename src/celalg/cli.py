@@ -9,10 +9,10 @@ Three subcommands:
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 configuration
 error, 3 internal error (a broken invariant of the construction or of the
-bracket engine, never a verdict).  Every flag can also be set through the
-environment variable CELALG_<KEY> (--grid -> CELALG_GRID, --max-rank ->
-CELALG_MAX_RANK); command-line values win.  Structured output (--json) is a
-single deterministic document on stdout; progress and timing go to stderr.
+bracket engine, never a verdict).  The flags are the only input: each
+takes its default from RunConfig, and the environment is never read.
+Structured output (--json) is a single deterministic document on stdout;
+progress and timing go to stderr.
 """
 
 from __future__ import annotations
@@ -37,14 +37,7 @@ from .celestial import (
     verify_jacobi_grid,
 )
 from .lambdacalc import InternalConsistencyError, UndefinedBracket
-from .liealg import (
-    ConfigurationError,
-    ConstructionError,
-    LieAlgebra,
-    algebra_from_cache,
-    save_structure_constants,
-    simple_lie_algebra,
-)
+from .liealg import ConfigurationError, ConstructionError, simple_lie_algebra
 from .report import Report
 
 EXIT_OK = 0
@@ -67,7 +60,6 @@ class RunConfig:
     samples: int = 100
     master_seed: int = 0
     json_output: bool = False
-    cache_dir: Optional[str] = None
     max_rank: int = 4
 
     def echo(self) -> dict:
@@ -89,51 +81,6 @@ def parse_algebra(text: str) -> Tuple[str, int]:
     if not m:
         raise ConfigurationError(f"cannot parse algebra name {text!r}")
     return m.group(1).upper(), int(m.group(2))
-
-
-def _resolve(cli_value, key: str, cast, default, least=None):
-    """The flag's value, else that of CELALG_<KEY>, else the default; a
-    number below `least` is a configuration error."""
-    value = default if cli_value is None else cli_value
-    env = f"CELALG_{key.upper()}"
-    raw = os.environ.get(env)
-    if cli_value is None and raw is not None:
-        try:
-            value = cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad {env}={raw!r}: {exc}")
-    if least is not None and value < least:
-        raise ConfigurationError(
-            f"--{key.replace('_', '-')} ({env}) must be at least {least}, not {value}")
-    return value
-
-
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
-def _bool_cast(raw: str) -> bool:
-    try:
-        return _BOOL_WORDS[raw.strip().lower()]
-    except KeyError:
-        raise ValueError("expected 1/0, true/false, yes/no or on/off") from None
-
-
-def get_algebra(series: str, rank: int, cache_dir: Optional[str]) -> LieAlgebra:
-    """Build the algebra, consulting the structure-constant cache if set;
-    a cache path that cannot be read or written is a configuration error."""
-    if not cache_dir:
-        return simple_lie_algebra(series, rank)
-    path = os.path.join(cache_dir, f"{series}{rank}.sc")
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        if os.path.exists(path):
-            return algebra_from_cache(series, rank, path)
-        L = simple_lie_algebra(series, rank)
-        save_structure_constants(L, path)
-    except OSError as exc:
-        raise ConfigurationError(f"cache directory {cache_dir}: {exc}") from exc
-    return L
 
 
 def _emit(cfg: RunConfig, document: dict, text_lines: List[str]) -> None:
@@ -178,7 +125,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    L = get_algebra(cfg.series, cfg.rank, cfg.cache_dir)
+    L = simple_lie_algebra(cfg.series, cfg.rank)
     sol = solve_constants(L, master_seed=cfg.master_seed)
     admissible = (L.series, L.rank) in ADMISSIBLE_TYPES
     closed = closed_form_fractions(L) if admissible else None
@@ -211,7 +158,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    L = get_algebra(cfg.series, cfg.rank, cfg.cache_dir)
+    L = simple_lie_algebra(cfg.series, cfg.rank)
     reports: List[Report] = []
     t0 = time.perf_counter()
     reports.append(verify_jacobi_grid(L, cfg.grid_max, level="extended"))
@@ -248,18 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for celestial current algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each dest is a RunConfig field, defaulting to that field's default
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", dest="master_seed", type=int,
+                       default=RunConfig.master_seed, metavar="SEED",
                        help="master seed for all sampled elements")
-        p.add_argument("--json", action="store_true", default=None,
+        p.add_argument("--json", dest="json_output", action="store_true",
                        help="emit one structured JSON document on stdout")
-        p.add_argument("--cache-dir", default=None,
-                       help="directory of structure-constant cache files")
 
     p_classify = sub.add_parser("classify",
                                 help="quartic trace-identity membership table")
     common(p_classify)
-    p_classify.add_argument("--max-rank", type=int, default=None)
+    p_classify.add_argument("--max-rank", type=int, default=RunConfig.max_rank)
 
     p_solve = sub.add_parser("solve", help="deformation constants for one algebra")
     common(p_solve)
@@ -268,26 +215,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="Jacobi grid and trace identities")
     common(p_verify)
     p_verify.add_argument("algebra", help="type name, e.g. A1, G2, D4")
-    p_verify.add_argument("--grid", type=int, default=None,
+    p_verify.add_argument("--grid", dest="grid_max", type=int,
+                          default=RunConfig.grid_max, metavar="GRID",
                           help="max bidegree entry in the Jacobi grid")
-    p_verify.add_argument("--samples", type=int, default=None)
+    p_verify.add_argument("--samples", type=int, default=RunConfig.samples)
 
     return parser
 
 
+# below these a check would be vacuous or ill-defined: a grid or a batch
+# with nothing in it, or a classical scan that stops short of D4
+_LEAST = (("--grid", "grid_max", 0), ("--samples", "samples", 1),
+          ("--max-rank", "max_rank", 4))
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "algebra", None) is not None:
-        cfg.series, cfg.rank = parse_algebra(args.algebra)
-    cfg.master_seed = _resolve(args.seed, "seed", int, cfg.master_seed)
-    cfg.json_output = _resolve(args.json, "json", _bool_cast, cfg.json_output)
-    cfg.cache_dir = _resolve(args.cache_dir, "cache_dir", str, cfg.cache_dir)
-    if hasattr(args, "samples"):
-        cfg.samples = _resolve(args.samples, "samples", int, cfg.samples, least=1)
-    if hasattr(args, "grid"):
-        cfg.grid_max = _resolve(args.grid, "grid", int, cfg.grid_max, least=0)
-    if hasattr(args, "max_rank"):
-        cfg.max_rank = _resolve(args.max_rank, "max_rank", int, cfg.max_rank, least=4)
+    fields = vars(args).copy()
+    algebra = fields.pop("algebra", None)
+    cfg = RunConfig(**fields)
+    if algebra is not None:
+        cfg.series, cfg.rank = parse_algebra(algebra)
+    for flag, name, least in _LEAST:
+        value = getattr(cfg, name)
+        if value < least:
+            raise ConfigurationError(f"{flag} must be at least {least}, not {value}")
     return cfg
 
 

@@ -1,9 +1,10 @@
 """The mutation catalogue of tools/mutants.py.
 
-Every entry's old text must still occur once in src/: a string search,
-always run, so a change to the code updates the catalogue with it.  Running
-the mutants takes about 15 s, so it is gated behind CELALG_MUTANTS=1, and
-then any surviving mutant fails.
+Every entry's old text must still occur once in src/, and every test it
+names must still be a function of its file: a string search and a parse,
+always run, so a change to the code or the tests updates the catalogue with
+it.  Running the mutants takes about 30 s, so it is gated behind
+CELALG_MUTANTS=1, and then any surviving mutant fails.
 """
 
 import importlib.util
@@ -21,6 +22,15 @@ _spec.loader.exec_module(mutants)
 def test_catalogue_matches_the_code():
     assert len(mutants.CATALOGUE) == len({m.name for m in mutants.CATALOGUE})
     assert mutants.stale(mutants.CATALOGUE) == []
+
+
+def test_stale_names_a_test_that_is_gone():
+    entry = mutants.CATALOGUE[0]
+    renamed = entry._replace(tests=("tests/test_adinv.py::test_no_such_test[A-2]",
+                                    "tests/test_no_such_file.py::test_x"))
+    assert mutants.stale([renamed]) == [
+        f"{entry.name}: no test tests/test_adinv.py::test_no_such_test[A-2]",
+        f"{entry.name}: no test tests/test_no_such_file.py::test_x"]
 
 
 @pytest.mark.skipif(os.environ.get("CELALG_MUTANTS") != "1",

@@ -9,8 +9,9 @@ reports a failing test (exit status 1); anything else, every test passing or
 a test id that no longer exists, leaves it a survivor.  Before the mutants
 run, the named tests must pass on an unmutated copy.
 
-An old text that does not occur exactly once is an error: the catalogue has
-fallen behind the code and must be updated with it.
+An old text that does not occur exactly once, or a named test function that
+no longer exists in its file, is an error: the catalogue has fallen behind
+the code or the tests and must be updated with them.
 
     python tools/mutants.py
 
@@ -20,6 +21,7 @@ stale entry.  Standard library only.
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -80,11 +82,25 @@ CATALOGUE = [
            "ok = all(alpha == (adinv.expected_alpha(dim) if name in admissible else None)",
            "ok = all(alpha in (None, adinv.expected_alpha(dim))",
            ("tests/test_cli.py::test_classify_fails_on_a_planted_alpha[member-missing]",)),
+    # the CLI bounds, each lowered by one: the least refused value passes
+    Mutant("grid-bound-lowered", "cli.py",
+           '("--grid", "grid_max", 0)', '("--grid", "grid_max", -1)',
+           ("tests/test_cli.py::test_configuration_error_exit_two",)),
+    Mutant("samples-bound-lowered", "cli.py",
+           '("--samples", "samples", 1)', '("--samples", "samples", 0)',
+           ("tests/test_cli.py::test_configuration_error_exit_two",)),
+    Mutant("max-rank-bound-lowered", "cli.py",
+           '("--max-rank", "max_rank", 4)', '("--max-rank", "max_rank", 3)',
+           ("tests/test_cli.py::test_classify_max_rank_guard",)),
     # the Lie algebra build and the seeded draws
     Mutant("jacobi-sample-rotation-dropped", "liealg.py",
            "for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):",
            "for a, b, c in ((i, j, k), (j, k, i)):",
            ("tests/test_liealg.py::test_chevalley_constants_are_integers",)),
+    Mutant("jacobi-sample-comparison-disabled", "liealg.py",
+           "        if any(acc.values()):\n",
+           "        if False:\n",
+           ("tests/test_liealg.py::test_jacobi_sample_without_the_derivation_argument",)),
     Mutant("seeded-triple-decode-swapped", "celestial.py",
            "(idx // (n * n), idx // n % n, idx % n)",
            "(idx // (n * n), idx % n, idx // n % n)",
@@ -97,13 +113,26 @@ CATALOGUE = [
 ]
 
 
+def _test_functions(path: Path) -> set:
+    """The names of the top-level test functions of a test file, by its AST."""
+    if not path.is_file():
+        return set()
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+
 def stale(mutants: List[Mutant]) -> List[str]:
-    """A message for each entry whose old text does not occur exactly once."""
+    """A message for each entry whose old text does not occur exactly once,
+    and for each named test whose function is not in its file."""
     out = []
     for m in mutants:
         count = (ROOT / "src" / "celalg" / m.file).read_text().count(m.old)
         if count != 1:
             out.append(f"{m.name}: old text occurs {count} times in {m.file}")
+        for test in m.tests:
+            file, _, function = test.partition("::")
+            if function.partition("[")[0] not in _test_functions(ROOT / file):
+                out.append(f"{m.name}: no test {test}")
     return out
 
 
