@@ -37,7 +37,7 @@ from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .liealg import (ConstructionError, Element, LieAlgebra, RootSystem, UsageError,
-                     simple_lie_algebra)
+                     _ratio, generator_positions, simple_lie_algebra)
 from .report import Report
 
 
@@ -509,9 +509,12 @@ CLASSICAL_TABLE = {
 
 def _simple_generator_matrices(series: str, rank: int
                                ) -> Tuple[int, List[List[List]], List[List[List]]]:
-    """(size, raising, lowering) matrices of the defining representation for
-    the simple roots, in the same Bourbaki ordering the root systems use;
-    each lowering matrix is the transpose of its raising matrix."""
+    """(size, raising, lowering) matrices rho(e_i), rho(f_i) of the defining
+    representation for the simple roots, in the same Bourbaki ordering the
+    root systems use.  Each lowering matrix is the transpose of its raising
+    matrix, times 2 on B's short simple root: there the transpose f' gives
+    [[e, f'], e] = e, and the Chevalley relation [[e, f], e] = 2e needs
+    f = 2 f'."""
     n = rank
     if series == "A":
         size = n + 1
@@ -534,63 +537,31 @@ def _simple_generator_matrices(series: str, rank: int
     for e, lst in zip(es, entries):
         for (i, j, v) in lst:
             e[i][j] = v
-    return size, es, [[list(col) for col in zip(*e)] for e in es]
+    fs = [[list(col) for col in zip(*e)] for e in es]
+    if series == "B":
+        fs[-1] = [[2 * v for v in row] for row in fs[-1]]
+    return size, es, fs
 
 
 class DefiningRep:
     """Defining-representation matrices for every Chevalley basis element of
-    a classical algebra, verified to be a Lie algebra homomorphism."""
+    a classical algebra, verified to be a Lie algebra homomorphism.
+
+    rho(e_i) and rho(f_i) come from _simple_generator_matrices, which
+    refuses the exceptional types.  Every other basis element, the h_i
+    among them, follows the walk by which the build showed that the e_i and
+    f_i generate g: rho(e_k) = [rho(e_x), rho(e_y)] / c for each step
+    (k, x, y, c) of L.generation_steps, e_x and e_y set at earlier steps.
+    """
 
     def __init__(self, L: LieAlgebra):
-        if L.series not in CLASSICAL_TABLE:
-            raise UsageError(f"classical table unsupported for {L.name}")
         self.algebra = L
-        size, es, fs = _simple_generator_matrices(L.series, L.rank)
-        self.size = size
-        rank = L.rank
-        rs = L.root_system
+        self.size, es, fs = _simple_generator_matrices(L.series, L.rank)
         mats: List[Optional[List[List]]] = [None] * L.dim
-
-        pos_index = {r: k for k, r in enumerate(rs.positive_roots)}
-
-        # normalize lowering generators so [h, e] = 2e with h = [e, f];
-        # simple root i sits at position pos_index[unit_i], not at i
-        for i in range(rank):
-            h = mat_comm(es[i], fs[i])
-            he = mat_comm(h, es[i])
-            c = None
-            for r in range(size):
-                for s in range(size):
-                    if es[i][r][s]:
-                        c = Fraction(he[r][s], es[i][r][s])
-                        break
-                if c is not None:
-                    break
-            if c is None or c == 0:
-                raise UsageError(f"degenerate simple generator {i} for {L.name}")
-            if c != 2:
-                fs[i] = [[v * 2 / c for v in row] for row in fs[i]]
-                h = mat_comm(es[i], fs[i])
-            k = pos_index[rs.simple_roots[i]]
-            mats[L.pos_root_index(k)] = es[i]
-            mats[L.neg_root_index(k)] = fs[i]
-            mats[i] = h
-        for k, gamma in enumerate(rs.positive_roots):
-            if sum(gamma) == 1:
-                continue
-            a_idx = next(a for a in range(k)
-                         if tuple(g - r for g, r in
-                                  zip(gamma, rs.positive_roots[a])) in pos_index)
-            b_idx = pos_index[tuple(g - r for g, r in
-                                    zip(gamma, rs.positive_roots[a_idx]))]
-            ia, ib, ig = (L.pos_root_index(x) for x in (a_idx, b_idx, k))
-            nconst = L.f[(ia, ib)][ig]
-            mats[ig] = [[Fraction(v, nconst) for v in row]
-                        for row in mat_comm(mats[ia], mats[ib])]
-            ja, jb, jg = (L.neg_root_index(x) for x in (a_idx, b_idx, k))
-            mats[jg] = [[Fraction(v, -nconst) for v in row]
-                        for row in mat_comm(mats[ja], mats[jb])]
-
+        for x, y, e, f in zip(*generator_positions(L.root_system), es, fs):
+            mats[x], mats[y] = e, f
+        for k, x, y, c in L.generation_steps:
+            mats[k] = [[_ratio(v, c) for v in row] for row in mat_comm(mats[x], mats[y])]
         self.matrices = mats
         self._verify()
 
@@ -600,9 +571,7 @@ class DefiningRep:
         form a subalgebra (Jacobi in g and in the matrices), and the simple
         generators generate g, so it then holds on every basis pair."""
         L = self.algebra
-        rs = L.root_system
-        simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
-        for i in [f(k) for f in (L.pos_root_index, L.neg_root_index) for k in simple]:
+        for i in chain.from_iterable(generator_positions(L.root_system)):
             for j in range(L.dim):
                 comp = L.bracket_basis(i, j)
                 expect = self.matrix(tuple(comp.get(k, 0) for k in range(L.dim)))
@@ -626,13 +595,10 @@ class DefiningRep:
         return out
 
 
-def check_classical_table(L: LieAlgebra, a: Element,
-                          rep: Optional[DefiningRep] = None) -> Report:
-    """One classical row: Tr(ad_a^4) = c4 Tr(a^4) + c22 (Tr(a^2))^2."""
-    if L.series not in CLASSICAL_TABLE:
-        raise UsageError(f"classical table unsupported for {L.name}")
+def check_classical_table(L: LieAlgebra, a: Element, rep: DefiningRep) -> Report:
+    """One classical row: Tr(ad_a^4) = c4 Tr(a^4) + c22 (Tr(a^2))^2, with a
+    read through rep, the DefiningRep of L."""
     c4, c22 = CLASSICAL_TABLE[L.series](L.rank)
-    rep = rep or DefiningRep(L)
     m = L.ad_matrix(a)
     m2 = mat_mul(m, m)
     lhs = trace_mul(m2, m2)

@@ -37,6 +37,8 @@ from typing import Callable, Dict, List, Sequence, Tuple, Union
 Coeffs = Tuple[int, ...]
 Element = Tuple  # length-dim tuple of ints / Fractions
 Rat = Union[int, Fraction]
+# (k, x, y, c): basis element e_k = [e_x, e_y] / c
+Step = Tuple[int, int, int, int]
 
 
 class ConfigurationError(ValueError):
@@ -235,7 +237,8 @@ class LieAlgebra:
 
     Basis order: Cartan generators h_1..h_rank, then root vectors for the
     positive roots in height order, then the corresponding negative ones.
-    Immutable after construction.
+    generation_steps is the walk by which the build showed that the e_i and
+    f_i generate g (_check_generated).  Immutable after construction.
     """
 
     root_system: RootSystem
@@ -245,6 +248,7 @@ class LieAlgebra:
     pairing: List[List[Rat]]
     pairing_inv: List[List[Rat]]
     h_dual_coxeter: int
+    generation_steps: Tuple[Step, ...]
 
     @property
     def series(self) -> str:
@@ -332,12 +336,22 @@ class LieAlgebra:
         return e, h, fneg
 
 
+def generator_positions(rs: RootSystem) -> Tuple[List[int], List[int]]:
+    """Basis positions of the e_i and of the f_i, in simple-root order.
+    Positive roots sort by (height, lexicographic), so the simple root
+    alpha_i is not positive root i."""
+    rank, npos = rs.rank, len(rs.positive_roots)
+    e = [rank + rs.positive_roots.index(r) for r in rs.simple_roots]
+    return e, [x + npos for x in e]
+
+
 # distinct basis triples i < j < k the Jacobi check recomputes beside the
 # derivation argument, at most C(dim, 3)
 JACOBI_SAMPLE = 512
 
 
-def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> None:
+def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]
+                  ) -> List[Step]:
     """Exact structure-constant Jacobi identity, by the derivation argument.
 
     For an antisymmetric bracket the x with ad_x a derivation form a
@@ -351,8 +365,9 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
     x_-a.  Then ad_omega(x) = omega ad_x omega^-1, a derivation conjugated
     by an automorphism is one, and ad_f_i = -ad_omega(e_i); so (3) is
     checked on the e_i alone (_check_derivations), while (2) walks the e_i
-    and f_i (_check_generated).  A seeded sample of min(JACOBI_SAMPLE,
-    C(dim, 3)) distinct basis triples i < j < k is recomputed beside it.
+    and f_i (_check_generated), whose steps are returned.  A seeded sample of
+    min(JACOBI_SAMPLE, C(dim, 3)) distinct basis triples i < j < k is
+    recomputed beside it.
     """
     for (i, j), comp in f.items():
         if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
@@ -366,13 +381,12 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
             raise ConstructionError(
                 f"structure constants are not invariant under the Chevalley "
                 f"involution at basis pair ({i},{j})")
-    simple = [rs.positive_roots.index(r) for r in rs.simple_roots]
-    e_gens = [rank + k for k in simple]
+    e_gens, f_gens = generator_positions(rs)
     # row[i][j] = f[(i, j)]: the one index of f both argument checks walk
     row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
     for (i, j), comp in f.items():
         row[i][j] = comp
-    _check_generated(dim, e_gens + [sigma[x] for x in e_gens], row)
+    steps = _check_generated(dim, e_gens + f_gens, row)
     _check_derivations(dim, e_gens, row)
     rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
     # distinct ranks, unranked in colex order: k is the largest index with
@@ -393,28 +407,35 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> N
                     acc[l] = acc.get(l, 0) + u * v
         if any(acc.values()):
             raise ConstructionError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
+    return steps
 
 
 def _check_generated(dim: int, generators: List[int],
-                     row: List[Dict[int, Dict[int, int]]]) -> None:
+                     row: List[Dict[int, Dict[int, int]]]) -> List[Step]:
     """Every basis element is reached from the generators, read off the rows
     row[i][j] = f[(i, j)] alone: e_k counts only as a nonzero multiple of one
     bracket [x, y] of reached basis elements, never as one term of a longer
-    bracket."""
+    bracket.  Returns the walk in the order reached, one step (k, x, y, c)
+    with e_k = [e_x, e_y] / c for each basis element not a generator, e_x
+    and e_y being generators or reached at earlier steps."""
     reached = set(generators)
     todo = list(generators)
+    steps: List[Step] = []
     while todo:
         x = todo.pop()  # [x, y] = -[y, x], so pairs with x first suffice
         for y, comp in row[x].items():
             if y in reached:
                 terms = [k for k, v in comp.items() if v]
                 if len(terms) == 1 and terms[0] not in reached:
-                    reached.add(terms[0])
-                    todo.append(terms[0])
+                    k = terms[0]
+                    reached.add(k)
+                    todo.append(k)
+                    steps.append((k, x, y, comp[k]))
     if len(reached) < dim:
         missing = min(set(range(dim)) - reached)
         raise ConstructionError(
             f"the simple root vectors do not generate basis element {missing}")
+    return steps
 
 
 def _check_derivations(dim: int, generators: List[int],
@@ -634,20 +655,20 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     _build_f or one read from a file, and every type gets the same checks.
     They are the Jacobi identity by the derivation argument (antisymmetry,
     invariance under the Chevalley involution, generation by the e_i and
-    f_i, Jacobi on every triple with an e_i first) plus a seeded sample of
-    basis triples, then the dual Coxeter number and the pairing from
-    adjoint traces, and the pairing inverse written from root data, all
-    read off f itself.  The one pairing check is pairing . pairing_inv = I
-    exactly; since the inverse is invertible, that holds iff every pairing
-    entry equals its closed form.  Both the trace matrix K (_killing_matrix)
-    and that check run over the nonzero entries only and in integers:
-    pairing = K / 2h, so the check is K . pairing_inv = 2h I, every entry of
-    which is compared.
+    f_i, whose walk the algebra keeps as generation_steps, Jacobi on every
+    triple with an e_i first) plus a seeded sample of basis triples, then
+    the dual Coxeter number and the pairing from adjoint traces, and the
+    pairing inverse written from root data, all read off f itself.  The one
+    pairing check is pairing . pairing_inv = I exactly; since the inverse is
+    invertible, that holds iff every pairing entry equals its closed form.
+    Both the trace matrix K (_killing_matrix) and that check run over the
+    nonzero entries only and in integers: pairing = K / 2h, so the check is
+    K . pairing_inv = 2h I, every entry of which is compared.
     """
     rank = rs.rank
     npos = len(rs.positive_roots)
     dim = rank + 2 * npos
-    _jacobi_check(rs, f)
+    steps = _jacobi_check(rs, f)
     killing = _killing_matrix(dim, f)
 
     # dual Coxeter number from the highest-root coroot: (t, t) = 2 in the
@@ -669,7 +690,7 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
                    + [f"f{k}" for k in range(npos)])
     return LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
                       pairing=pairing, pairing_inv=pairing_inv,
-                      h_dual_coxeter=hdc)
+                      h_dual_coxeter=hdc, generation_steps=tuple(steps))
 
 
 def chevalley_basis(rs: RootSystem) -> LieAlgebra:

@@ -7,6 +7,7 @@ Expected values below were computed with independent oracles: hand-built
 
 import copy
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -304,6 +305,35 @@ def test_classical_table_random(series, rank):
         assert check_classical_table(L, random_element(L, rng), rep).passed
 
 
+# every classical type of rank <= 4; test_extended_suite sweeps to rank 8
+CLASSICAL_TO_RANK_4 = ([("A", r) for r in range(1, 5)] + [("B", r) for r in range(2, 5)]
+                       + [("C", 3), ("C", 4), ("D", 4), ("D", 5)])
+
+
+@pytest.mark.parametrize("series,rank", CLASSICAL_TO_RANK_4)
+def test_defining_rep_sweep(series, rank):
+    # the construction runs _verify, the exact homomorphism check; then one
+    # seeded classical row
+    L = simple_lie_algebra(series, rank)
+    rep = DefiningRep(L)
+    assert check_classical_table(L, random_element(L, _rng(f"sweep-{L.name}")), rep).passed
+
+
+# sha256 of the defining-representation matrices, one line per matrix row
+# with its entries as str, first 16 hex digits
+DEFINING_REP_SHA256 = {
+    "A1": "046da51262741171", "A3": "49306e73a7714bd0", "B2": "f8081de5e2b130b5",
+    "B3": "8ec786a9f661a2fd", "C3": "6d2ab9d9839a181e", "D4": "cdbef801a2caf88e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFINING_REP_SHA256))
+def test_defining_rep_matrices_are_pinned(name):
+    rep = DefiningRep(simple_lie_algebra(name[0], int(name[1:])))
+    text = "\n".join(" ".join(map(str, row)) for m in rep.matrices for row in m)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == DEFINING_REP_SHA256[name]
+
+
 def test_defining_rep_check_catches_a_scaled_non_simple_root():
     # _verify brackets only the simple generators against the basis; a
     # non-simple root matrix scaled by 2 must still fail it
@@ -321,8 +351,10 @@ def test_classical_table_d4_quartic_coefficient_cancels():
 
 
 def test_classical_table_rejects_exceptional():
-    with pytest.raises(UsageError):
-        check_classical_table(simple_lie_algebra("G", 2), None)
+    # a classical row reads a through a DefiningRep, which exceptional types
+    # do not have
+    with pytest.raises(UsageError, match="exceptional type G2"):
+        DefiningRep(simple_lie_algebra("G", 2))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("A", 3),

@@ -5,6 +5,7 @@ assertions; basis order for sl2 is (h, e, f) = labels (0, 1, 2) with duals
 (h/2, f, e).
 """
 
+import copy
 import dataclasses
 import random
 from fractions import Fraction
@@ -695,6 +696,22 @@ def test_substituted_solution_kills_all_defects(sl2):
             for lc in range(n):
                 d = defect_poly(rd, J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0))
                 assert not d, format_lambda_poly(d)
+
+
+def test_defect_poly_leaves_the_shared_memos_as_it_found_them(sl2):
+    # atomic_bracket and resolve hand callers the memo dicts' own values; a
+    # second pass over the solver's representatives must find every value
+    # the first pass memoized unchanged
+    rd = rules_deformed(sl2)
+    reps = list(celestial._representatives(sl2, (J(0, 1, 0), J(0, 0, 1), J(0, 0, 0))))
+    for triple in reps:
+        defect_poly(rd, *triple)
+    base, full = copy.deepcopy(rd.base_memo), copy.deepcopy(rd.full_memo)
+    assert base and full
+    for triple in reps:
+        defect_poly(rd, *triple)
+    assert {key: rd.base_memo[key] for key in base} == base
+    assert {key: rd.full_memo[key] for key in full} == full
 
 
 def test_generic_constants_leave_defects(sl2):

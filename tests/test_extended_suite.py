@@ -2,15 +2,18 @@
 
 Covers the bigger exceptional types: trace-identity batches on F4 and E6,
 the full constant solve of F4, E6, E7 and E8, the E7/E8 quartic alpha
-values, and the D4 solve and G2 verify through the CLI.
+values, and the D4 solve and G2 verify through the CLI; and the defining
+representation of every classical type up to rank 8 (D to rank 9).
 """
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from celalg.adinv import expected_alpha, trace_identity_suite, quartic_alpha
+from celalg.adinv import (DefiningRep, check_classical_table, expected_alpha,
+                          quartic_alpha, random_element, trace_identity_suite)
 from celalg.celestial import closed_form_fractions, solve_constants
 from celalg.liealg import simple_lie_algebra
 
@@ -69,3 +72,15 @@ def test_cli_verify_g2(capsys):
     import json
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is True
+
+
+@extended
+@pytest.mark.parametrize("series,rank", [(s, r) for s, low, high in (
+    ("A", 1, 8), ("B", 2, 8), ("C", 3, 8), ("D", 4, 9)) for r in range(low, high + 1)])
+def test_defining_rep_sweep_to_rank_8(series, rank):
+    # the construction runs _verify, the exact homomorphism check; then one
+    # seeded classical row
+    L = simple_lie_algebra(series, rank)
+    rep = DefiningRep(L)
+    rng = random.Random(f"test-extended:sweep-{L.name}")
+    assert check_classical_table(L, random_element(L, rng), rep).passed

@@ -23,6 +23,7 @@ from celalg.liealg import (
     algebra_from_cache,
     build_root_system,
     chevalley_basis,
+    generator_positions,
     load_structure_constants,
     row_reduce,
     save_structure_constants,
@@ -520,6 +521,25 @@ def test_derivation_argument_without_the_sample(monkeypatch, series, rank):
         f[key] = {k: -v for k, v in f[key].items()}
     with pytest.raises(liealg.ConstructionError, match="Jacobi identity fails"):
         liealg._jacobi_check(rs, f)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("G", 2),
+                                         ("F", 4)])
+def test_generation_steps_reach_each_element_once(series, rank):
+    # the walk of the build, as DefiningRep follows it: each step
+    # (k, x, y, c) reaches a new basis element e_k = [e_x, e_y] / c from the
+    # e_i, f_i and earlier steps, and together they reach every element
+    L = simple_lie_algebra(series, rank)
+    e, f = generator_positions(L.root_system)
+    assert [L.root_system.positive_roots[x - rank] for x in e] == list(L.root_system.simple_roots)
+    assert f == [x + len(L.root_system.positive_roots) for x in e]
+    reached = set(e + f)
+    for k, x, y, c in L.generation_steps:
+        assert {x, y} <= reached and k not in reached
+        assert L.bracket_basis(x, y) == {k: c}
+        reached.add(k)
+    assert reached == set(range(L.dim))
+    assert len(L.generation_steps) == L.dim - 2 * rank
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3), ("A", 4)])

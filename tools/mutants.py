@@ -9,9 +9,11 @@ reports a failing test (exit status 1); anything else, every test passing or
 a test id that no longer exists, leaves it a survivor.  Before the mutants
 run, the named tests must pass on an unmutated copy.
 
-An old text that does not occur exactly once, or a named test function that
-no longer exists in its file, is an error: the catalogue has fallen behind
-the code or the tests and must be updated with them.
+An old text that does not occur exactly once, an edit after which the file
+no longer parses, or a named test function that no longer exists in its file,
+is an error: the catalogue has fallen behind the code or the tests and must
+be updated with them.  An unparsable edit would otherwise stop pytest at
+collection (exit status 2) and be reported a survivor.
 
     python tools/mutants.py
 
@@ -96,11 +98,20 @@ CATALOGUE = [
     Mutant("jacobi-sample-rotation-dropped", "liealg.py",
            "for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):",
            "for a, b, c in ((i, j, k), (j, k, i)):",
-           ("tests/test_liealg.py::test_chevalley_constants_are_integers",)),
+           ("tests/test_liealg.py::test_jacobi_sample_without_the_derivation_argument",)),
     Mutant("jacobi-sample-comparison-disabled", "liealg.py",
            "        if any(acc.values()):\n",
            "        if False:\n",
            ("tests/test_liealg.py::test_jacobi_sample_without_the_derivation_argument",)),
+    # the defining representation along the build's generation walk
+    Mutant("defining-rep-b-lowering-factor-dropped", "adinv.py",
+           "fs[-1] = [[2 * v for v in row] for row in fs[-1]]",
+           "fs[-1] = [[v for v in row] for row in fs[-1]]",
+           ("tests/test_adinv.py::test_defining_rep_sweep[B-2]",)),
+    Mutant("defining-rep-step-divisor-dropped", "adinv.py",
+           "mats[k] = [[_ratio(v, c) for v in row] for row in mat_comm(mats[x], mats[y])]",
+           "mats[k] = mat_comm(mats[x], mats[y])",
+           ("tests/test_adinv.py::test_defining_rep_sweep[B-2]",)),
     Mutant("seeded-triple-decode-swapped", "celestial.py",
            "(idx // (n * n), idx // n % n, idx % n)",
            "(idx // (n * n), idx % n, idx // n % n)",
@@ -122,13 +133,19 @@ def _test_functions(path: Path) -> set:
 
 
 def stale(mutants: List[Mutant]) -> List[str]:
-    """A message for each entry whose old text does not occur exactly once,
-    and for each named test whose function is not in its file."""
+    """A message for each entry whose old text does not occur exactly once
+    or whose edit leaves a file that does not parse, and for each named test
+    whose function is not in its file."""
     out = []
     for m in mutants:
-        count = (ROOT / "src" / "celalg" / m.file).read_text().count(m.old)
+        text = (ROOT / "src" / "celalg" / m.file).read_text()
+        count = text.count(m.old)
         if count != 1:
             out.append(f"{m.name}: old text occurs {count} times in {m.file}")
+        try:
+            compile(text.replace(m.old, m.new), m.file, "exec")
+        except SyntaxError as exc:
+            out.append(f"{m.name}: the mutated {m.file} does not parse: {exc.msg}")
         for test in m.tests:
             file, _, function = test.partition("::")
             if function.partition("[")[0] not in _test_functions(ROOT / file):
