@@ -304,11 +304,10 @@ def element_rng(master_seed, L: LieAlgebra, check: str) -> random.Random:
 
 def root_weights(rs: RootSystem) -> List[Tuple[int, ...]]:
     """(w(h_1), ..., w(h_rank)) for each basis slot in the basis order: 0 on
-    the Cartan slots, the Cartan pairings of positive root k on its vector
-    and their negatives on the vector of -root k."""
-    pos = [tuple(rs.cartan_pairing(r, i) for i in range(rs.rank))
-           for r in rs.positive_roots]
-    return [(0,) * rs.rank] * rs.rank + pos + [tuple(-c for c in w) for w in pos]
+    the Cartan slots and the Cartan pairings of each root on its vector,
+    rs.position being keyed in basis order."""
+    return [(0,) * rs.rank] * rs.rank + [
+        tuple(rs.cartan_pairing(r, i) for i in range(rs.rank)) for r in rs.position]
 
 
 def weight_alpha(weights: Sequence[Tuple[int, ...]]) -> Optional[Fraction]:
@@ -577,7 +576,7 @@ class DefiningRep:
                 expect = self.matrix(tuple(comp.get(k, 0) for k in range(L.dim)))
                 got = mat_comm(self.matrices[i], self.matrices[j])
                 if got != expect:
-                    raise UsageError(
+                    raise ConstructionError(
                         f"defining representation of {L.name} is not a "
                         f"homomorphism at basis pair ({i},{j})")
 

@@ -8,10 +8,11 @@ zero block: every bracket among I, E and F vanishes.
                outputs an E or F letter), plus the pair E, F coupled to J
                with bidegree-dependent coefficients proportional to beta.
   * deformed:  the finite deformation with constants D and C on the
-               low-bidegree generators; quadratic terms are expanded over a
-               concrete dual basis of g.  J-J brackets exist only at the
-               deformed patterns; any other J-J pattern raises
-               UndefinedBracket.  J-I falls back to the current bracket on
+               low-bidegree generators; quadratic terms are expanded over
+               the Chevalley basis and its dual basis, each e^i read off
+               pairing_inv at its only nonzero slots (_quadratic_words).
+               J-J brackets exist only at the deformed patterns; any other
+               J-J pattern raises UndefinedBracket.  J-I falls back to the current bracket on
                every pattern except the two with +-C quadratic words,
                [J[1,0] I[0,1]] and [J[0,1] I[1,0]].
 
@@ -128,33 +129,8 @@ class RuleSet:
         self.rules = rules
         self.base_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
-        self._dual_brackets: Optional[List[List[Dict[int, Fraction]]]] = None
         self.d_const: Scalar = {}
         self.c_const: Scalar = {}
-
-    def dual_brackets(self) -> List[List[Dict[int, Fraction]]]:
-        """table[x][i] = coefficients of [e_x, e^i] over the basis."""
-        if self._dual_brackets is None:
-            L = self.algebra
-            n = L.dim
-            # the nonzero (l, value) entries of each row of pairing_inv
-            duals = [[(l, v) for l, v in enumerate(row) if v] for row in L.pairing_inv]
-            table: List[List[Dict[int, Fraction]]] = []
-            for x in range(n):
-                row = []
-                for i in range(n):
-                    acc: Dict[int, Fraction] = {}
-                    for l, kil in duals[i]:
-                        for k, c in L.bracket_basis(x, l).items():
-                            v = acc.get(k, 0) + kil * c
-                            if v:
-                                acc[k] = v
-                            else:
-                                acc.pop(k, None)
-                    row.append(acc)
-                table.append(row)
-            self._dual_brackets = table
-        return self._dual_brackets
 
     def direct(self, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly]:
         """The table's own value of [a b], or None where it defines none."""
@@ -231,15 +207,33 @@ def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
 def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
                      coeff: Scalar) -> Dict[Word, Scalar]:
     """coeff * sum_i X_[a,e_i][0,0] I_[b,e^i][0,0] over the concrete basis,
-    X being J or I; I-I words are sorted (their bracket vanishes)."""
+    X being J or I; I-I words are sorted (their bracket vanishes).
+
+    The dual basis element e^i = sum_j pairing_inv[i][j] e_j is read at its
+    only nonzero slots: the Cartan block for a Cartan slot i, and
+    opposite[i] for a root vector.  The finisher's _verify_inverse compared
+    every entry of pairing_inv, zeros included."""
     L = rs.algebra
-    db = rs.dual_brackets()
+    cartan, opposite = range(L.rank), L.root_system.opposite
     out: Dict[Word, Scalar] = {}
     for i in range(L.dim):
         left = L.bracket_basis(la, i)
         if not left:
             continue
-        right = db[lb][i]
+        dual = L.pairing_inv[i]
+        # [e_b, e^i] = scale * right over the basis
+        if i in cartan:
+            right, scale = {}, 1
+            for j in cartan:
+                for k, c in L.bracket_basis(lb, j).items():
+                    v = right.get(k, 0) + dual[j] * c
+                    if v:
+                        right[k] = v
+                    else:
+                        right.pop(k, None)
+        else:
+            j = opposite[i]
+            right, scale = L.bracket_basis(lb, j), dual[j]
         if not right:
             continue
         for k, ck in left.items():
@@ -247,7 +241,7 @@ def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
             for l, cl in right.items():
                 gl = GenSymbol(KIND_I, l, (0, 0), 0)
                 word = (gk, gl) if gk <= gl else (gl, gk)
-                ws_iadd(out, word, s_scale(coeff, ck * cl))
+                ws_iadd(out, word, s_scale(coeff, ck * cl * scale))
     return out
 
 
@@ -319,16 +313,10 @@ def rules_extended(L: LieAlgebra) -> RuleSet:
     return _probed(RuleSet(L, _extended_rules()))
 
 
-def _as_scalar(value, formal_exp) -> Scalar:
-    if value is None:
-        return s_monomial(formal_exp)
-    if isinstance(value, dict):
-        return value
-    return s_rational(Fraction(value))
-
-
-def rules_deformed(L: LieAlgebra, d_const=None, c_const=None) -> RuleSet:
-    """Deformed table; d_const and c_const default to formal parameters.
+def rules_deformed(L: LieAlgebra, d_const: Optional[Scalar] = None,
+                   c_const: Optional[Scalar] = None) -> RuleSet:
+    """Deformed table over the Scalars d_const and c_const; None, the
+    default, makes each a formal parameter.
 
     J-J brackets are defined only at the deformed patterns (and their skew
     images), so queries for any other J-J bidegree pattern raise
@@ -337,8 +325,8 @@ def rules_deformed(L: LieAlgebra, d_const=None, c_const=None) -> RuleSet:
     rules = _extended_rules()
     rules.update({(KIND_J, KIND_J): _deformed_jj, (KIND_J, KIND_I): _deformed_ji})
     rs = RuleSet(L, rules)
-    rs.d_const = _as_scalar(d_const, DCOEF)
-    rs.c_const = _as_scalar(c_const, CCOEF)
+    rs.d_const = s_monomial(DCOEF) if d_const is None else d_const
+    rs.c_const = s_monomial(CCOEF) if c_const is None else c_const
     return _probed(rs)
 
 
@@ -473,10 +461,10 @@ def _seeded_triples(seed: str, n: int, count: int) -> List[Tuple[int, int, int]]
 
 
 def _theta_labels(L: LieAlgebra) -> Tuple[int, int]:
-    """(x_-theta, x_theta); positive roots are ordered by height, so the last
-    one is theta."""
-    top = len(L.root_system.positive_roots) - 1
-    return L.neg_root_index(top), L.pos_root_index(top)
+    """(x_-theta, x_theta), theta the highest root."""
+    rs = L.root_system
+    top = rs.position[rs.highest_root]
+    return rs.opposite[top], top
 
 
 def _pattern(g: GenSymbol) -> GenSymbol:

@@ -103,6 +103,11 @@ def _gram_matrix(series: str, rank: int) -> List[List[Fraction]]:
 
 @dataclass(frozen=True)
 class RootSystem:
+    """Root data and the Chevalley basis layout, the one place it is worked
+    out: the Cartan slots 0..rank-1 come first, then the vectors of the
+    positive roots in their order, then those of their negatives, so the
+    opposite of a root vector sits npos slots away."""
+
     series: str
     rank: int
     gram: Tuple[Tuple[Fraction, ...], ...]
@@ -110,8 +115,15 @@ class RootSystem:
     positive_roots: Tuple[Coeffs, ...]  # ordered by (height, lexicographic)
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     # (root, root) for every positive and negative root, computed once
-    norms: Dict[Coeffs, Rat] = field(default_factory=dict, compare=False,
-                                     repr=False)
+    norms: Dict[Coeffs, Rat] = field(compare=False, repr=False)
+    # the basis position of each root vector, keyed in basis order
+    position: Dict[Coeffs, int] = field(compare=False, repr=False)
+    # opposite[i]: the position of the opposite root vector, i on the Cartan slots
+    opposite: Tuple[int, ...] = field(compare=False, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return len(self.opposite)
 
     def norm2(self, root: Coeffs) -> Rat:
         """(root, root) of a positive or negative root, read from the table."""
@@ -162,7 +174,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         raise ConstructionError(f"non-integral Cartan pairing {bad}")
     cartan = tuple(tuple(map(int, row)) for row in cartan)
 
-    interim = RootSystem(series, rank, tuple(map(tuple, gram)), tuple(simple), (), cartan)
+    interim = RootSystem(series, rank, tuple(map(tuple, gram)), tuple(simple), (), cartan,
+                         {}, {}, ())
     roots = set(simple)
     by_height = [list(simple)]
     while by_height[-1]:
@@ -193,9 +206,12 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         n6 = sum(ri * sum(g6[i][j] * rj for j, rj in enumerate(r) if rj)
                  for i, ri in enumerate(r) if ri)
         norms[r] = norms[_vneg(r)] = _ratio(n6, 6)
+    position = {r: rank + k for k, r in enumerate(positive)}
+    position.update({_vneg(r): rank + len(positive) + k for k, r in enumerate(positive)})
+    opposite = (*range(rank), *(position[_vneg(r)] for r in position))
 
     rs = RootSystem(series, rank, interim.gram, interim.simple_roots,
-                    tuple(positive), cartan, norms)
+                    tuple(positive), cartan, norms, position, opposite)
     n2 = rs.norm2(rs.highest_root)
     if n2 != 2:
         raise ConstructionError(f"highest-root norm {n2} != 2: bad normalization")
@@ -235,14 +251,14 @@ def _string_depth(is_root: Callable[[Coeffs], bool], alpha: Coeffs,
 class LieAlgebra:
     """Simple Lie algebra in a Chevalley basis with exact invariant pairing.
 
-    Basis order: Cartan generators h_1..h_rank, then root vectors for the
-    positive roots in height order, then the corresponding negative ones.
+    The basis layout is the root system's: Cartan generators h_1..h_rank,
+    then root vectors for the positive roots in height order, then the
+    corresponding negative ones (RootSystem.position, .opposite).
     generation_steps is the walk by which the build showed that the e_i and
     f_i generate g (_check_generated).  Immutable after construction.
     """
 
     root_system: RootSystem
-    dim: int
     basis_labels: Tuple[str, ...]
     f: Dict[Tuple[int, int], Dict[int, int]]
     pairing: List[List[Rat]]
@@ -262,6 +278,10 @@ class LieAlgebra:
     def name(self) -> str:
         return f"{self.series}{self.rank}"
 
+    @property
+    def dim(self) -> int:
+        return self.root_system.dim
+
     def zero(self) -> Element:
         return (0,) * self.dim
 
@@ -274,10 +294,11 @@ class LieAlgebra:
         return tuple(coeffs)
 
     def pos_root_index(self, k: int) -> int:
-        return self.rank + k
+        rs = self.root_system
+        return rs.position[rs.positive_roots[k]]
 
     def neg_root_index(self, k: int) -> int:
-        return self.rank + len(self.root_system.positive_roots) + k
+        return self.root_system.opposite[self.pos_root_index(k)]
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
         return self.f.get((i, j), {})
@@ -340,9 +361,8 @@ def generator_positions(rs: RootSystem) -> Tuple[List[int], List[int]]:
     """Basis positions of the e_i and of the f_i, in simple-root order.
     Positive roots sort by (height, lexicographic), so the simple root
     alpha_i is not positive root i."""
-    rank, npos = rs.rank, len(rs.positive_roots)
-    e = [rank + rs.positive_roots.index(r) for r in rs.simple_roots]
-    return e, [x + npos for x in e]
+    e = [rs.position[r] for r in rs.simple_roots]
+    return e, [rs.opposite[x] for x in e]
 
 
 # distinct basis triples i < j < k the Jacobi check recomputes beside the
@@ -373,9 +393,7 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]
         if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
             raise ConstructionError(
                 f"structure constants are not antisymmetric at basis pair ({i},{j})")
-    rank, npos = rs.rank, len(rs.positive_roots)
-    dim = rank + 2 * npos
-    sigma = list(range(rank)) + list(range(rank + npos, dim)) + list(range(rank, rank + npos))
+    dim, sigma = rs.dim, rs.opposite
     for (i, j), comp in f.items():
         if f.get((sigma[i], sigma[j])) != {sigma[k]: -v for k, v in comp.items()}:
             raise ConstructionError(
@@ -476,37 +494,30 @@ def _check_derivations(dim: int, generators: List[int],
 def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     """Integer structure constants in the Chevalley basis, as one signed table.
 
-    Root vectors are keyed by basis position: positive root k sits at
-    rank + k and its negative at rank + npos + k, so negation is a shift by
-    npos.  The positive constants come by height induction: the extraspecial
-    pair of each positive root g (least first component) gets N = p + 1,
-    with p the depth of its root string, and every other pair the four-term
-    relation (Carter, Simple Groups of Lie Type, 1972), whose mixed-sign
-    constants are read off the table at lower heights.  As soon as a
-    positive pair (a, b) with a + b = g has its N, the zero-sum triple
-    (a, b, -g) and its negative are written:
+    Root vectors are keyed by their basis position, rs.position, and
+    negation is read from rs.opposite.  The positive constants come by
+    height induction: the extraspecial pair of each positive root g (least
+    first component) gets N = p + 1, with p the depth of its root string,
+    and every other pair the four-term relation (Carter, Simple Groups of
+    Lie Type, 1972), whose mixed-sign constants are read off the table at
+    lower heights.  As soon as a positive pair (a, b) with a + b = g has its
+    N, the zero-sum triple (a, b, -g) and its negative are written:
 
         N(a,b)/(g,g) = N(b,-g)/(a,a) = N(-g,a)/(b,b),  N(-x,-y) = -N(x,y),
 
     with antisymmetry.  An ordered pair of roots summing to a root lies in
     exactly one such triple, so each root-root bracket is written once.
     """
-    rank, pos = rs.rank, rs.positive_roots
-    npos = len(pos)
-    top = rank + npos  # positions below top hold the positive roots
-    index = {r: rank + k for k, r in enumerate(pos)}
-    index.update({_vneg(r): top + k for k, r in enumerate(pos)})
+    pos, index, neg = rs.positive_roots, rs.position, rs.opposite
     # 6 (r, r) by position, an int on every type
-    norm = [0] * rank + [int(6 * rs.norm2(r)) for r in pos] * 2
+    norm = [0] * rs.rank + [int(6 * rs.norm2(r)) for r in index]
     is_root = index.__contains__
     f: Dict[Tuple[int, int], Dict[int, int]] = {}
 
-    def neg(i: int) -> int:
-        return i + npos if i < top else i - npos
-
-    for k, r in enumerate(pos):
-        x, y = rank + k, top + k
-        for i in range(rank):
+    for r in pos:
+        x = index[r]
+        y = neg[x]
+        for i in range(rs.rank):
             c = rs.cartan_pairing(r, i)
             if c:
                 f[i, x], f[x, i], f[i, y], f[y, i] = {x: c}, {x: -c}, {y: -c}, {y: c}
@@ -517,46 +528,43 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
         """[x_a, x_b] = n x_g for positive a + b = g, and the rest of the
         triples (a, b, -g) and (-a, -b, g)."""
         for x, y, z, (v, rem) in ((a, b, g, (n, 0)),
-                                  (b, neg(g), neg(a), divmod(n * norm[a], norm[g])),
-                                  (neg(g), a, neg(b), divmod(n * norm[b], norm[g]))):
+                                  (b, neg[g], neg[a], divmod(n * norm[a], norm[g])),
+                                  (neg[g], a, neg[b], divmod(n * norm[b], norm[g]))):
             if rem:
                 raise ConstructionError("non-integral structure constant")
             f[x, y], f[y, x] = {z: v}, {z: -v}
-            f[neg(x), neg(y)], f[neg(y), neg(x)] = {neg(z): -v}, {neg(z): v}
+            f[neg[x], neg[y]], f[neg[y], neg[x]] = {neg[z]: -v}, {neg[z]: v}
 
-    for g in range(rank, top):
-        gamma = pos[g - rank]
+    for k, gamma in enumerate(pos):
         if sum(gamma) == 1:
             continue
-        # the pairs (a, b) with a + b = gamma, least a first; b is positive,
-        # as its height is gamma's less a's
-        pairs = []
-        for a in range(rank, g):
-            b = index.get(_vsub(gamma, pos[a - rank]))
-            if b is not None:
-                pairs.append((a, b))
+        g = index[gamma]
+        # the pairs (alpha, beta) with alpha + beta = gamma, least alpha
+        # first; beta is positive, as its height is gamma's less alpha's
+        pairs = [(alpha, beta) for alpha in pos[:k] if (beta := _vsub(gamma, alpha)) in index]
         if not pairs:
             raise ConstructionError(f"root {gamma} has no decomposition")
-        a, b = pairs[0]
-        alpha, beta = pos[a - rank], pos[b - rank]
+        alpha, beta = pairs[0]
+        a, b = index[alpha], index[beta]
         n0 = _string_depth(is_root, alpha, beta) + 1
         write(a, b, g, n0)
-        for xi, eta in pairs[1:]:
+        for xi_root, eta_root in pairs[1:]:
+            xi, eta = index[xi_root], index[eta_root]
             if (xi, eta) in f:
                 continue
             # four-term relation for alpha + beta - xi - eta = 0; the
             # differences are roots of lower height, or not roots at all
             total = Fraction(0)
-            d = index.get(_vsub(beta, pos[xi - rank]))
+            d = index.get(_vsub(beta, xi_root))
             if d is not None:
-                total += Fraction(f[b, neg(xi)][d] * f[a, neg(eta)][neg(d)], norm[d])
-            d = index.get(_vsub(alpha, pos[xi - rank]))
+                total += Fraction(f[b, neg[xi]][d] * f[a, neg[eta]][neg[d]], norm[d])
+            d = index.get(_vsub(alpha, xi_root))
             if d is not None:
-                total += Fraction(f[neg(xi), a][d] * f[b, neg(eta)][neg(d)], norm[d])
+                total += Fraction(f[neg[xi], a][d] * f[b, neg[eta]][neg[d]], norm[d])
             n = norm[g] * total / n0
             if n.denominator != 1:
                 raise ConstructionError("non-integral structure constant")
-            if abs(n) != _string_depth(is_root, pos[xi - rank], pos[eta - rank]) + 1:
+            if abs(n) != _string_depth(is_root, xi_root, eta_root) + 1:
                 raise ConstructionError(
                     f"structure constant {n} violates root-string bound")
             write(xi, eta, g, int(n))
@@ -614,18 +622,15 @@ def _pairing_inverse(rs: RootSystem) -> List[List[Rat]]:
     (x_a, x_{-a}) = 2 / (a, a) on each opposite-root pair, and zero elsewhere.
     The Cartan block is inverted exactly; each pair inverts to (a, a) / 2.
     """
-    rank, npos = rs.rank, len(rs.positive_roots)
-    g = rs.gram
+    rank, g = rs.rank, rs.gram
     aug = [[4 * g[i][j] / (g[i][i] * g[j][j]) for j in range(rank)]
            + [int(i == j) for j in range(rank)] for i in range(rank)]
     reduced, _ = row_reduce(aug, rank)
-    dim = rank + 2 * npos
-    inv = [[0] * dim for _ in range(dim)]
+    inv = [[0] * rs.dim for _ in range(rs.dim)]
     for i in range(rank):
         inv[i][:rank] = [_ratio(v, 1) for v in reduced[i][rank:]]
-    for k, root in enumerate(rs.positive_roots):
-        pos, neg = rank + k, rank + npos + k
-        inv[pos][neg] = inv[neg][pos] = _ratio(rs.norm2(root), 2)
+    for root, i in rs.position.items():
+        inv[i][rs.opposite[i]] = _ratio(rs.norm2(root), 2)
     return inv
 
 
@@ -665,11 +670,8 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     nonzero entries only and in integers: pairing = K / 2h, so the check is
     K . pairing_inv = 2h I, every entry of which is compared.
     """
-    rank = rs.rank
-    npos = len(rs.positive_roots)
-    dim = rank + 2 * npos
     steps = _jacobi_check(rs, f)
-    killing = _killing_matrix(dim, f)
+    killing = _killing_matrix(rs.dim, f)
 
     # dual Coxeter number from the highest-root coroot: (t, t) = 2 in the
     # target normalization, so Tr(ad_t ad_t) = 2h * 2.
@@ -685,10 +687,10 @@ def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlge
     pairing_inv = _pairing_inverse(rs)
     _verify_inverse(killing, 2 * hdc, pairing_inv)
 
-    labels = tuple([f"h{i + 1}" for i in range(rank)]
-                   + [f"e{k}" for k in range(npos)]
-                   + [f"f{k}" for k in range(npos)])
-    return LieAlgebra(root_system=rs, dim=dim, basis_labels=labels, f=f,
+    roots = range(len(rs.positive_roots))
+    labels = tuple([f"h{i + 1}" for i in range(rs.rank)]
+                   + [f"e{k}" for k in roots] + [f"f{k}" for k in roots])
+    return LieAlgebra(root_system=rs, basis_labels=labels, f=f,
                       pairing=pairing, pairing_inv=pairing_inv,
                       h_dual_coxeter=hdc, generation_steps=tuple(steps))
 
@@ -792,7 +794,7 @@ def algebra_from_cache(series: str, rank: int, path: str) -> LieAlgebra:
     rs = build_root_system(series, rank)
     try:
         dim, rank_in, hdc_in, f = load_structure_constants(path)
-        if dim != rs.rank + 2 * len(rs.positive_roots) or rank_in != rs.rank:
+        if dim != rs.dim or rank_in != rs.rank:
             raise ConfigurationError(f"shape does not match type {rs.series}{rs.rank}")
         L = _finish(rs, f)
         if L.h_dual_coxeter != hdc_in:

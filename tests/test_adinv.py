@@ -342,7 +342,7 @@ def test_defining_rep_check_catches_a_scaled_non_simple_root():
     top = L.pos_root_index(len(L.root_system.positive_roots) - 1)
     bad.matrices = list(bad.matrices)
     bad.matrices[top] = [[2 * v for v in row] for row in bad.matrices[top]]
-    with pytest.raises(UsageError, match="not a homomorphism"):
+    with pytest.raises(ConstructionError, match="not a homomorphism"):
         bad._verify()
 
 

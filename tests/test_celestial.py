@@ -32,8 +32,10 @@ from celalg.celestial import (
 from celalg.lambdacalc import (
     E,
     F,
+    GenSymbol,
     I,
     J,
+    KIND_I,
     KIND_J,
     UndefinedBracket,
     bracket_words,
@@ -42,6 +44,7 @@ from celalg.lambdacalc import (
     lp_iadd,
     normal_order_poly,
     skew,
+    ws_iadd,
 )
 from celalg.liealg import row_reduce, simple_lie_algebra
 from celalg.scalar import s_monomial, s_rational, s_scale
@@ -562,24 +565,25 @@ def test_reduced_rows_span_all_label_triples(monkeypatch, series, rank):
 def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     from celalg.cli import main
     from celalg.lambdacalc import InternalConsistencyError
-    orig = celestial.rules_deformed
+    orig = celestial._quadratic_words
 
-    def perturbed(L):
-        # one dual-bracket entry plus 1: the table is no longer g-equivariant
-        rs = orig(L)
-        entry = rs.dual_brackets()[0][3]
-        entry[9] = entry.get(9, 0) + 1
-        rs.base_memo.clear()
-        rs.full_memo.clear()
-        return rs
+    def perturbed(rs, kind_left, la, lb, coeff):
+        # one dual-bracket entry, [e_0, e^3] at e_9, plus 1: the table is no
+        # longer g-equivariant
+        out = orig(rs, kind_left, la, lb, coeff)
+        if lb == 0:
+            extra = GenSymbol(KIND_I, 9, (0, 0), 0)
+            for k, ck in rs.algebra.bracket_basis(la, 3).items():
+                word = tuple(sorted((GenSymbol(kind_left, k, (0, 0), 0), extra)))
+                ws_iadd(out, word, s_scale(coeff, ck))
+        return out
 
-    monkeypatch.setattr(celestial, "rules_deformed", perturbed)
+    monkeypatch.setattr(celestial, "_quadratic_words", perturbed)
     G2 = simple_lie_algebra("G", 2)
-    rd = perturbed(G2)
+    rd = rules_deformed(G2)
     # the reduced rows alone still give the closed form, so only the spot
     # check can see the fault
-    top = len(G2.root_system.positive_roots) - 1
-    low, high = G2.neg_root_index(top), G2.pos_root_index(top)
+    low, high = celestial._theta_labels(G2)
     status, solution, _ = celestial._solve_rows(
         {row for k in range(G2.dim) for row in _label_rows(rd, low, high, k)}, 3)
     assert (status, solution) == ("unique", (Fraction(-1, 5), Fraction(3, 20)))
@@ -591,6 +595,36 @@ def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("internal error: InternalConsistencyError: triple (J_")
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3), ("D", 4)])
+def test_quadratic_words_match_the_dense_dual_basis_sum(series, rank):
+    # _quadratic_words reads e^i at the Cartan block or opposite[i] alone;
+    # the reference sums [e_b, e^i] over every entry pairing_inv[i][l]
+    L = simple_lie_algebra(series, rank)
+    rs = celestial.RuleSet(L, {})
+    n = L.dim
+    dual = []  # dual[b][i] = [e_b, e^i] over the basis
+    for b in range(n):
+        dual.append([])
+        for row in L.pairing_inv:
+            acc = {}
+            for l, v in enumerate(row):
+                for k, c in L.bracket_basis(b, l).items():
+                    acc[k] = acc.get(k, 0) + v * c
+            dual[b].append({k: v for k, v in acc.items() if v})
+    for kind in (KIND_J, KIND_I):
+        for la in range(n):
+            for lb in range(n):
+                want = {}
+                for i in range(n):
+                    for k, ck in L.bracket_basis(la, i).items():
+                        for l, cl in dual[lb][i].items():
+                            word = tuple(sorted((GenSymbol(kind, k, (0, 0), 0),
+                                                 GenSymbol(KIND_I, l, (0, 0), 0))))
+                            want[word] = want.get(word, 0) + ck * cl
+                got = celestial._quadratic_words(rs, kind, la, lb, s_rational(1))
+                assert got == {w: s_rational(v) for w, v in want.items() if v}
 
 
 def _rank(rows, k):
@@ -715,7 +749,7 @@ def test_defect_poly_leaves_the_shared_memos_as_it_found_them(sl2):
 
 
 def test_generic_constants_leave_defects(sl2):
-    rd = rules_deformed(sl2, d_const=Fraction(1), c_const=Fraction(1))
+    rd = rules_deformed(sl2, d_const=s_rational(1), c_const=s_rational(1))
     found = any(
         defect_poly(rd, J(la, 1, 0), J(lb, 0, 1), J(lc, 0, 0))
         for la in range(3) for lb in range(3) for lc in range(3))

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from celalg.adinv import cartan_alpha
+from celalg.adinv import cartan_alpha, root_weights
 from celalg.liealg import (
     CACHE_FORMAT,
     VALID_RANKS,
@@ -108,6 +108,23 @@ def test_root_data_match_sympy(series, rank):
 # every type up to rank 8, E8 among them
 ALL_TYPES_TO_RANK_8 = [(s, r) for s in "ABCDEFG" for r in range(1, 9)
                        if VALID_RANKS[s](r)]
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES_TO_RANK_8 + [("D", 9)])
+def test_basis_layout_is_read_from_the_root_system(series, rank):
+    # the Cartan slots, then the positive roots in order, then their
+    # negatives in the same order
+    rs = build_root_system(series, rank)
+    npos = len(rs.positive_roots)
+    want = {r: rank + k for k, r in enumerate(rs.positive_roots)}
+    want.update({tuple(-c for c in r): rank + npos + k for k, r in enumerate(rs.positive_roots)})
+    assert list(rs.position.items()) == list(want.items())
+    assert rs.dim == rank + 2 * npos == len(rs.opposite)
+    opposite = rs.opposite
+    assert [opposite[opposite[i]] for i in range(rs.dim)] == list(range(rs.dim))
+    assert [i for i in range(rs.dim) if opposite[i] == i] == list(range(rank))
+    weights = root_weights(rs)
+    assert all(weights[opposite[i]] == tuple(-w for w in weights[i]) for i in range(rs.dim))
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES_TO_RANK_8)

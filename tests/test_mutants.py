@@ -4,7 +4,7 @@ Every entry's old text must still occur once in src/, its edit must leave
 a file that parses, and every test it names must still be a function of its
 file: a string search and two parses, always run, so a change to the code
 or the tests updates the catalogue with it.  Running the mutants takes
-about 30 s, so it is gated behind CELALG_MUTANTS=1, and then any surviving
+about 40 s, so it is gated behind CELALG_MUTANTS=1, and then any surviving
 mutant fails.
 """
 

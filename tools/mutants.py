@@ -52,9 +52,9 @@ CATALOGUE = [
            ("tests/test_adinv.py::test_quartic_alpha_absent",
             "tests/test_adinv.py::test_root_data_admits_exactly_the_admissible_types")),
     Mutant("alpha-positive-roots-only", "adinv.py",
-           "return [(0,) * rs.rank] * rs.rank + pos + [tuple(-c for c in w) for w in pos]",
-           "return [(0,) * rs.rank] * rs.rank + pos",
-           ("tests/test_adinv.py::test_quartic_alpha_admissible",
+           "for r in rs.position]",
+           "for r in rs.positive_roots]",
+           ("tests/test_liealg.py::test_basis_layout_is_read_from_the_root_system[A-1]",
             "tests/test_adinv.py::test_root_data_admits_exactly_the_admissible_types")),
     Mutant("alpha-spot-tuple-dropped", "adinv.py",
            "    if not spot.passed:\n",
@@ -112,6 +112,11 @@ CATALOGUE = [
            "mats[k] = [[_ratio(v, c) for v in row] for row in mat_comm(mats[x], mats[y])]",
            "mats[k] = mat_comm(mats[x], mats[y])",
            ("tests/test_adinv.py::test_defining_rep_sweep[B-2]",)),
+    # the dual basis read at its nonzero slots
+    Mutant("quadratic-words-dual-slot-unshifted", "celestial.py",
+           "j = opposite[i]",
+           "j = i",
+           ("tests/test_celestial.py::test_quadratic_words_match_the_dense_dual_basis_sum[A-1]",)),
     Mutant("seeded-triple-decode-swapped", "celestial.py",
            "(idx // (n * n), idx // n % n, idx % n)",
            "(idx // (n * n), idx % n, idx // n % n)",
@@ -121,6 +126,15 @@ CATALOGUE = [
            "        if not lp_equal(result, alt):\n",
            "        if False:\n",
            ("tests/test_acceptance.py::test_criterion_7_engine_self_consistency",)),
+    # the engine's variable substitutions
+    Mutant("lambda-plus-mu-sign-flipped", "lambdacalc.py",
+           "lp_iadd(out, (i, k - i), ws, comb(k, i))",
+           "lp_iadd(out, (i, k - i), ws, (-1) ** i * comb(k, i))",
+           ("tests/test_lambdacalc.py::test_substitute_lambda_plus_mu_binomial",)),
+    Mutant("skew-binomial-off-by-one", "lambdacalc.py",
+           "t_power(ws, j), sign * comb(k, j))",
+           "t_power(ws, j), sign * comb(k + 1, j))",
+           ("tests/test_lambdacalc.py::test_skew_linear_term",)),
 ]
 
 
