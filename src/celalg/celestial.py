@@ -28,7 +28,11 @@ other triples, J-J-I ones among them, keep nonzero defects unchecked.
 
 The solver and the grid verifier compute label representatives only: the
 g-equivariance of the defect lets the labels (x_-theta, x_theta, e_k)
-decide every label (see _representatives).  The grid verifier computes
+decide every label, and e_k need only run over a few labels that generate g
+as a module over the centralizer c of x_-theta (x) x_theta, the Cartan
+slots and the root vectors orthogonal to theta (see _representatives; six
+or fewer labels on every exceptional type, every label on A1 and A2, where
+c is the Cartan subalgebra).  The grid verifier computes
 sorted pattern triples only, and leaves out every triple with two slots in
 the abelian ideal spanned by the I, E and F letters, declared with the
 zero block and checked by the construction probe, whose defect vanishes by
@@ -44,6 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import lcm
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .lambdacalc import (
@@ -119,7 +124,8 @@ class RuleSet:
     Values are memoized and are checked on first build to strictly decrease
     total weight, the guarantee the reordering algorithm depends on.
     `abelian` holds the kinds of the abelian ideal A, whose zero block
-    every table is built on.
+    every table is built on, and `dual_slots` the dual basis over one
+    denominator that _quadratic_words reads.
     """
 
     abelian = ABELIAN_KINDS
@@ -131,6 +137,7 @@ class RuleSet:
         self.full_memo: Dict[Tuple[GenSymbol, GenSymbol], LambdaPoly] = {}
         self.d_const: Scalar = {}
         self.c_const: Scalar = {}
+        self.dual_slots = _dual_slots(algebra)
 
     def direct(self, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly]:
         """The table's own value of [a b], or None where it defines none."""
@@ -204,44 +211,62 @@ def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     return out
 
 
+def _dual_slots(L: LieAlgebra) -> Tuple[int, List[Tuple[Tuple[int, int], ...]]]:
+    """(den, slots): slots[i] lists (j, den * pairing_inv[i][j]) over the
+    only nonzero slots of row i, the Cartan block for a Cartan slot i and
+    opposite[i] for a root vector; den is the lcm of their denominators.
+    The finisher's _verify_inverse compared every entry of pairing_inv,
+    zeros included."""
+    rank, opposite, inv = L.rank, L.root_system.opposite, L.pairing_inv
+    columns = []
+    for i in range(L.dim):
+        if i < rank:
+            columns.append(range(rank))
+        else:
+            j = opposite[i]
+            columns.append((j,))
+    den = lcm(*(inv[i][j].denominator for i, js in enumerate(columns) for j in js))
+    return den, [tuple((j, int(inv[i][j] * den)) for j in js if inv[i][j])
+                 for i, js in enumerate(columns)]
+
+
 def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
                      coeff: Scalar) -> Dict[Word, Scalar]:
     """coeff * sum_i X_[a,e_i][0,0] I_[b,e^i][0,0] over the concrete basis,
     X being J or I; I-I words are sorted (their bracket vanishes).
 
     The dual basis element e^i = sum_j pairing_inv[i][j] e_j is read at its
-    only nonzero slots: the Cartan block for a Cartan slot i, and
-    opposite[i] for a root vector.  The finisher's _verify_inverse compared
-    every entry of pairing_inv, zeros included."""
+    only nonzero slots, over one denominator (rs.dual_slots), so each
+    word's coefficient is summed in ints and divided once.  The rank rows
+    [e_b, h_j] are read off f once per call."""
+    if not coeff:
+        return {}
     L = rs.algebra
-    cartan, opposite = range(L.rank), L.root_system.opposite
-    out: Dict[Word, Scalar] = {}
+    f, rank = L.f, L.rank
+    den, slots = rs.dual_slots
+    empty: Dict[int, int] = {}
+    cartan_rows = [f.get((lb, j), empty) for j in range(rank)]
+    # (k, l) -> den times the coefficient of the word in X_k and I_l
+    acc: Dict[Tuple[int, int], int] = {}
     for i in range(L.dim):
-        left = L.bracket_basis(la, i)
+        left = f.get((la, i))
         if not left:
             continue
-        dual = L.pairing_inv[i]
-        # [e_b, e^i] = scale * right over the basis
-        if i in cartan:
-            right, scale = {}, 1
-            for j in cartan:
-                for k, c in L.bracket_basis(lb, j).items():
-                    v = right.get(k, 0) + dual[j] * c
-                    if v:
-                        right[k] = v
-                    else:
-                        right.pop(k, None)
-        else:
-            j = opposite[i]
-            right, scale = L.bracket_basis(lb, j), dual[j]
-        if not right:
-            continue
+        # den [e_b, e^i] over the basis
+        right: Dict[int, int] = {}
+        for j, q in slots[i]:
+            for k, c in (cartan_rows[j] if j < rank else f.get((lb, j), empty)).items():
+                right[k] = right.get(k, 0) + q * c
         for k, ck in left.items():
-            gk = GenSymbol(kind_left, k, (0, 0), 0)
             for l, cl in right.items():
-                gl = GenSymbol(KIND_I, l, (0, 0), 0)
-                word = (gk, gl) if gk <= gl else (gl, gk)
-                ws_iadd(out, word, s_scale(coeff, ck * cl * scale))
+                key = (l, k) if kind_left == KIND_I and l < k else (k, l)
+                acc[key] = acc.get(key, 0) + ck * cl
+    out: Dict[Word, Scalar] = {}
+    for (k, l), v in acc.items():
+        if v:
+            word = (GenSymbol(kind_left, k, (0, 0), 0), GenSymbol(KIND_I, l, (0, 0), 0))
+            q, r = divmod(v, den)
+            out[word] = s_scale(coeff, Fraction(v, den) if r else q)
     return out
 
 
@@ -473,10 +498,57 @@ def _pattern(g: GenSymbol) -> GenSymbol:
     return g._replace(label=min(g.label, 0))
 
 
-def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...]
-                     ) -> Iterator[Tuple[GenSymbol, ...]]:
+def _theta_centralizer(L: LieAlgebra) -> List[int]:
+    """The basis labels z that kill x_-theta (x) x_theta, read off f:
+    [z, x_-theta] (x) x_theta + x_-theta (x) [z, x_theta] = 0 holds iff both
+    brackets vanish or [z, x_-theta] = lambda x_-theta and
+    [z, x_theta] = -lambda x_theta.  On a Chevalley basis these are the
+    Cartan slots and the root vectors orthogonal to theta; their span c is a
+    subalgebra."""
+    low, high = _theta_labels(L)
+    out = []
+    for z in range(L.dim):
+        down, up = L.bracket_basis(z, low), L.bracket_basis(z, high)
+        lam = down.get(low, 0)
+        if down.keys() <= {low} and up == ({high: -lam} if lam else {}):
+            out.append(z)
+    return out
+
+
+def _centralizer_generators(L: LieAlgebra) -> List[int]:
+    """Basis labels S with U(c) span(S) = g, c the span of _theta_centralizer.
+
+    An exact walk over f: labels are taken in basis order, and each one not
+    yet reached joins S and is reached.  A basis element e_k is reached when
+    [z, e_y] is a nonzero multiple of e_k for a c label z and a reached e_y,
+    never as one term of a longer bracket; so the walk reaches only basis
+    elements of U(c) span(S), and S generates g once every label is reached.
+    Where c = h, as on A1 and A2, each basis element spans its own c-module
+    and S is every label."""
+    c = _theta_centralizer(L)
+    reached: set = set()
+    seeds: List[int] = []
+    for label in range(L.dim):
+        if label in reached:
+            continue
+        seeds.append(label)
+        reached.add(label)
+        todo = [label]
+        while todo:
+            y = todo.pop()
+            for z in c:
+                terms = list(L.bracket_basis(z, y))
+                if len(terms) == 1 and terms[0] not in reached:
+                    reached.add(terms[0])
+                    todo.append(terms[0])
+    return seeds
+
+
+def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...],
+                     labels: Sequence[int]) -> Iterator[Tuple[GenSymbol, ...]]:
     """The label triples that decide a pattern triple: its labelled (J, I)
-    slots take x_-theta, then x_theta, then every basis label, in order.
+    slots take x_-theta, then x_theta, then each of labels, in order;
+    labels is _centralizer_generators(L).
 
     They decide every label when the defect is a g-equivariant map of the
     labels of those slots (E and F carry none), as it is for tables built
@@ -485,9 +557,13 @@ def _representatives(L: LieAlgebra, triple: Tuple[GenSymbol, ...]
     g = U(g) x_-theta = U(b_-) x_theta, so with three labelled slots K is
     everything once it holds x_-theta (x) x_theta (x) g (the tensor identity
     for cyclic modules), and the same argument on fewer factors covers one
-    or two labelled slots.
+    or two labelled slots.  The third slot needs only labels: each z of the
+    centralizer c kills x_-theta (x) x_theta, so
+    z (x_-theta (x) x_theta (x) v) = x_-theta (x) x_theta (x) [z, v] and
+    {v : x_-theta (x) x_theta (x) v in K} is a c-submodule of g; it holds
+    labels, which generate g over c, so it is g.
     """
-    choices = iter([(label,) for label in _theta_labels(L)] + [range(L.dim)])
+    choices = iter([(label,) for label in _theta_labels(L)] + [labels])
     slots = [[g._replace(label=label) for label in next(choices)] if g.label >= 0
              else [g] for g in triple]
     return product(*slots)
@@ -500,13 +576,13 @@ _LABEL_REDUCTION = "label reduction"
 _SORTED_PATTERNS = "sorted patterns"
 
 
-def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
+def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol], labels: Sequence[int]
                    ) -> Tuple[int, Dict[Tuple[GenSymbol, ...], Optional[str]], List[dict]]:
     """Decide every sorted pattern triple P <= Q <= R.
 
     A pattern triple with two or more slots in the abelian kinds is decided
     clean by the abelian-ideal lemma, uncomputed; every other one has its
-    representatives computed, and the scan of those stops at the
+    representatives over labels computed, and the scan of those stops at the
     _DEFECT_LIMIT-th nonzero defect.  Returns (computed, decided, failures):
     decided maps each pattern triple decided in full to the shortcut that
     leaves its triples clean, or to None when a representative had a
@@ -521,7 +597,7 @@ def _scan_patterns(rules: RuleSet, gens: Sequence[GenSymbol]
         if triple in decided:
             continue
         clean = True
-        for rep in _representatives(rules.algebra, triple):
+        for rep in _representatives(rules.algebra, triple, labels):
             computed += 1
             d = defect_poly(rules, *rep)
             if d:
@@ -581,7 +657,7 @@ def verify_jacobi_grid(L: LieAlgebra, grid_max: int, level: str = "extended",
     gens = grid_generators(L, grid_max)
     n = len(gens)
     rules = rules_extended(L)
-    computed, decided, failures = _scan_patterns(rules, gens)
+    computed, decided, failures = _scan_patterns(rules, gens, _centralizer_generators(L))
     full_scan = len(failures) < _DEFECT_LIMIT
     patterns = [_pattern(g) for g in gens]
     checked = in_ideal = 0
@@ -695,27 +771,31 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
 
     One row reduction over beta^2 and the table's formal constants gives the
     status, the solution and the span-check basis.  The rows come from the
-    _representatives of (J[1,0], J[0,1], J[0,0]), the dim label triples
-    (x_-theta, x_theta, e_k) with theta the highest root, and have the null
-    space of all dim^3 triples: at fixed (beta^2, D, C) the defect is a
-    g-equivariant map on g (x) g (x) g, and the _representatives docstring
-    gives the lemma.  A trivial_only answer needs no lemma: more rows cannot
-    lower the rank.
+    _representatives of (J[1,0], J[0,1], J[0,0]), the label triples
+    (x_-theta, x_theta, e_k) with theta the highest root and e_k over the
+    labels S of _centralizer_generators, and have the null space of all
+    dim^3 triples: at fixed (beta^2, D, C) the defect is a g-equivariant
+    map on g (x) g (x) g, its kernel K is a g-submodule, and the
+    _representatives docstring gives the lemma.  Its last step is the
+    c-lemma: the centralizer c kills x_-theta (x) x_theta, so
+    {v : x_-theta (x) x_theta (x) v in K} is a c-submodule of g, and S
+    generates g over c.  A trivial_only answer needs no lemma: more rows
+    cannot lower the rank.
 
     The lemma rests on the tables being equivariant, so every solve
     recomputes min(_SPAN_CHECKS, dim^3) distinct triples drawn from
-    master_seed; a row of theirs outside the span of the reduced rows
-    raises InternalConsistencyError naming the triple.  As in the grid's
-    ledger, `triples` counts the dim^3 triples covered, `computed` the dim
-    reduced triples evaluated, `spot_checked` the span checks and `rows`
-    the distinct rows of the reduced triples.
+    master_seed over the full label cube; a row of theirs outside the span
+    of the reduced rows raises InternalConsistencyError naming the triple.
+    As in the grid's ledger, `triples` counts the dim^3 triples covered,
+    `computed` the |S| reduced triples evaluated, `spot_checked` the span
+    checks and `rows` the distinct rows of the reduced triples.
     """
     rules = rules_deformed(L)
     n = L.dim
     pattern = (J(0, 1, 0), J(0, 0, 1), J(0, 0, 0))
     columns = ((2, 0, 0), *rules.d_const, *rules.c_const)
-    rows = {row for rep in _representatives(L, pattern)
-            for row in _defect_rows(rules, rep, columns)}
+    reps = list(_representatives(L, pattern, _centralizer_generators(L)))
+    rows = {row for rep in reps for row in _defect_rows(rules, rep, columns)}
     status, solution, basis = _solve_rows(rows, len(columns))
     # reduced rows by pivot (first nonzero column); a row is in their span iff
     # subtracting row[pivot] times each leaves zero
@@ -736,7 +816,7 @@ def solve_constants(L: LieAlgebra, master_seed=0) -> ConstantSolution:
                     f"g-equivariant")
     d, c = solution or (None, None)
     return ConstantSolution(status, d, c, rows=len(rows), triples=n ** 3,
-                            computed=n, spot_checked=len(spot))
+                            computed=len(reps), spot_checked=len(spot))
 
 
 def matches_closed_form(L: LieAlgebra, sol: ConstantSolution) -> bool:

@@ -84,8 +84,10 @@ def test_criterion_2_constant_solving(capsys):
         sol = solve_constants(simple_lie_algebra(series, rank))
         ok = ok and sol.status == "unique" and (sol.d_over_beta2, sol.c_over_beta2) == (d, c)
     d4 = simple_lie_algebra("D", 4)
-    sol = solve_constants(d4)  # 28 reduced triples and 64 spot checks cover 28^3
-    ok = ok and sol.computed == 28 and sol.spot_checked == 64 and sol.triples == 28 ** 3
+    # 6 reduced triples (x_-theta, x_theta, e_k), e_k over the labels that
+    # generate g over the theta-centralizer, and 64 spot checks cover 28^3
+    sol = solve_constants(d4)
+    ok = ok and sol.computed == 6 and sol.spot_checked == 64 and sol.triples == 28 ** 3
     ok = ok and sol.status == "unique"
     ok = ok and (sol.d_over_beta2, sol.c_over_beta2) == closed_form_fractions(d4)
     for series, rank in (("A", 3), ("B", 2)):

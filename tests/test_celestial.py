@@ -7,8 +7,10 @@ assertions; basis order for sl2 is (h, e, f) = labels (0, 1, 2) with duals
 
 import copy
 import dataclasses
+import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -290,6 +292,19 @@ def test_verify_jacobi_grid_ledger_sl3(sl3):
     assert scanned + ideal == rep.details["triples"] == 71 ** 3
 
 
+def test_verify_jacobi_grid_ledger_g2():
+    # the 15 patterns of A2 grid 1 over 14 labels, 119 generators: the 20
+    # J-J-J and 40 J-J-I pattern triples take 6 representatives each, one
+    # per label that generates G2 over the theta-centralizer (14 each with
+    # every label, 910 in all), and the 70 J-J-E and J-J-F ones one each
+    rep = verify_jacobi_grid(simple_lie_algebra("G", 2), 1)
+    assert rep.passed
+    assert rep.details["generators"] == 119
+    assert rep.details["triples"] == 119 ** 3
+    assert rep.details["spot_checked"] == 1024
+    assert rep.details["computed"] == 60 * 6 + 70 == 430
+
+
 @pytest.mark.parametrize("build,kinds", [
     pytest.param(rules_extended, {"I", "E", "F"}, id="rules_extended-kinds1"),
     pytest.param(rules_deformed, {"I", "E", "F"}, id="rules_deformed-kinds2")])
@@ -332,7 +347,7 @@ def test_reduced_scan_finds_the_brute_force_patterns(sl2, monkeypatch):
                 if defect_poly(rules, *triple):
                     brute.add(tuple(sorted(map(celestial._pattern, triple))))
     monkeypatch.setattr(celestial, "_DEFECT_LIMIT", 10 ** 9)
-    _, decided, _ = celestial._scan_patterns(rules, gens)
+    _, decided, _ = celestial._scan_patterns(rules, gens, range(broken.dim))
     assert {key for key, clean in decided.items() if not clean} == brute
     assert len(brute) == 60
 
@@ -545,10 +560,12 @@ def _label_rows(rules, la, lb, lc):
                                   _columns(rules))
 
 
-@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2)])
+@pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("B", 2)])
 def test_reduced_rows_span_all_label_triples(monkeypatch, series, rank):
-    # the dim triples (x_-theta, x_theta, e_k) decide the whole system: their
-    # rows span the rows of all dim^3 label triples
+    # the triples (x_-theta, x_theta, e_k), e_k over the labels that
+    # generate g over the theta-centralizer (all of them on A1 and A2, 6 of
+    # 14 on G2 and 6 of 10 on B2), decide the whole system: their rows span
+    # the rows of all dim^3 label triples
     L = simple_lie_algebra(series, rank)
     fresh = rules_deformed(L)
     n = L.dim
@@ -595,6 +612,109 @@ def test_span_spot_check_catches_a_non_equivariant_table(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("internal error: InternalConsistencyError: triple (J_")
+
+
+def _kills_theta_pair(L, z):
+    """z (x_-theta (x) x_theta) = [z, x_-theta] (x) x_theta
+    + x_-theta (x) [z, x_theta] vanishes, summed in the tensor basis."""
+    low, high = celestial._theta_labels(L)
+    acc = {}
+    for k, v in L.bracket_basis(z, low).items():
+        acc[k, high] = acc.get((k, high), 0) + v
+    for k, v in L.bracket_basis(z, high).items():
+        acc[low, k] = acc.get((low, k), 0) + v
+    return not any(acc.values())
+
+
+def _module_dimension(L, acting, seeds):
+    """dim U(acting) span(seeds), exactly: every image ad_z v of a vector v
+    of the span is reduced against an echelon basis of general vectors
+    keyed by their least label, and one that does not reduce to zero joins
+    it, until no image adds to the span."""
+    rows = {}
+
+    def reduce(v):
+        while v:
+            lead = min(v)
+            if lead not in rows:
+                return v
+            row = rows[lead]
+            m = v[lead] / row[lead]
+            for k, x in row.items():
+                v[k] = v.get(k, 0) - m * x
+            v = {k: x for k, x in v.items() if x}
+        return v
+
+    todo = [{s: Fraction(1)} for s in seeds]
+    while todo:
+        v = reduce(todo.pop())
+        if not v:
+            continue
+        rows[min(v)] = v
+        for z in acting:
+            image = {}
+            for y, cy in v.items():
+                for k, ck in L.bracket_basis(z, y).items():
+                    image[k] = image.get(k, 0) + cy * ck
+            todo.append({k: x for k, x in image.items() if x})
+    return len(rows)
+
+
+_EXTENDED = pytest.mark.skipif(not os.environ.get("CELALG_EXTENDED"),
+                               reason="set CELALG_EXTENDED=1 to run the large-algebra suite")
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+    *(pytest.param("E", r, marks=_EXTENDED) for r in (6, 7, 8))])
+def test_centralizer_generators_generate_g(series, rank):
+    L = simple_lie_algebra(series, rank)
+    rs = L.root_system
+    c = celestial._theta_centralizer(L)
+    # c holds exactly the basis elements that kill x_-theta (x) x_theta: the
+    # Cartan slots and the root vectors orthogonal to theta
+    assert c == [z for z in range(L.dim) if _kills_theta_pair(L, z)]
+    assert c == list(range(L.rank)) + [
+        p for r, p in rs.position.items() if rs.inner(r, rs.highest_root) == 0]
+    seeds = celestial._centralizer_generators(L)
+    assert _module_dimension(L, c, seeds) == L.dim
+    if L.name in ("A1", "A2"):
+        # c = h: every basis element spans its own c-module
+        assert seeds == list(range(L.dim))
+    else:
+        assert len(seeds) < L.dim
+
+
+def test_theta_centralizer_refuses_a_same_sign_scaling():
+    # [h_i, x_theta] negated: h_i scales x_-theta and x_theta by the same
+    # factor, so it no longer kills x_-theta (x) x_theta and leaves c
+    L = simple_lie_algebra("G", 2)
+    low, high = celestial._theta_labels(L)
+    i = next(i for i in range(L.rank) if L.bracket_basis(i, high))
+    ((k, v),) = L.f[i, high].items()
+    planted = dataclasses.replace(L, f={**L.f, (i, high): {k: -v}, (high, i): {k: v}})
+    c = celestial._theta_centralizer(planted)
+    assert i in celestial._theta_centralizer(L) and i not in c
+    assert c == [z for z in range(L.dim) if _kills_theta_pair(planted, z)]
+
+
+def test_centralizer_walk_generates_g_under_any_acting_set(monkeypatch):
+    # the walk is exact for any acting set, not only for the centralizer:
+    # on C3, every set of one or two opposite root-vector pairs, with and
+    # without the Cartan slots, leaves labels that generate g under it.
+    # Some sets bracket a pair into a sum of Cartan slots that are all
+    # still outside the span.
+    L = simple_lie_algebra("C", 3)
+    rs = L.root_system
+    positive = range(L.rank, L.rank + len(rs.positive_roots))
+    for size in (1, 2):
+        for pairs in combinations(positive, size):
+            for cartan in ((), tuple(range(L.rank))):
+                acting = [*cartan, *pairs, *(rs.opposite[p] for p in pairs)]
+                monkeypatch.setattr(celestial, "_theta_centralizer", lambda _: acting)
+                seeds = celestial._centralizer_generators(L)
+                assert _module_dimension(L, acting, seeds) == L.dim, acting
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2), ("G", 2), ("B", 3), ("D", 4)])
@@ -737,7 +857,8 @@ def test_defect_poly_leaves_the_shared_memos_as_it_found_them(sl2):
     # second pass over the solver's representatives must find every value
     # the first pass memoized unchanged
     rd = rules_deformed(sl2)
-    reps = list(celestial._representatives(sl2, (J(0, 1, 0), J(0, 0, 1), J(0, 0, 0))))
+    reps = list(celestial._representatives(sl2, (J(0, 1, 0), J(0, 0, 1), J(0, 0, 0)),
+                                           celestial._centralizer_generators(sl2)))
     for triple in reps:
         defect_poly(rd, *triple)
     base, full = copy.deepcopy(rd.base_memo), copy.deepcopy(rd.full_memo)

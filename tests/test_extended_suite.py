@@ -43,10 +43,13 @@ def test_quartic_alpha_e_series(series, rank, alpha):
 @extended
 @pytest.mark.parametrize("series,rank", [("F", 4), ("E", 6), ("E", 7), ("E", 8)])
 def test_full_solve_large_exceptional(series, rank):
-    # dim reduced triples plus 64 spot checks decide all dim^3 triples
+    # one reduced triple per label that generates g over the
+    # theta-centralizer (5 on F4 and E7, 6 on E6 and E8), plus 64 spot
+    # checks, decide all dim^3 triples
     L = simple_lie_algebra(series, rank)
     sol = solve_constants(L, master_seed=11)
-    assert sol.triples == L.dim ** 3 and sol.computed == L.dim
+    assert sol.triples == L.dim ** 3
+    assert sol.computed == {"F4": 5, "E6": 6, "E7": 5, "E8": 6}[L.name]
     assert sol.spot_checked == 64
     assert sol.status == "unique"
     assert (sol.d_over_beta2, sol.c_over_beta2) == closed_form_fractions(L)

@@ -117,6 +117,15 @@ CATALOGUE = [
            "j = opposite[i]",
            "j = i",
            ("tests/test_celestial.py::test_quadratic_words_match_the_dense_dual_basis_sum[A-1]",)),
+    # the label representatives over the theta-centralizer
+    Mutant("theta-centralizer-sign-dropped", "celestial.py",
+           "up == ({high: -lam} if lam else {})",
+           "up.keys() <= {high}",
+           ("tests/test_celestial.py::test_theta_centralizer_refuses_a_same_sign_scaling",)),
+    Mutant("centralizer-walk-counts-one-term", "celestial.py",
+           "if len(terms) == 1 and terms[0] not in reached:",
+           "if terms and terms[0] not in reached:",
+           ("tests/test_celestial.py::test_centralizer_walk_generates_g_under_any_acting_set",)),
     Mutant("seeded-triple-decode-swapped", "celestial.py",
            "(idx // (n * n), idx // n % n, idx % n)",
            "(idx // (n * n), idx % n, idx // n % n)",
