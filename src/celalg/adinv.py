@@ -4,9 +4,9 @@ Provides exact quartic traces Tr(ad ad ad ad), the identities they satisfy
 (dual-basis contraction, dihedral symmetry, the commutator trace relation,
 and the polarized quartic identity), and the resulting classification of
 simple algebras where Tr(ad_a^4) is proportional to Tr(ad_a^2)^2 for all a.
-Every identity is read from the ad matrices alone (L.ad_matrix, the structure
-constants L.f, L.pairing_inv) through the one matrix kernel below, and each
-check forms each distinct product once.
+Every identity is read from the ad matrices alone (L.ad_matrix, the rows
+L.f[i] = ad(e_i) of the structure constants, L.pairing_inv) through the one
+matrix kernel below, and each check forms each distinct product once.
 
 The proportionality is decided exactly, not sampled.  Both sides are
 ad-invariant polynomials on g, so by Chevalley's restriction theorem
@@ -201,7 +201,7 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
     With e^i = sum_q P^-1_iq e_q (P^-1 = L.pairing_inv) the left side is
     sum_pq N_pq [e_p, e_q] for N = ad_c ad_b P^-1 ad_a^T.  The expansion is
     bilinear and uses no Jacobi identity, so both sides are read off the
-    structure constants L.f in one loop.  With ad_a ad_b ad_c formed as
+    rows L.f[i] = ad(e_i) in one loop.  With ad_a ad_b ad_c formed as
     A (B C), each ad matrix enters the kernel once.  P^-1 enters as Q / d
     with Q an int matrix, so both sides are compared times d, in ints."""
     A, B, C = (L.ad_matrix(x) for x in (a, b, c))
@@ -212,12 +212,13 @@ def check_contract_identity(L: LieAlgebra, a: Element, b: Element,
     N = mat_mul(mat_mul(cb, Q), list(zip(*A)))
     lhs = [0] * L.dim
     traces = [0] * L.dim
-    for (i, q), comp in L.f.items():
-        mq, nq = m[q], N[i][q]
-        # (ad_{e_i})_{kq} = coeff: [e_i, e_q] = coeff e_k
-        for k, coeff in comp.items():
-            traces[i] += mq[k] * coeff
-            lhs[k] += nq * coeff
+    for i, row in L.f.items():
+        for q, comp in row.items():
+            mq, nq = m[q], N[i][q]
+            # (ad_{e_i})_{kq} = coeff: [e_i, e_q] = coeff e_k
+            for k, coeff in comp.items():
+                traces[i] += mq[k] * coeff
+                lhs[k] += nq * coeff
     rhs = [-x for x in mat_mul([traces], Q)[0]]
     ok = lhs == rhs
     ce = None if ok else {"lhs": [str(Fraction(x, d)) for x in lhs],
@@ -336,14 +337,14 @@ def weight_alpha(weights: Sequence[Tuple[int, ...]]) -> Optional[Fraction]:
 def cartan_alpha(L: LieAlgebra) -> Optional[Fraction]:
     """The quartic alpha of L decided on h, or None where there is none.
 
-    ad_{h_i} is read off the structure constants [h_i, e_b] =
-    L.bracket_basis(i, b).  It must be diagonal, and its diagonal must be
+    ad_{h_i} is read off its row of the structure constants, [h_i, e_b] =
+    L.f[i][b].  It must be diagonal, and its diagonal must be
     the root values of root_weights(L.root_system); either failure is a
     ConstructionError.  Then weight_alpha compares the two polynomials."""
     diagonal = [[0] * L.dim for _ in range(L.rank)]
     for i, row in enumerate(diagonal):
-        for b in range(L.dim):
-            for k, c in L.bracket_basis(i, b).items():
+        for b, comp in L.f[i].items():
+            for k, c in comp.items():
                 if b != k:
                     raise ConstructionError(
                         f"{L.name}: ad_h{i + 1} has an entry off the diagonal, "

@@ -75,7 +75,6 @@ from .lambdacalc import (
     skew,
     substitute_lambda_plus_mu,
     weight,
-    ws_iadd,
 )
 from .liealg import LieAlgebra, row_reduce
 from .report import Report
@@ -237,25 +236,20 @@ def _quadratic_words(rs: RuleSet, kind_left: int, la: int, lb: int,
 
     The dual basis element e^i = sum_j pairing_inv[i][j] e_j is read at its
     only nonzero slots, over one denominator (rs.dual_slots), so each
-    word's coefficient is summed in ints and divided once.  The rank rows
-    [e_b, h_j] are read off f once per call."""
+    word's coefficient is summed in ints and divided once.  The sum runs
+    over the row f[la] = ad(e_a), and [e_b, e^i] is read off the row f[lb]."""
     if not coeff:
         return {}
-    L = rs.algebra
-    f, rank = L.f, L.rank
+    row_a, row_b = rs.algebra.f[la], rs.algebra.f[lb]
     den, slots = rs.dual_slots
     empty: Dict[int, int] = {}
-    cartan_rows = [f.get((lb, j), empty) for j in range(rank)]
     # (k, l) -> den times the coefficient of the word in X_k and I_l
     acc: Dict[Tuple[int, int], int] = {}
-    for i in range(L.dim):
-        left = f.get((la, i))
-        if not left:
-            continue
+    for i, left in row_a.items():
         # den [e_b, e^i] over the basis
         right: Dict[int, int] = {}
         for j, q in slots[i]:
-            for k, c in (cartan_rows[j] if j < rank else f.get((lb, j), empty)).items():
+            for k, c in row_b.get(j, empty).items():
                 right[k] = right.get(k, 0) + q * c
         for k, ck in left.items():
             for l, cl in right.items():

@@ -3,9 +3,10 @@
 Builds the full Chevalley basis of any simple type (A through G) from root
 data alone: positive roots are enumerated by height induction from the
 normalized Gram matrix of simple roots, structure constants come from the
-extraspecial-pair sign convention into one table keyed by signed basis
-position, each positive root pair writing its zero-sum triple and that
-triple's negative once (_build_f), and the bi-invariant pairing
+extraspecial-pair sign convention into one table with a row per basis
+position, f[i][j] = {k: c} for [e_i, e_j] = sum_k c e_k, so that row f[i]
+is the sparse ad(e_i); each positive root pair writes its zero-sum triple
+and that triple's negative once (_build_f).  The bi-invariant pairing
 
     (a, b) = Tr(ad_a ad_b) / (2 h)
 
@@ -39,6 +40,9 @@ Element = Tuple  # length-dim tuple of ints / Fractions
 Rat = Union[int, Fraction]
 # (k, x, y, c): basis element e_k = [e_x, e_y] / c
 Step = Tuple[int, int, int, int]
+# f[i][j] = {k: c}: [e_i, e_j] = sum_k c e_k over the nonzero c, so row f[i]
+# is the sparse ad(e_i); every basis position has a row, in basis order
+Table = Dict[int, Dict[int, Dict[int, int]]]
 
 
 class ConfigurationError(ValueError):
@@ -253,14 +257,16 @@ class LieAlgebra:
 
     The basis layout is the root system's: Cartan generators h_1..h_rank,
     then root vectors for the positive roots in height order, then the
-    corresponding negative ones (RootSystem.position, .opposite).
+    corresponding negative ones (RootSystem.position, .opposite).  f holds
+    the structure constants by row, f[i][j] = {k: c} (Table): row f[i] is
+    the sparse ad(e_i), and every reader takes the rows in place.
     generation_steps is the walk by which the build showed that the e_i and
     f_i generate g (_check_generated).  Immutable after construction.
     """
 
     root_system: RootSystem
     basis_labels: Tuple[str, ...]
-    f: Dict[Tuple[int, int], Dict[int, int]]
+    f: Table
     pairing: List[List[Rat]]
     pairing_inv: List[List[Rat]]
     h_dual_coxeter: int
@@ -301,24 +307,20 @@ class LieAlgebra:
         return self.root_system.opposite[self.pos_root_index(k)]
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
-        return self.f.get((i, j), {})
+        return self.f[i].get(j, {})
 
     def bracket(self, x: Element, y: Element) -> Element:
         if len(x) != self.dim or len(y) != self.dim:
             raise UsageError("dimension mismatch in bracket")
         acc = [0] * self.dim
-        f = self.f
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                fij = f.get((i, j))
-                if fij:
-                    c = xi * yj
-                    for k, v in fij.items():
-                        acc[k] += c * v
+            if xi:
+                for j, comp in self.f[i].items():
+                    yj = y[j]
+                    if yj:
+                        c = xi * yj
+                        for k, v in comp.items():
+                            acc[k] += c * v
         return tuple(acc)
 
     def ad_matrix(self, x: Element) -> List[List]:
@@ -327,11 +329,11 @@ class LieAlgebra:
             raise UsageError("dimension mismatch in ad_matrix")
         n = self.dim
         mat = [[0] * n for _ in range(n)]
-        for (i, m), comp in self.f.items():
-            xi = x[i]
+        for i, xi in enumerate(x):
             if xi:
-                for k, c in comp.items():
-                    mat[k][m] += xi * c
+                for m, comp in self.f[i].items():
+                    for k, c in comp.items():
+                        mat[k][m] += xi * c
         return mat
 
     def pair(self, a: Element, b: Element) -> Rat:
@@ -370,8 +372,7 @@ def generator_positions(rs: RootSystem) -> Tuple[List[int], List[int]]:
 JACOBI_SAMPLE = 512
 
 
-def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]
-                  ) -> List[Step]:
+def _jacobi_check(rs: RootSystem, f: Table) -> List[Step]:
     """Exact structure-constant Jacobi identity, by the derivation argument.
 
     For an antisymmetric bracket the x with ad_x a derivation form a
@@ -379,33 +380,31 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]
     commutator of derivations is one.  So Jacobi holds on all of g once
     (1) f is antisymmetric, (2) the simple root vectors e_i, f_i generate
     g, and (3) ad_x is a derivation for each such generator x.  One exact
-    pass shows that the Chevalley involution omega (h -> -h, x_a -> -x_-a)
-    preserves the bracket: f[(sigma i, sigma j)] = {sigma k: -c} for every
-    constant f[(i, j)][k] = c, sigma swapping the basis positions of x_a and
-    x_-a.  Then ad_omega(x) = omega ad_x omega^-1, a derivation conjugated
-    by an automorphism is one, and ad_f_i = -ad_omega(e_i); so (3) is
-    checked on the e_i alone (_check_derivations), while (2) walks the e_i
-    and f_i (_check_generated), whose steps are returned.  A seeded sample of
+    pass over f shows (1) and that the Chevalley involution omega (h -> -h,
+    x_a -> -x_-a) preserves the bracket: f[j][i] = {k: -c} and
+    f[sigma i][sigma j] = {sigma k: -c} for every constant f[i][j][k] = c,
+    sigma swapping the basis positions of x_a and x_-a.  Then ad_omega(x) =
+    omega ad_x omega^-1, a derivation conjugated by an automorphism is one,
+    and ad_f_i = -ad_omega(e_i); so (3) is checked on the e_i alone
+    (_check_derivations), while (2) walks the e_i and f_i
+    (_check_generated), whose steps are returned.  A seeded sample of
     min(JACOBI_SAMPLE, C(dim, 3)) distinct basis triples i < j < k is
-    recomputed beside it.
+    recomputed beside it.  Every check reads the rows of f in place.
     """
-    for (i, j), comp in f.items():
-        if i == j or f.get((j, i)) != {k: -v for k, v in comp.items()}:
-            raise ConstructionError(
-                f"structure constants are not antisymmetric at basis pair ({i},{j})")
-    dim, sigma = rs.dim, rs.opposite
-    for (i, j), comp in f.items():
-        if f.get((sigma[i], sigma[j])) != {sigma[k]: -v for k, v in comp.items()}:
-            raise ConstructionError(
-                f"structure constants are not invariant under the Chevalley "
-                f"involution at basis pair ({i},{j})")
+    sigma = rs.opposite
+    for i, row in f.items():
+        for j, comp in row.items():
+            if i == j or f[j].get(i) != {k: -v for k, v in comp.items()}:
+                raise ConstructionError(
+                    f"structure constants are not antisymmetric at basis pair ({i},{j})")
+            if f[sigma[i]].get(sigma[j]) != {sigma[k]: -v for k, v in comp.items()}:
+                raise ConstructionError(
+                    f"structure constants are not invariant under the Chevalley "
+                    f"involution at basis pair ({i},{j})")
     e_gens, f_gens = generator_positions(rs)
-    # row[i][j] = f[(i, j)]: the one index of f both argument checks walk
-    row: List[Dict[int, Dict[int, int]]] = [{} for _ in range(dim)]
-    for (i, j), comp in f.items():
-        row[i][j] = comp
-    steps = _check_generated(dim, e_gens + f_gens, row)
-    _check_derivations(dim, e_gens, row)
+    steps = _check_generated(f, e_gens + f_gens)
+    _check_derivations(f, e_gens)
+    dim = rs.dim
     rng = random.Random(f"jacobi:{rs.series}{rs.rank}")
     # distinct ranks, unranked in colex order: k is the largest index with
     # C(k, 3) <= rank, then j the largest with C(j, 2) <= the rest
@@ -420,20 +419,18 @@ def _jacobi_check(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]
         # [[i, j], k] + [[j, k], i] + [[k, i], j]
         acc: Dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, u in row[a].get(b, empty).items():
-                for l, v in row[m].get(c, empty).items():
+            for m, u in f[a].get(b, empty).items():
+                for l, v in f[m].get(c, empty).items():
                     acc[l] = acc.get(l, 0) + u * v
         if any(acc.values()):
             raise ConstructionError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
     return steps
 
 
-def _check_generated(dim: int, generators: List[int],
-                     row: List[Dict[int, Dict[int, int]]]) -> List[Step]:
+def _check_generated(f: Table, generators: List[int]) -> List[Step]:
     """Every basis element is reached from the generators, read off the rows
-    row[i][j] = f[(i, j)] alone: e_k counts only as a nonzero multiple of one
-    bracket [x, y] of reached basis elements, never as one term of a longer
-    bracket.  Returns the walk in the order reached, one step (k, x, y, c)
+    of f alone: e_k counts only as a nonzero multiple of one bracket [x, y]
+    of reached basis elements, never as one term of a longer bracket.  Returns the walk in the order reached, one step (k, x, y, c)
     with e_k = [e_x, e_y] / c for each basis element not a generator, e_x
     and e_y being generators or reached at earlier steps."""
     reached = set(generators)
@@ -441,7 +438,7 @@ def _check_generated(dim: int, generators: List[int],
     steps: List[Step] = []
     while todo:
         x = todo.pop()  # [x, y] = -[y, x], so pairs with x first suffice
-        for y, comp in row[x].items():
+        for y, comp in f[x].items():
             if y in reached:
                 terms = [k for k, v in comp.items() if v]
                 if len(terms) == 1 and terms[0] not in reached:
@@ -449,24 +446,23 @@ def _check_generated(dim: int, generators: List[int],
                     reached.add(k)
                     todo.append(k)
                     steps.append((k, x, y, comp[k]))
-    if len(reached) < dim:
-        missing = min(set(range(dim)) - reached)
+    if len(reached) < len(f):
+        missing = min(set(f) - reached)
         raise ConstructionError(
             f"the simple root vectors do not generate basis element {missing}")
     return steps
 
 
-def _check_derivations(dim: int, generators: List[int],
-                       row: List[Dict[int, Dict[int, int]]]) -> None:
+def _check_derivations(f: Table, generators: List[int]) -> None:
     """Jacobi on (x, y, z) for every x in generators and basis pair y < z,
     as [ad_x, ad_y] = ad_[x,y] summed over the nonzero constants only, read
-    off the rows row[i][j] = f[(i, j)].  _jacobi_check passes the e_i alone:
-    the involution carries the check to the f_i."""
+    off the rows ad_x = f[x] and ad_y = f[y].  _jacobi_check passes the e_i
+    alone: the involution carries the check to the f_i."""
+    dim = len(f)
     empty: Dict[int, int] = {}
     for x in generators:
-        ad_x = row[x]
-        for y in range(dim):
-            ad_y = row[y]
+        ad_x = f[x]
+        for y, ad_y in f.items():
             # coefficient of e_l in [x,[y,z]] - [y,[x,z]] - [[x,y],z], z > y,
             # keyed z * dim + l
             acc: Dict[int, int] = {}
@@ -481,7 +477,7 @@ def _check_derivations(dim: int, generators: List[int],
                         for l, v in ad_y.get(m, empty).items():
                             acc[z * dim + l] = acc.get(z * dim + l, 0) - u * v
             for m, u in ad_x.get(y, empty).items():
-                for z, mz in row[m].items():
+                for z, mz in f[m].items():
                     if z > y:
                         for l, v in mz.items():
                             acc[z * dim + l] = acc.get(z * dim + l, 0) - u * v
@@ -491,16 +487,16 @@ def _check_derivations(dim: int, generators: List[int],
                     f"Jacobi identity fails on basis triple ({x},{y},{min(bad)})")
 
 
-def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
-    """Integer structure constants in the Chevalley basis, as one signed table.
+def _build_f(rs: RootSystem) -> Table:
+    """Integer structure constants in the Chevalley basis, as one Table, a
+    row per basis position.
 
-    Root vectors are keyed by their basis position, rs.position, and
-    negation is read from rs.opposite.  The positive constants come by
-    height induction: the extraspecial pair of each positive root g (least
-    first component) gets N = p + 1, with p the depth of its root string,
-    and every other pair the four-term relation (Carter, Simple Groups of
-    Lie Type, 1972), whose mixed-sign constants are read off the table at
-    lower heights.  As soon as a positive pair (a, b) with a + b = g has its
+    Root vectors sit at their basis position, rs.position, and negation is
+    read from rs.opposite.  The positive constants come by height induction:
+    the extraspecial pair of each positive root g (least first component)
+    gets N = p + 1, with p the depth of its root string, and every other
+    pair the four-term relation (Carter, Simple Groups of Lie Type, 1972),
+    whose mixed-sign constants are read off the table at lower heights.  As soon as a positive pair (a, b) with a + b = g has its
     N, the zero-sum triple (a, b, -g) and its negative are written:
 
         N(a,b)/(g,g) = N(b,-g)/(a,a) = N(-g,a)/(b,b),  N(-x,-y) = -N(x,y),
@@ -512,17 +508,17 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     # 6 (r, r) by position, an int on every type
     norm = [0] * rs.rank + [int(6 * rs.norm2(r)) for r in index]
     is_root = index.__contains__
-    f: Dict[Tuple[int, int], Dict[int, int]] = {}
+    f: Table = {i: {} for i in range(rs.dim)}
 
     for r in pos:
         x = index[r]
         y = neg[x]
+        h = {i: c for i, c in enumerate(rs.coroot(r)) if c}
+        f[x][y], f[y][x] = h, {i: -c for i, c in h.items()}
         for i in range(rs.rank):
             c = rs.cartan_pairing(r, i)
             if c:
-                f[i, x], f[x, i], f[i, y], f[y, i] = {x: c}, {x: -c}, {y: -c}, {y: c}
-        h = {i: c for i, c in enumerate(rs.coroot(r)) if c}
-        f[x, y], f[y, x] = h, {i: -c for i, c in h.items()}
+                f[i][x], f[x][i], f[i][y], f[y][i] = {x: c}, {x: -c}, {y: -c}, {y: c}
 
     def write(a: int, b: int, g: int, n: int) -> None:
         """[x_a, x_b] = n x_g for positive a + b = g, and the rest of the
@@ -532,8 +528,8 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
                                   (neg[g], a, neg[b], divmod(n * norm[b], norm[g]))):
             if rem:
                 raise ConstructionError("non-integral structure constant")
-            f[x, y], f[y, x] = {z: v}, {z: -v}
-            f[neg[x], neg[y]], f[neg[y], neg[x]] = {neg[z]: -v}, {neg[z]: v}
+            f[x][y], f[y][x] = {z: v}, {z: -v}
+            f[neg[x]][neg[y]], f[neg[y]][neg[x]] = {neg[z]: -v}, {neg[z]: v}
 
     for k, gamma in enumerate(pos):
         if sum(gamma) == 1:
@@ -550,17 +546,17 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
         write(a, b, g, n0)
         for xi_root, eta_root in pairs[1:]:
             xi, eta = index[xi_root], index[eta_root]
-            if (xi, eta) in f:
+            if eta in f[xi]:
                 continue
             # four-term relation for alpha + beta - xi - eta = 0; the
             # differences are roots of lower height, or not roots at all
             total = Fraction(0)
             d = index.get(_vsub(beta, xi_root))
             if d is not None:
-                total += Fraction(f[b, neg[xi]][d] * f[a, neg[eta]][neg[d]], norm[d])
+                total += Fraction(f[b][neg[xi]][d] * f[a][neg[eta]][neg[d]], norm[d])
             d = index.get(_vsub(alpha, xi_root))
             if d is not None:
-                total += Fraction(f[neg[xi], a][d] * f[b, neg[eta]][neg[d]], norm[d])
+                total += Fraction(f[neg[xi]][a][d] * f[b][neg[eta]][neg[d]], norm[d])
             n = norm[g] * total / n0
             if n.denominator != 1:
                 raise ConstructionError("non-integral structure constant")
@@ -571,21 +567,24 @@ def _build_f(rs: RootSystem) -> Dict[Tuple[int, int], Dict[int, int]]:
     return f
 
 
-def _killing_matrix(dim: int, f) -> List[List[int]]:
+def _killing_matrix(dim: int, f: Table) -> List[List[int]]:
     """K_ij = Tr(ad_i ad_j) = sum_km (ad_i)_km (ad_j)_mk, every entry summed
-    over the nonzero constants alone: each constant f[(i, m)][k] = c, which
-    is (ad_i)_km = c, meets those of every ad_j at position (m, k)."""
-    # (ad_j)_mk = f[(j, k)][m], indexed by the position (m, k)
-    at: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for (j, k), comp in f.items():
-        for m, v in comp.items():
-            at.setdefault((m, k), []).append((j, v))
+    over the nonzero constants alone, walking the rows ad_i = f[i]: each
+    constant f[i][m][k] = c, which is (ad_i)_km = c, meets those of every
+    ad_j at position (m, k)."""
+    # (ad_j)_mk = f[j][k][m], keyed m * dim + k
+    at: Dict[int, List[Tuple[int, int]]] = {}
+    for j, row in f.items():
+        for k, comp in row.items():
+            for m, v in comp.items():
+                at.setdefault(m * dim + k, []).append((j, v))
     kf = [[0] * dim for _ in range(dim)]
-    for (i, m), comp in f.items():
-        row = kf[i]
-        for k, c in comp.items():
-            for j, v in at.get((m, k), ()):
-                row[j] += c * v
+    for i, row in f.items():
+        ki = kf[i]
+        for m, comp in row.items():
+            for k, c in comp.items():
+                for j, v in at.get(m * dim + k, ()):
+                    ki[j] += c * v
     return kf
 
 
@@ -653,17 +652,17 @@ def _verify_inverse(killing: List[List[int]], scale: int, inv) -> None:
             raise ConstructionError("pairing inverse verification failed")
 
 
-def _finish(rs: RootSystem, f: Dict[Tuple[int, int], Dict[int, int]]) -> LieAlgebra:
+def _finish(rs: RootSystem, f: Table) -> LieAlgebra:
     """Verify integer structure constants and derive the rest of the algebra.
 
-    Shared by fresh builds and cache loads: f is the signed table of
-    _build_f or one read from a file, and every type gets the same checks.
-    They are the Jacobi identity by the derivation argument (antisymmetry,
-    invariance under the Chevalley involution, generation by the e_i and
-    f_i, whose walk the algebra keeps as generation_steps, Jacobi on every
-    triple with an e_i first) plus a seeded sample of basis triples, then
-    the dual Coxeter number and the pairing from adjoint traces, and the
-    pairing inverse written from root data, all read off f itself.  The one
+    Shared by fresh builds and cache loads: f is the Table of _build_f or
+    one read from a file, and every type gets the same checks.  They are
+    the Jacobi identity by the derivation argument (antisymmetry, invariance
+    under the Chevalley involution, generation by the e_i and f_i, whose
+    walk the algebra keeps as generation_steps, Jacobi on every triple with
+    an e_i first) plus a seeded sample of basis triples, then the dual
+    Coxeter number and the pairing from adjoint traces, and the pairing
+    inverse written from root data, all read off f itself.  The one
     pairing check is pairing . pairing_inv = I exactly; since the inverse is
     invertible, that holds iff every pairing entry equals its closed form.
     Both the trace matrix K (_killing_matrix) and that check run over the
@@ -724,10 +723,11 @@ _INT_TOKEN = re.compile(r"[+-]?\d+")
 
 def _format_structure_constants(L: LieAlgebra) -> str:
     lines = [CACHE_FORMAT, f"{L.dim} {L.rank} {L.h_dual_coxeter}"]
-    for (i, j) in sorted(L.f):
-        comp = L.f[(i, j)]
-        for k in sorted(comp):
-            lines.append(f"{i} {j} {k} {comp[k]}")
+    for i, row in L.f.items():
+        for j in sorted(row):
+            comp = row[j]
+            for k in sorted(comp):
+                lines.append(f"{i} {j} {k} {comp[k]}")
     return "\n".join(lines) + "\n"
 
 
@@ -745,9 +745,10 @@ def save_structure_constants(L: LieAlgebra, path: str) -> None:
             os.unlink(tmp)
 
 
-def load_structure_constants(path: str) -> Tuple[
-        int, int, int, Dict[Tuple[int, int], Dict[int, int]]]:
-    """Parse a cache file into (dim, rank, h_dual_coxeter, f), f integral."""
+def load_structure_constants(path: str) -> Tuple[int, int, int, Table]:
+    """Parse a cache file into (dim, rank, h_dual_coxeter, f), f integral and
+    holding only the rows the file names: no row is made from an unchecked
+    dim.  algebra_from_cache adds the empty rows once the shape matches."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -762,7 +763,7 @@ def load_structure_constants(path: str) -> Tuple[
     if len(head) != 3:
         raise ConfigurationError("malformed header in structure-constant file")
     dim, rank, hdc = (int(x) for x in head)
-    f: Dict[Tuple[int, int], Dict[int, int]] = {}
+    f: Table = {}
     for ln in lines[2:]:
         parts = ln.split()
         if len(parts) != 4:
@@ -776,7 +777,7 @@ def load_structure_constants(path: str) -> Tuple[
         # the writer emits each nonzero constant once
         if val == 0:
             raise ConfigurationError(f"zero structure constant in line {ln!r}")
-        comp = f.setdefault((i, j), {})
+        comp = f.setdefault(i, {}).setdefault(j, {})
         if k in comp:
             raise ConfigurationError(f"repeated structure constant in line {ln!r}")
         comp[k] = val
@@ -796,7 +797,7 @@ def algebra_from_cache(series: str, rank: int, path: str) -> LieAlgebra:
         dim, rank_in, hdc_in, f = load_structure_constants(path)
         if dim != rs.dim or rank_in != rs.rank:
             raise ConfigurationError(f"shape does not match type {rs.series}{rs.rank}")
-        L = _finish(rs, f)
+        L = _finish(rs, {i: f.get(i, {}) for i in range(rs.dim)})
         if L.h_dual_coxeter != hdc_in:
             raise ConfigurationError(
                 f"cached dual Coxeter number {hdc_in} disagrees with traces "

@@ -9,8 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from celalg import adinv, lambdacalc as lc
 from celalg.adinv import (
     DefiningRep,

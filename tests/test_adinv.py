@@ -177,14 +177,14 @@ def test_root_data_admits_exactly_the_admissible_types():
 
 def _with_h1_bracket(L, b, comp):
     """L with [h_1, e_b] = comp, every other constant as built."""
-    return dataclasses.replace(L, f={**L.f, (0, b): comp})
+    return dataclasses.replace(L, f={**L.f, 0: {**L.f[0], b: comp}})
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("A", 3)])
 def test_quartic_alpha_refuses_a_broken_cartan(series, rank):
     L = simple_lie_algebra(series, rank)
-    b = min(j for i, j in L.f if i == 0)
-    ((k, c),) = L.f[0, b].items()
+    b = min(L.f[0])
+    ((k, c),) = L.f[0][b].items()
     assert b == k >= L.rank  # a root vector on the diagonal
     # one Cartan weight changed: the diagonal no longer matches the root data
     with pytest.raises(ConstructionError, match="differ from the root data"):
@@ -377,10 +377,10 @@ def test_footnote_witness_sl2_value():
 
 def _flipped(series, rank):
     L = simple_lie_algebra(series, rank)
-    i, j = next(k for k in sorted(L.f) if min(k) >= L.rank and k[0] < k[1])
-    f = dict(L.f)
-    for key in ((i, j), (j, i)):
-        f[key] = {k: -v for k, v in f[key].items()}
+    i, j = next((i, j) for i in range(L.rank, L.dim) for j in sorted(L.f[i]) if i < j)
+    f = {a: dict(row) for a, row in L.f.items()}
+    for a, b in ((i, j), (j, i)):
+        f[a][b] = {k: -v for k, v in f[a][b].items()}
     return dataclasses.replace(L, f=f)
 
 

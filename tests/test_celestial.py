@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st
 
 from celalg import celestial
 from celalg.celestial import (
-    ConstantSolution,
     DomainError,
     ModelError,
     RuleIntegrityError,
@@ -318,8 +317,8 @@ def test_abelian_kinds_are_derived_from_the_rules(sl2, build, kinds):
 
 def _not_lie(L):
     """L with [h, e] = 3e (and [e, h] = -3e): skew, but no Lie algebra."""
-    f = {key: dict(val) for key, val in L.f.items()}
-    f[(0, 1)], f[(1, 0)] = {1: 3}, {1: -3}
+    f = {i: dict(row) for i, row in L.f.items()}
+    f[0][1], f[1][0] = {1: 3}, {1: -3}
     return dataclasses.replace(L, f=f)
 
 
@@ -692,8 +691,9 @@ def test_theta_centralizer_refuses_a_same_sign_scaling():
     L = simple_lie_algebra("G", 2)
     low, high = celestial._theta_labels(L)
     i = next(i for i in range(L.rank) if L.bracket_basis(i, high))
-    ((k, v),) = L.f[i, high].items()
-    planted = dataclasses.replace(L, f={**L.f, (i, high): {k: -v}, (high, i): {k: v}})
+    ((k, v),) = L.f[i][high].items()
+    planted = dataclasses.replace(L, f={**L.f, i: {**L.f[i], high: {k: -v}},
+                                        high: {**L.f[high], i: {k: v}}})
     c = celestial._theta_centralizer(planted)
     assert i in celestial._theta_centralizer(L) and i not in c
     assert c == [z for z in range(L.dim) if _kills_theta_pair(planted, z)]

@@ -30,7 +30,6 @@ from celalg.lambdacalc import (
     nproduct,
     skew,
     substitute_lambda_plus_mu,
-    t_power,
     total_derivative,
     weight,
 )

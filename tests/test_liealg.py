@@ -184,15 +184,15 @@ def test_root_brackets_obey_the_root_string_theorem(series, rank):
             t = tuple(x + y for x, y in zip(r, s))
             if t not in index:
                 if any(t):
-                    assert (i, j) not in L.f, (r, s)
+                    assert j not in L.f[i], (r, s)
                 continue
             neg_t = tuple(-c for c in t)
-            n = L.f[i, j][index[t]]
-            assert list(L.f[i, j]) == [index[t]]
+            n = L.f[i][j][index[t]]
+            assert list(L.f[i][j]) == [index[t]]
             assert abs(n) == _string_depth(index.__contains__, r, s) + 1, (r, s)
-            assert L.f[index[neg_r], index[tuple(-c for c in s)]] == {index[neg_t]: -n}
+            assert L.f[index[neg_r]][index[tuple(-c for c in s)]] == {index[neg_t]: -n}
             assert (Fraction(n) / rs.norm2(t)
-                    == Fraction(L.f[j, index[neg_t]][index[neg_r]]) / rs.norm2(r)), (r, s)
+                    == Fraction(L.f[j][index[neg_t]][index[neg_r]]) / rs.norm2(r)), (r, s)
 
 
 # sha256 of the structure-constant cache text, first 16 hex digits: every
@@ -371,8 +371,9 @@ def test_structure_constant_cache_round_trip(tmp_path):
     dim, rank, hdc, f = load_structure_constants(str(path))
     assert (dim, rank, hdc) == (L.dim, L.rank, L.h_dual_coxeter)
     assert set(f) == set(L.f)
-    for key, comp in L.f.items():
-        assert f[key] == {k: Fraction(v) for k, v in comp.items()}
+    for i, row in L.f.items():
+        assert f[i] == {j: {k: Fraction(v) for k, v in comp.items()}
+                        for j, comp in row.items()}
     # bit-exact: saving again yields identical bytes
     path2 = tmp_path / "b2_again.sc"
     save_structure_constants(L, str(path2))
@@ -413,9 +414,10 @@ def test_algebra_from_cache_matches_fresh(tmp_path, series, rank):
     assert loaded.pairing == fresh.pairing
     assert loaded.pairing_inv == fresh.pairing_inv
     assert loaded.basis_labels == fresh.basis_labels
-    # the readers of f agree although the two tables were filled in
-    # different orders, build order and file order
-    assert list(loaded.f) != list(fresh.f)
+    # the readers of f agree although the rows were filled in different
+    # orders, build order and file order; both list the rows in basis order
+    assert list(loaded.f) == list(fresh.f) == list(range(fresh.dim))
+    assert [list(row) for row in loaded.f.values()] != [list(row) for row in fresh.f.values()]
     rng = random.Random(f"cache:{series}{rank}")
     x = tuple(rng.randint(-3, 3) for _ in range(fresh.dim))
     assert loaded.ad_matrix(x) == fresh.ad_matrix(x)
@@ -532,10 +534,10 @@ def test_derivation_argument_without_the_sample(monkeypatch, series, rank):
     f = liealg._build_f(rs)
     liealg._jacobi_check(rs, f)
     npos = len(rs.positive_roots)
-    a, b = next((a, b) for (a, b), comp in sorted(f.items())
-                if rank <= a < b and list(comp) == [2 * rank])
-    for key in ((a, b), (b, a), (a + npos, b + npos), (b + npos, a + npos)):
-        f[key] = {k: -v for k, v in f[key].items()}
+    a, b = next((a, b) for a in range(rank, rs.dim) for b, comp in sorted(f[a].items())
+                if a < b and list(comp) == [2 * rank])
+    for i, j in ((a, b), (b, a), (a + npos, b + npos), (b + npos, a + npos)):
+        f[i][j] = {k: -v for k, v in f[i][j].items()}
     with pytest.raises(liealg.ConstructionError, match="Jacobi identity fails"):
         liealg._jacobi_check(rs, f)
 
@@ -565,15 +567,15 @@ def test_jacobi_sample_without_the_derivation_argument(monkeypatch, series, rank
     # turned off: the seeded sample alone must see it (on A2 and G2 it holds
     # every one of the C(dim, 3) triples)
     from celalg import liealg
-    monkeypatch.setattr(liealg, "_check_derivations", lambda dim, generators, row: None)
+    monkeypatch.setattr(liealg, "_check_derivations", lambda f, generators: None)
     rs = build_root_system(series, rank)
     f = liealg._build_f(rs)
     liealg._jacobi_check(rs, f)
     npos = len(rs.positive_roots)
-    a, b = next((a, b) for (a, b), comp in sorted(f.items())
-                if rank <= a < b and list(comp) == [2 * rank])
-    for key in ((a, b), (b, a), (a + npos, b + npos), (b + npos, a + npos)):
-        f[key] = {k: -v for k, v in f[key].items()}
+    a, b = next((a, b) for a in range(rank, rs.dim) for b, comp in sorted(f[a].items())
+                if a < b and list(comp) == [2 * rank])
+    for i, j in ((a, b), (b, a), (a + npos, b + npos), (b + npos, a + npos)):
+        f[i][j] = {k: -v for k, v in f[i][j].items()}
     with pytest.raises(liealg.ConstructionError,
                        match=r"Jacobi identity fails on basis triple"):
         liealg._jacobi_check(rs, f)
@@ -587,10 +589,10 @@ def test_table_not_invariant_under_the_involution_is_refused(series, rank):
     rs = build_root_system(series, rank)
     f = liealg._build_f(rs)
     npos = len(rs.positive_roots)
-    a, b = next((a, b) for (a, b), comp in sorted(f.items())
-                if rank <= a < b and list(comp) == [2 * rank])
-    for key in ((a + npos, b + npos), (b + npos, a + npos)):
-        f[key] = {k: -v for k, v in f[key].items()}
+    a, b = next((a, b) for a in range(rank, rs.dim) for b, comp in sorted(f[a].items())
+                if a < b and list(comp) == [2 * rank])
+    for i, j in ((a + npos, b + npos), (b + npos, a + npos)):
+        f[i][j] = {k: -v for k, v in f[i][j].items()}
     with pytest.raises(liealg.ConstructionError,
                        match=f"{INVOLUTION_ERROR} at basis pair"):
         liealg._jacobi_check(rs, f)
@@ -667,6 +669,30 @@ def test_killing_matrix_is_the_trace_of_ad_products(series, rank):
     ads = [L.ad_matrix(L.basis_element(i)) for i in range(L.dim)]
     assert liealg._killing_matrix(L.dim, L.f) == [
         [trace_mul(a, b) for b in ads] for a in ads]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 1), ("B", 2), ("G", 2), ("A", 3), ("F", 4)])
+def test_rows_of_f_are_read_as_ad_and_bracket(series, rank):
+    # ad_matrix and bracket walk the rows of f; column j of ad_x against
+    # bracket(x, e_j), and bracket(x, y) against its bilinear sum over the
+    # pair accessor, for a dense, a Cartan, a root vector and the zero element
+    L = simple_lie_algebra(series, rank)
+    rng = random.Random(f"rows:{series}{rank}")
+    dense = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(L.dim))
+    cartan = dense[:L.rank] + (0,) * (L.dim - L.rank)
+    root = L.basis_element(L.pos_root_index(0))
+    for x in (dense, cartan, root, L.zero()):
+        ad = L.ad_matrix(x)
+        for j in range(L.dim):
+            column = L.bracket(x, L.basis_element(j))
+            assert [ad[k][j] for k in range(L.dim)] == list(column), (x, j)
+        y = tuple(rng.randint(-3, 3) for _ in range(L.dim))
+        want = [0] * L.dim
+        for i in range(L.dim):
+            for j in range(L.dim):
+                for k, c in L.bracket_basis(i, j).items():
+                    want[k] += x[i] * y[j] * c
+        assert L.bracket(x, y) == tuple(want), x
 
 
 def test_row_reduce_augmented_block():
@@ -764,9 +790,10 @@ def test_cache_format_version_is_required(tmp_path, first, error):
 def test_chevalley_constants_are_integers():
     for series, rank in [("G", 2), ("F", 4), ("C", 3)]:
         L = simple_lie_algebra(series, rank)
-        for comp in L.f.values():
-            for v in comp.values():
-                assert isinstance(v, int)
+        for row in L.f.values():
+            for comp in row.values():
+                for v in comp.values():
+                    assert isinstance(v, int)
 
 
 def _inexact(v):

@@ -103,6 +103,21 @@ CATALOGUE = [
            "        if any(acc.values()):\n",
            "        if False:\n",
            ("tests/test_liealg.py::test_jacobi_sample_without_the_derivation_argument",)),
+    # the one pass over the rows of f
+    Mutant("antisymmetry-comparison-disabled", "liealg.py",
+           "if i == j or f[j].get(i) != {k: -v for k, v in comp.items()}:",
+           "if i == j:",
+           ("tests/test_liealg.py::test_corrupt_cache_is_configuration_error"
+            "[None-7-not antisymmetric]",)),
+    Mutant("involution-comparison-disabled", "liealg.py",
+           "if f[sigma[i]].get(sigma[j]) != {sigma[k]: -v for k, v in comp.items()}:",
+           "if False:",
+           ("tests/test_liealg.py::test_table_not_invariant_under_the_involution_is_refused"
+            "[A-2]",)),
+    Mutant("ad-matrix-transposed", "liealg.py",
+           "mat[k][m] += xi * c",
+           "mat[m][k] += xi * c",
+           ("tests/test_liealg.py::test_rows_of_f_are_read_as_ad_and_bracket[A-1]",)),
     # the defining representation along the build's generation walk
     Mutant("defining-rep-b-lowering-factor-dropped", "adinv.py",
            "fs[-1] = [[2 * v for v in row] for row in fs[-1]]",
