@@ -63,13 +63,12 @@ from .lambdacalc import (
     KIND_J,
     KIND_LETTERS,
     InternalConsistencyError,
+    LambdaMuPoly,
     LambdaPoly,
     UndefinedBracket,
     Word,
     bracket_words,
     format_lambda_poly,
-    lp_cleanup,
-    lp_equal,
     lp_iadd,
     normal_order_poly,
     skew,
@@ -176,7 +175,7 @@ def _current(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     ws: Dict[Word, Scalar] = {}
     for k, c in rs.algebra.bracket_basis(a.label, b.label).items():
         ws[(GenSymbol(b.kind, k, bid, 0),)] = s_rational(c)
-    return {(0, 0): ws} if ws else {}
+    return {0: ws} if ws else {}
 
 
 def _zero_rule(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
@@ -195,7 +194,7 @@ def je_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
         raise RuleIntegrityError(
             f"nonzero J-E coefficient on negative bidegree ({n_out},{m_out})")
     coeff = s_monomial(BETA, Fraction(num, e1 + e2))
-    return {(0, 0): {(I(a.label, n_out, m_out),): coeff}}
+    return {0: {(I(a.label, n_out, m_out),): coeff}}
 
 
 def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
@@ -204,9 +203,9 @@ def jf_rule_poly(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     f1, f2 = b.bidegree
     k = Fraction(j1 + j2, f1 + f2 + 2)
     letter = I(a.label, j1 + f1, j2 + f2)
-    out: LambdaPoly = {(1, 0): {(letter,): s_monomial(BETA, -(1 + k))}}
+    out: LambdaPoly = {1: {(letter,): s_monomial(BETA, -(1 + k))}}
     if k:
-        out[(0, 0)] = {(letter.d(),): s_monomial(BETA, -k)}
+        out[0] = {(letter.d(),): s_monomial(BETA, -k)}
     return out
 
 
@@ -279,23 +278,23 @@ def _deformed_jj(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> Optional[LambdaPoly
         out = _current(rs, a, b)
         if pair:
             coeff = s_monomial(BETA, -pair)
-            lp_iadd(out, (1, 0), {(E(1, 1),): s_scale(coeff, 2)})
-            lp_iadd(out, (0, 0), {(E(1, 1, 1),): coeff})
-            lp_iadd(out, (0, 0), {(F(0, 0),): coeff})
+            lp_iadd(out, 1, {(E(1, 1),): s_scale(coeff, 2)})
+            lp_iadd(out, 0, {(E(1, 1, 1),): coeff})
+            lp_iadd(out, 0, {(F(0, 0),): coeff})
         d_sc = rs.d_const
         for k, c in L.bracket_basis(la, lb).items():
-            lp_iadd(out, (1, 0), {(I(k, 0, 0),): s_scale(d_sc, 2 * c)})
-            lp_iadd(out, (0, 0), {(I(k, 0, 0, 1),): s_scale(d_sc, c)})
-        lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_J, la, lb, rs.c_const))
-        lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_J, lb, la, rs.c_const))
-        return lp_cleanup(out)
+            lp_iadd(out, 1, {(I(k, 0, 0),): s_scale(d_sc, 2 * c)})
+            lp_iadd(out, 0, {(I(k, 0, 0, 1),): s_scale(d_sc, c)})
+        lp_iadd(out, 0, _quadratic_words(rs, KIND_J, la, lb, rs.c_const))
+        lp_iadd(out, 0, _quadratic_words(rs, KIND_J, lb, la, rs.c_const))
+        return out
     if b.bidegree == (0, 0) and sum(a.bidegree) <= 2:
         out = _current(rs, a, b)
         total = sum(a.bidegree)
         if total and pair:
             coeff = s_monomial(BETA, -total * pair)
-            lp_iadd(out, (1, 0), {(E(*a.bidegree),): coeff})
-            lp_iadd(out, (0, 0), {(E(*a.bidegree, 1),): coeff})
+            lp_iadd(out, 1, {(E(*a.bidegree),): coeff})
+            lp_iadd(out, 0, {(E(*a.bidegree, 1),): coeff})
         return out
     return None
 
@@ -307,9 +306,9 @@ def _deformed_ji(rs: RuleSet, a: GenSymbol, b: GenSymbol) -> LambdaPoly:
     sign = {((1, 0), (0, 1)): -1, ((0, 1), (1, 0)): 1}.get((a.bidegree, b.bidegree))
     if sign is None:
         return out
-    lp_iadd(out, (0, 0), _quadratic_words(rs, KIND_I, a.label, b.label,
-                                          s_scale(rs.c_const, sign)))
-    return lp_cleanup(out)
+    lp_iadd(out, 0, _quadratic_words(rs, KIND_I, a.label, b.label,
+                                     s_scale(rs.c_const, sign)))
+    return out
 
 
 # --- rule tables ------------------------------------------------------------------
@@ -367,8 +366,8 @@ def _probed(rs: RuleSet) -> RuleSet:
     for (a, b), val in direct.items():
         reverse = direct.get((b, a))
         # the skew image of zero is zero
-        if reverse is not None and (val or reverse) and not lp_equal(
-                val, normal_order_poly(rs, skew(reverse))):
+        if reverse is not None and (val or reverse) and (
+                val != normal_order_poly(rs, skew(reverse))):
             raise RuleIntegrityError(
                 f"skew inconsistency between [{a},{b}] and [{b},{a}]")
         inside = (a.kind in ideal) + (b.kind in ideal)
@@ -386,29 +385,29 @@ def _probed(rs: RuleSet) -> RuleSet:
 @dataclass
 class JacobiDefect:
     triple: Tuple[GenSymbol, GenSymbol, GenSymbol]
-    term1: LambdaPoly
-    term2: LambdaPoly
-    term3: LambdaPoly
-    defect: LambdaPoly
+    term1: LambdaMuPoly
+    term2: LambdaMuPoly
+    term3: LambdaMuPoly
+    defect: LambdaMuPoly
 
 
 def _apply_outer(rules, gen: GenSymbol, inner: LambdaPoly, transpose: bool,
-                 acc: LambdaPoly, sign: int) -> None:
+                 acc: LambdaMuPoly, sign: int) -> None:
     """acc += sign * [gen_l inner] with the inner variable kept as mu.
 
     With transpose=True the roles are swapped: the inner carries lambda and
     the outer bracket contributes mu.
     """
-    for (j, _), ws in inner.items():
+    for j, ws in inner.items():
         for word, sc in ws.items():
             outer = bracket_words(rules, (gen,), word)
-            for (i, _), ws2 in outer.items():
+            for i, ws2 in outer.items():
                 key = (j, i) if transpose else (i, j)
                 lp_iadd(acc, key, ws2, s_scale(sc, sign) if sign != 1 else sc)
 
 
 def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
-                  acc1: LambdaPoly, acc2: LambdaPoly, acc3: LambdaPoly,
+                  acc1: LambdaMuPoly, acc2: LambdaMuPoly, acc3: LambdaMuPoly,
                   sign2: int, sign3: int) -> None:
     """acc1 += (1), acc2 += sign2 * (2), acc3 += sign3 * (3): the three terms
     (1) = [a_lambda [b_mu c]], (2) = [b_mu [a_lambda c]] and
@@ -417,7 +416,7 @@ def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
     try:
         _apply_outer(rules, a, bracket_words(rules, (b,), (c,)), False, acc1, 1)
         _apply_outer(rules, b, bracket_words(rules, (a,), (c,)), True, acc2, sign2)
-        for (k, _), ws in bracket_words(rules, (a,), (b,)).items():
+        for k, ws in bracket_words(rules, (a,), (b,)).items():
             for word, sc in ws.items():
                 outer = substitute_lambda_plus_mu(bracket_words(rules, word, (c,)))
                 for (i, j), ws2 in outer.items():
@@ -427,26 +426,25 @@ def _jacobi_terms(rules: RuleSet, a: GenSymbol, b: GenSymbol, c: GenSymbol,
 
 
 def defect_poly(rules: RuleSet, a: GenSymbol, b: GenSymbol,
-                c: GenSymbol) -> LambdaPoly:
+                c: GenSymbol) -> LambdaMuPoly:
     """(1) - (2) - (3) for the triple, as a polynomial in (lambda, mu)."""
-    acc: LambdaPoly = {}
+    acc: LambdaMuPoly = {}
     _jacobi_terms(rules, a, b, c, acc, acc, acc, -1, -1)
-    return lp_cleanup(acc)
+    return acc
 
 
 def jacobi_defect(rules: RuleSet, a: GenSymbol, b: GenSymbol,
                   c: GenSymbol) -> JacobiDefect:
     """The three Jacobi terms of the triple and their defect (1) - (2) - (3)."""
-    t1: LambdaPoly = {}
-    t2: LambdaPoly = {}
-    t3: LambdaPoly = {}
+    t1: LambdaMuPoly = {}
+    t2: LambdaMuPoly = {}
+    t3: LambdaMuPoly = {}
     _jacobi_terms(rules, a, b, c, t1, t2, t3, 1, 1)
-    defect: LambdaPoly = {}
+    defect: LambdaMuPoly = {}
     for term, sign in ((t1, 1), (t2, -1), (t3, -1)):
         for key, ws in term.items():
             lp_iadd(defect, key, ws, sign)
-    return JacobiDefect((a, b, c), lp_cleanup(t1), lp_cleanup(t2),
-                        lp_cleanup(t3), lp_cleanup(defect))
+    return JacobiDefect((a, b, c), t1, t2, t3, defect)
 
 
 # --- grid verification -----------------------------------------------------------

@@ -1,11 +1,15 @@
 """Lambda-bracket calculus on tensor words of conformal generators.
 
-Values are polynomials in the formal variables lambda and mu whose
-coefficients are sums of ordered tensor words; word coefficients are exact
-polynomials in (beta, D, C).  The operator T (equivalently written as a
-formal derivative) never appears free: it is always distributed onto the
-generators as a derivative power, which makes equality testing a plain
-dictionary comparison.
+A bracket value [a_lambda b] is a polynomial in the one formal variable
+lambda, a LambdaPoly keyed by the power of lambda, whose coefficients are
+sums of ordered tensor words; word coefficients are exact polynomials in
+(beta, D, C).  The one value in two variables (lambda, mu) is the Jacobi
+defect, a LambdaMuPoly keyed by (lambda power, mu power), and
+substitute_lambda_plus_mu is the one bridge from one variable to two.  The
+operator T (equivalently written as a formal derivative) never appears free:
+it is always distributed onto the generators as a derivative power.  Every
+helper that accumulates (ws_iadd, lp_iadd) drops zero coefficients and empty
+slots, so every value is canonical and equality is `==`.
 
 The bracket of arbitrary words is built from an atomic rule table through
 three mutually recursive pieces:
@@ -98,7 +102,10 @@ def F(n: int, m: int, dpow: int = 0) -> GenSymbol:
 
 Word = Tuple[GenSymbol, ...]
 WordSum = Dict[Word, Scalar]
-LambdaPoly = Dict[Tuple[int, int], WordSum]
+# the power of lambda -> its coefficient
+LambdaPoly = Dict[int, WordSum]
+# (the power of lambda, the power of mu) -> its coefficient
+LambdaMuPoly = Dict[Tuple[int, int], WordSum]
 
 
 def weight(word: Word) -> int:
@@ -167,21 +174,14 @@ def ws_add_scaled(acc: WordSum, ws: WordSum, factor) -> None:
             ws_iadd(acc, word, s_scale(sc, factor))
 
 
-def lp_iadd(acc: LambdaPoly, key: Tuple[int, int], ws: WordSum, factor=1) -> None:
+def lp_iadd(acc: dict, key, ws: WordSum, factor=1) -> None:
+    """acc[key] += factor * ws, on a LambdaPoly or a LambdaMuPoly."""
     slot = acc.get(key)
     if slot is None:
         slot = acc[key] = {}
     ws_add_scaled(slot, ws, factor)
     if not slot:
         del acc[key]
-
-
-def lp_cleanup(p: LambdaPoly) -> LambdaPoly:
-    return {key: ws for key, ws in p.items() if ws}
-
-
-def lp_equal(a: LambdaPoly, b: LambdaPoly) -> bool:
-    return lp_cleanup(a) == lp_cleanup(b)
 
 
 # --- derivative operator ------------------------------------------------------
@@ -204,41 +204,33 @@ def t_power(ws: WordSum, k: int) -> WordSum:
 
 # --- variable manipulations ---------------------------------------------------
 
-def _assert_single_variable(p: LambdaPoly) -> None:
-    if any(mu for (_, mu) in p):
-        raise ValueError("expected a single-variable polynomial")
-
-
 def skew(p: LambdaPoly) -> LambdaPoly:
     """-p with the variable replaced by (-lambda - T).
 
     Word order is preserved as written; reorder through normal_order if the
     derivative bumps broke the canonical order.
     """
-    _assert_single_variable(p)
     out: LambdaPoly = {}
-    for (k, _), ws in p.items():
+    for k, ws in p.items():
         sign = -(-1) ** k
         for j in range(k + 1):
-            lp_iadd(out, (k - j, 0), t_power(ws, j), sign * comb(k, j))
-    return lp_cleanup(out)
+            lp_iadd(out, k - j, t_power(ws, j), sign * comb(k, j))
+    return out
 
 
 def integrate_commutator(p: LambdaPoly) -> WordSum:
     """Definite integral over the variable from -T to 0, as derivative words:
     lambda^k -> (-1)^k T^(k+1) / (k+1)."""
-    _assert_single_variable(p)
     out: WordSum = {}
-    for (k, _), ws in p.items():
+    for k, ws in p.items():
         ws_add_scaled(out, t_power(ws, k + 1), Fraction((-1) ** k, k + 1))
     return out
 
 
-def substitute_lambda_plus_mu(p: LambdaPoly) -> LambdaPoly:
+def substitute_lambda_plus_mu(p: LambdaPoly) -> LambdaMuPoly:
     """Rename the single variable nu to (lambda + mu), binomially expanded."""
-    _assert_single_variable(p)
-    out: LambdaPoly = {}
-    for (k, _), ws in p.items():
+    out: LambdaMuPoly = {}
+    for k, ws in p.items():
         for i in range(k + 1):
             lp_iadd(out, (i, k - i), ws, comb(k, i))
     return out
@@ -258,14 +250,14 @@ def atomic_bracket(rules, x: GenSymbol, y: GenSymbol) -> LambdaPoly:
     val = base
     for _ in range(y.dpow):
         nxt: LambdaPoly = {}
-        for (k, _), ws in val.items():
-            lp_iadd(nxt, (k + 1, 0), ws)
-            lp_iadd(nxt, (k, 0), total_derivative(ws))
+        for k, ws in val.items():
+            lp_iadd(nxt, k + 1, ws)
+            lp_iadd(nxt, k, total_derivative(ws))
         val = nxt
     if x.dpow:
         sign = (-1) ** x.dpow
-        val = {(k + x.dpow, 0): {w: s_scale(sc, sign) for w, sc in ws.items()}
-               for (k, _), ws in val.items()}
+        val = {k + x.dpow: {w: s_scale(sc, sign) for w, sc in ws.items()}
+               for k, ws in val.items()}
     if x.dpow or y.dpow:
         val = normal_order_poly(rules, val)
     memo[key] = val
@@ -292,7 +284,7 @@ def bracket_words(rules, left: Word, right: Word) -> LambdaPoly:
     if len(right) == 1:
         alt = normal_order_poly(rules, skew(bracket_words(rules, right, left)))
         STATS["dual_path_checks"] += 1
-        if not lp_equal(result, alt):
+        if result != alt:
             raise InternalConsistencyError(
                 f"left bracket routes disagree for {_word_str(left)} vs "
                 f"{_word_str(right)}:\n  shift route: {format_lambda_poly(result)}\n"
@@ -305,20 +297,19 @@ def _wick(rules, a: GenSymbol, right: Word) -> LambdaPoly:
     b, rest = right[0], right[1:]
     out: LambdaPoly = {}
     head = bracket_words(rules, (a,), (b,))
-    for (k, _), ws in head.items():
+    for k, ws in head.items():
         for word, sc in ws.items():
-            lp_iadd(out, (k, 0), nproduct(rules, word, rest), sc)
+            lp_iadd(out, k, nproduct(rules, word, rest), sc)
     tail = bracket_words(rules, (a,), rest)
-    for (k, _), ws in tail.items():
+    for k, ws in tail.items():
         for word, sc in ws.items():
-            lp_iadd(out, (k, 0), nproduct(rules, (b,), word), sc)
-    for (k, _), ws in head.items():
+            lp_iadd(out, k, nproduct(rules, (b,), word), sc)
+    for k, ws in head.items():
         for word, sc in ws.items():
             inner = bracket_words(rules, word, rest)
-            for (j, _), ws2 in inner.items():
-                lp_iadd(out, (k + j + 1, 0), ws2,
-                        s_scale(sc, Fraction(1, j + 1)))
-    return lp_cleanup(out)
+            for j, ws2 in inner.items():
+                lp_iadd(out, k + j + 1, ws2, s_scale(sc, Fraction(1, j + 1)))
+    return out
 
 
 def _left_extension(rules, left: Word, right: Word) -> LambdaPoly:
@@ -326,31 +317,31 @@ def _left_extension(rules, left: Word, right: Word) -> LambdaPoly:
     a, brest = left[0], left[1:]
     out: LambdaPoly = {}
     inner_b = bracket_words(rules, brest, right)
-    for (k, _), ws in inner_b.items():
+    for k, ws in inner_b.items():
         for j in range(k + 1):
             factor = comb(k, j)
             shifted = a.d(j) if j else a
             for word, sc in ws.items():
-                lp_iadd(out, (k - j, 0), nproduct(rules, (shifted,), word),
+                lp_iadd(out, k - j, nproduct(rules, (shifted,), word),
                         s_scale(sc, factor) if factor != 1 else sc)
     inner_a = bracket_words(rules, (a,), right)
     unit = s_rational(1)
-    for (k, _), ws in inner_a.items():
+    for k, ws in inner_a.items():
         for j in range(k + 1):
             factor = comb(k, j)
             tb = t_power({brest: unit}, j)
             for tword, tsc in tb.items():
                 for word, sc in ws.items():
-                    lp_iadd(out, (k - j, 0), nproduct(rules, tword, word),
+                    lp_iadd(out, k - j, nproduct(rules, tword, word),
                             s_scale(s_mul(tsc, sc), factor))
-    for (k, _), ws in inner_a.items():
+    for k, ws in inner_a.items():
         for word, sc in ws.items():
             outer = bracket_words(rules, brest, word)
-            for (j, _), ws2 in outer.items():
+            for j, ws2 in outer.items():
                 factor = sum(Fraction(comb(k, m) * (-1) ** m, m + j + 1)
                              for m in range(k + 1))
-                lp_iadd(out, (k + j + 1, 0), ws2, s_scale(sc, factor))
-    return lp_cleanup(out)
+                lp_iadd(out, k + j + 1, ws2, s_scale(sc, factor))
+    return out
 
 
 def nproduct(rules, left: Word, right: Word) -> WordSum:
@@ -371,13 +362,13 @@ def _nproduct_raw(rules, left: Word, right: Word) -> WordSum:
     for word, sc in _nproduct_raw(rules, brest, right).items():
         ws_iadd(out, (a,) + word, sc)
     inner_b = bracket_words(rules, brest, right)
-    for (k, _), ws in inner_b.items():
+    for k, ws in inner_b.items():
         shifted = a.d(k + 1)
         scale = Fraction(1, k + 1)
         for word, sc in ws.items():
             ws_iadd(out, (shifted,) + word, s_scale(sc, scale))
     inner_a = bracket_words(rules, (a,), right)
-    for (k, _), ws in inner_a.items():
+    for k, ws in inner_a.items():
         tb = t_power({brest: unit}, k + 1)
         scale = Fraction(1, k + 1)
         for tword, tsc in tb.items():
@@ -421,11 +412,12 @@ def normal_order(rules, ws: WordSum) -> WordSum:
     return out
 
 
-def normal_order_poly(rules, p: LambdaPoly) -> LambdaPoly:
-    out: LambdaPoly = {}
+def normal_order_poly(rules, p: dict) -> dict:
+    """normal_order on each coefficient of a LambdaPoly or a LambdaMuPoly."""
+    out: dict = {}
     for key, ws in p.items():
         lp_iadd(out, key, normal_order(rules, ws))
-    return lp_cleanup(out)
+    return out
 
 
 def is_canonical(word: Word) -> bool:
@@ -438,18 +430,16 @@ def _word_str(word: Word) -> str:
     return "1" if not word else "*".join(str(g) for g in word)
 
 
-def format_lambda_poly(p: LambdaPoly) -> str:
-    """Stable multi-line dump: one line per (monomial, word) with the scalar
-    printed as a polynomial in beta, D, C."""
+def format_lambda_poly(p: dict) -> str:
+    """Stable multi-line dump of a LambdaPoly or a LambdaMuPoly: one line per
+    (monomial, word) in key order, then word order, with the scalar printed
+    as a polynomial in beta, D, C.  A LambdaPoly prints as the LambdaMuPoly
+    with no mu."""
     lines = []
-    for (i, j) in sorted(p):
-        ws = p[(i, j)]
-        mono = ""
-        if i:
-            mono += "lambda" if i == 1 else f"lambda^{i}"
-        if j:
-            mono += ("*" if mono else "") + ("mu" if j == 1 else f"mu^{j}")
-        mono = mono or "1"
+    for key in sorted(p):
+        ws = p[key]
+        powers = zip(("lambda", "mu"), key if isinstance(key, tuple) else (key,))
+        mono = "*".join(name if k == 1 else f"{name}^{k}" for name, k in powers if k) or "1"
         for word in sorted(ws):
             lines.append(f"{mono} | {_word_str(word)} | {s_format(ws[word])}")
     return "\n".join(lines) if lines else "0"

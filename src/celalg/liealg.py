@@ -303,9 +303,6 @@ class LieAlgebra:
         rs = self.root_system
         return rs.position[rs.positive_roots[k]]
 
-    def neg_root_index(self, k: int) -> int:
-        return self.root_system.opposite[self.pos_root_index(k)]
-
     def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
         return self.f[i].get(j, {})
 
@@ -352,9 +349,10 @@ class LieAlgebra:
 
     def highest_root_triple(self) -> Tuple[Element, Element, Element]:
         """(e, h, f) for the sl2 spanned by the highest-root vectors."""
-        k = len(self.root_system.positive_roots) - 1
-        e = self.basis_element(self.pos_root_index(k))
-        fneg = self.basis_element(self.neg_root_index(k))
+        rs = self.root_system
+        top = rs.position[rs.highest_root]
+        e = self.basis_element(top)
+        fneg = self.basis_element(rs.opposite[top])
         h = self.bracket(e, fneg)
         return e, h, fneg
 

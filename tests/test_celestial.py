@@ -41,7 +41,6 @@ from celalg.lambdacalc import (
     UndefinedBracket,
     bracket_words,
     format_lambda_poly,
-    lp_equal,
     lp_iadd,
     normal_order_poly,
     skew,
@@ -71,7 +70,7 @@ def test_base_jj_bidegree_addition(sl2):
     rx = rules_extended(sl2)
     got = bracket_words(rx, (J(0, 1, 2),), (J(1, 3, 4),))
     # [h, e] = 2e
-    assert got == {(0, 0): {(J(1, 4, 6),): s_rational(2)}}
+    assert got == {0: {(J(1, 4, 6),): s_rational(2)}}
 
 
 def test_base_ii_zero_all_bidegrees(sl2):
@@ -84,7 +83,7 @@ def test_base_ii_zero_all_bidegrees(sl2):
 def test_base_ji(sl2):
     rx = rules_extended(sl2)
     got = bracket_words(rx, (J(0, 0, 0),), (I(1, 0, 0),))
-    assert got == {(0, 0): {(I(1, 0, 0),): s_rational(2)}}
+    assert got == {0: {(I(1, 0, 0),): s_rational(2)}}
 
 
 # --- extended rules -------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_extended_je_examples(sl2):
     rx = rules_extended(sl2)
     # (e2 j1 - e1 j2)/(e1+e2) = (1*1 - 0*0)/1 = 1
     got = bracket_words(rx, (J(0, 1, 0),), (E(0, 1),))
-    assert got == {(0, 0): {(I(0, 0, 0),): s_monomial(BETA)}}
+    assert got == {0: {(I(0, 0, 0),): s_monomial(BETA)}}
     # numerator vanishes
     assert bracket_words(rx, (J(0, 0, 0),), (E(1, 1),)) == {}
 
@@ -102,12 +101,12 @@ def test_extended_jf_examples(sl2):
     rx = rules_extended(sl2)
     # bidegree (0,0) on both: -beta lambda I_a[0,0]
     got = bracket_words(rx, (J(0, 0, 0),), (F(0, 0),))
-    assert got == {(1, 0): {(I(0, 0, 0),): s_monomial(BETA, -1)}}
+    assert got == {1: {(I(0, 0, 0),): s_monomial(BETA, -1)}}
     # J[1,0] against F[0,0]: k = 1/2, so -(3/2) beta lambda I - (1/2) beta dI
     got = bracket_words(rx, (J(0, 1, 0),), (F(0, 0),))
     assert got == {
-        (1, 0): {(I(0, 1, 0),): s_monomial(BETA, Fraction(-3, 2))},
-        (0, 0): {(I(0, 1, 0, 1),): s_monomial(BETA, Fraction(-1, 2))},
+        1: {(I(0, 1, 0),): s_monomial(BETA, Fraction(-3, 2))},
+        0: {(I(0, 1, 0, 1),): s_monomial(BETA, Fraction(-1, 2))},
     }
 
 
@@ -128,8 +127,8 @@ def test_skew_consistency_on_queries(sl2):
     for a, b in pairs:
         direct = bracket_words(rx, (a,), (b,))
         reversed_ = bracket_words(rx, (b,), (a,))
-        assert lp_equal(reversed_, normal_order_poly(rx, skew(direct)))
-        assert lp_equal(direct, normal_order_poly(rx, skew(reversed_)))
+        assert reversed_ == normal_order_poly(rx, skew(direct))
+        assert direct == normal_order_poly(rx, skew(reversed_))
 
 
 # --- deformed rules ---------------------------------------------------------------
@@ -141,7 +140,7 @@ def test_deformed_main_rule_sl2(sl2):
     rd = rules_deformed(sl2)
     got = bracket_words(rd, (J(1, 1, 0),), (J(2, 0, 1),))
     expect = {
-        (0, 0): {
+        0: {
             (J(0, 1, 1),): s_rational(1),
             (E(1, 1, 1),): s_monomial(BETA, -1),
             (F(0, 0),): s_monomial(BETA, -1),
@@ -150,27 +149,27 @@ def test_deformed_main_rule_sl2(sl2):
             (J(1, 0, 0), I(2, 0, 0)): s_monomial(CC, -2),
             (J(2, 0, 0), I(1, 0, 0)): s_monomial(CC, -2),
         },
-        (1, 0): {
+        1: {
             (E(1, 1),): s_monomial(BETA, -2),
             (I(0, 0, 0),): s_monomial(DC, 2),
         },
     }
-    assert lp_equal(got, expect)
+    assert got == expect
 
 
 def test_deformed_low_rule(sl2):
     # n + m = 0: no E term at all
     rd = rules_deformed(sl2)
     got = bracket_words(rd, (J(0, 0, 0),), (J(1, 0, 0),))
-    assert got == {(0, 0): {(J(1, 0, 0),): s_rational(2)}}
+    assert got == {0: {(J(1, 0, 0),): s_rational(2)}}
     # n + m = 1 with nonzero pairing: [J_e[1,0] J_f[0,0]], (e,f) = 1
     got = bracket_words(rd, (J(1, 1, 0),), (J(2, 0, 0),))
     expect = {
-        (0, 0): {(J(0, 1, 0),): s_rational(1),
-                 (E(1, 0, 1),): s_monomial(BETA, -1)},
-        (1, 0): {(E(1, 0),): s_monomial(BETA, -1)},
+        0: {(J(0, 1, 0),): s_rational(1),
+            (E(1, 0, 1),): s_monomial(BETA, -1)},
+        1: {(E(1, 0),): s_monomial(BETA, -1)},
     }
-    assert lp_equal(got, expect)
+    assert got == expect
 
 
 def test_deformed_ji_rules_sign_split(sl2):
@@ -179,8 +178,8 @@ def test_deformed_ji_rules_sign_split(sl2):
     got_main = bracket_words(rd, (J(1, 1, 0),), (I(2, 0, 1),))
     # [J_e[0,1] I_f[1,0]] = I_h[1,1] + C (same words)
     got_alt = bracket_words(rd, (J(1, 0, 1),), (I(2, 1, 0),))
-    ws_main = got_main[(0, 0)]
-    ws_alt = got_alt[(0, 0)]
+    ws_main = got_main[0]
+    ws_alt = got_alt[0]
     assert ws_main[(I(0, 1, 1),)] == ws_alt[(I(0, 1, 1),)] == s_rational(1)
     quad_main = {w: sc for w, sc in ws_main.items() if len(w) == 2}
     quad_alt = {w: sc for w, sc in ws_alt.items() if len(w) == 2}
@@ -204,7 +203,7 @@ def test_deformed_undefined_patterns(sl2):
 def test_deformed_base_ji_other_patterns(sl2):
     rd = rules_deformed(sl2)
     got = bracket_words(rd, (J(0, 1, 1),), (I(1, 0, 0),))
-    assert got == {(0, 0): {(I(1, 1, 1),): s_rational(2)}}
+    assert got == {0: {(I(1, 1, 1),): s_rational(2)}}
 
 
 # --- Jacobi defects ---------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_defect_terms_structure(sl2):
     for term, sign in ((jd.term1, 1), (jd.term2, -1), (jd.term3, -1)):
         for key, ws in term.items():
             lp_iadd(recombined, key, ws, sign)
-    assert lp_equal(recombined, jd.defect)
+    assert recombined == jd.defect
     assert jd.defect  # nonzero for generic D, C
 
 
@@ -243,8 +242,8 @@ def test_jacobi_defect_terms_match_defect_poly(sl3):
         for term, sign in ((jd.term1, 1), (jd.term2, -1), (jd.term3, -1)):
             for key, ws in term.items():
                 lp_iadd(recombined, key, ws, sign)
-        assert lp_equal(recombined, jd.defect)
-        assert lp_equal(jd.defect, defect_poly(rd, *triple))
+        assert recombined == jd.defect
+        assert jd.defect == defect_poly(rd, *triple)
         nonzero += bool(jd.defect)
     assert nonzero >= 10
 
@@ -330,6 +329,8 @@ def test_verify_jacobi_grid_fails_a_non_lie_algebra(sl2):
     assert "shortcut" not in rep.first_counterexample
     # the first representative (x_-theta, x_theta, e_0) of J[0,0]^3
     assert rep.first_counterexample["triple"] == ["J_2[0,0]", "J_1[0,0]", "J_0[0,0]"]
+    # the failure report prints the defect byte for byte
+    assert rep.first_counterexample["defect"] == "1 | J_0[0,0] | 1"
 
 
 def test_reduced_scan_finds_the_brute_force_patterns(sl2, monkeypatch):
@@ -494,8 +495,8 @@ def test_swap_identity_on_deformed_triples(sl3):
         rng.shuffle(bids)
         a, b, c = (J(rng.randrange(sl3.dim), *bid, rng.randrange(2)) for bid in bids)
         d = defect_poly(rd, a, b, c)
-        assert lp_equal(defect_poly(rd, b, a, c), _swapped(d)), (a, b, c)
-        assert lp_equal(defect_poly(rd, a, c, b), _transposed(rd, d)), (a, b, c)
+        assert defect_poly(rd, b, a, c) == _swapped(d), (a, b, c)
+        assert defect_poly(rd, a, c, b) == _transposed(rd, d), (a, b, c)
         nonzero += bool(d)
     assert nonzero >= 10
 
@@ -894,6 +895,16 @@ def test_deformed_table_leaves_a_jji_defect(sl2):
     d = defect_poly(rd, I(0, 0, 0), J(0, 0, 1), J(1, 1, 0))
     # -3/2 beta^2 I_0[0,0] I_1[0,0]
     assert d == {(0, 0): {(I(0, 0, 0), I(1, 0, 0)): {(2, 0, 0): Fraction(-3, 2)}}}
+    # a derivative on the last slot brings in mu: the defect is the one value
+    # in (lambda, mu), and its keys sort as (lambda power, mu power), so mu
+    # prints before lambda
+    d = defect_poly(rd, I(0, 0, 0), J(0, 0, 1), J(1, 1, 0, 1))
+    assert format_lambda_poly(d) == "\n".join([
+        "1 | I_0[0,0]*d.I_1[0,0] | -3/2*beta^2",
+        "1 | d.I_0[0,0]*I_1[0,0] | -3/2*beta^2",
+        "mu | I_0[0,0]*I_1[0,0] | -3/2*beta^2",
+        "lambda | I_0[0,0]*I_1[0,0] | -3/2*beta^2",
+    ])
 
 
 def test_closed_form_rejects_non_admissible():
@@ -940,7 +951,7 @@ def test_tampered_jf_rule_fails_with_jjf_triple(sl2, monkeypatch):
         val = orig(rs, a, b)
         out = {}
         for key, ws in val.items():
-            if key == (0, 0):  # flip only the derivative-term coefficient
+            if key == 0:  # flip only the derivative-term coefficient
                 out[key] = {w: s_scale(sc, -1) for w, sc in ws.items()}
             else:
                 out[key] = ws
@@ -954,6 +965,8 @@ def test_tampered_jf_rule_fails_with_jjf_triple(sl2, monkeypatch):
     names = rep.first_counterexample["triple"]
     kinds = [next(ch for ch in n if ch in "JIEF") for n in names]
     assert sorted(kinds) == ["F", "J", "J"], names
+    assert rep.first_counterexample == {"triple": ["J_2[0,0]", "J_1[0,1]", "F[0,0]"],
+                                        "defect": "lambda | I_0[0,1] | -beta"}
 
 
 def _fake_mirror_defect(a, b, c):
@@ -1000,11 +1013,13 @@ def test_spot_check_catches_a_broken_shortcut(sl2, monkeypatch, fake, identity):
 def test_construction_guard_rejects_weight_raising_rule(sl2, monkeypatch):
     def heavier(rs, a, b):
         # J_a against E answered by a letter of higher total weight
-        return {(0, 0): {(I(a.label, 5, 5),): s_rational(1)}}
+        return {0: {(I(a.label, 5, 5),): s_rational(1)}}
 
     monkeypatch.setattr(celestial, "je_rule_poly", heavier)
-    with pytest.raises(RuleIntegrityError, match="does not decrease total weight"):
+    with pytest.raises(RuleIntegrityError, match="does not decrease total weight") as exc:
         rules_extended(sl2)
+    assert str(exc.value) == ("rule output 1 | I_0[5,5] | 1 for [J_0[0,0], E[0,1]] "
+                              "does not decrease total weight")
 
 
 def test_construction_guard_rejects_skew_inconsistent_zero_sector(sl2, monkeypatch):
@@ -1014,7 +1029,7 @@ def test_construction_guard_rejects_skew_inconsistent_zero_sector(sl2, monkeypat
         # [E[1,0] F[0,0]] = F[0,0] keeps the weight bound, but the reverse
         # stays zero, which is not its skew image
         if a == E(1, 0) and b == F(0, 0):
-            return {(0, 0): {(F(0, 0),): s_rational(1)}}
+            return {0: {(F(0, 0),): s_rational(1)}}
         return orig(rs, a, b)
 
     monkeypatch.setattr(celestial, "_zero_rule", one_sided)
@@ -1031,7 +1046,7 @@ def _leaky_je(min_label):
     def leaky(rs, a, b):
         val = orig(rs, a, b)
         if a.label >= min_label:
-            lp_iadd(val, (0, 0), {(J(a.label, 0, 0),): s_rational(1)})
+            lp_iadd(val, 0, {(J(a.label, 0, 0),): s_rational(1)})
         return val
     return leaky
 
@@ -1039,8 +1054,10 @@ def _leaky_je(min_label):
 def test_construction_guard_rejects_a_j_letter_from_je(sl2, monkeypatch):
     monkeypatch.setattr(celestial, "je_rule_poly", _leaky_je(0))
     for build in (rules_extended, rules_deformed):
-        with pytest.raises(RuleIntegrityError, match=r"abelian ideal span\(I, E, F\)"):
+        with pytest.raises(RuleIntegrityError, match=r"abelian ideal span\(I, E, F\)") as exc:
             build(sl2)
+        assert str(exc.value) == ("rule output 1 | J_0[0,0] | 1 for [J_0[0,0], E[0,1]] "
+                                  "breaks the abelian ideal span(I, E, F)")
 
 
 def test_abelian_ideal_spot_check_catches_a_leak_past_the_probe(sl3, monkeypatch):
@@ -1073,19 +1090,39 @@ def test_grid_generators_exclude_e00(sl2):
 @pytest.mark.parametrize("run", ["solve G2", "grid A1"])
 def test_memo_scalars_hold_integral_values_as_ints(monkeypatch, run):
     # no float and no integral Fraction among the scalars a real run memoizes
-    made = []
+    made, defects = [], []
     for name in ("rules_deformed", "rules_extended"):
         def recording(*args, _build=getattr(celestial, name), **kwargs):
             made.append(_build(*args, **kwargs))
             return made[-1]
         monkeypatch.setattr(celestial, name, recording)
+
+    def recording_defect(*args, _defect=celestial.defect_poly):
+        defects.append(_defect(*args))
+        return defects[-1]
+    monkeypatch.setattr(celestial, "defect_poly", recording_defect)
     if run == "solve G2":
         celestial.solve_constants(simple_lie_algebra("G", 2))
     else:
         celestial.verify_jacobi_grid(simple_lie_algebra("A", 1), 1)
-    coeffs = [c for rs in made for memo in (rs.base_memo, rs.full_memo)
-              for val in memo.values() for ws in val.values()
+    values = [val for rs in made for memo in (rs.base_memo, rs.full_memo)
+              for val in memo.values()]
+    coeffs = [c for val in values for ws in val.values()
               for sc in ws.values() for c in sc.values()]
     assert coeffs and any(isinstance(c, Fraction) for c in coeffs)
     assert not [c for c in coeffs if isinstance(c, float)
                 or (isinstance(c, Fraction) and c.denominator == 1)]
+    # every memoized value and every defect of the run is canonical, so ==
+    # decides equality: no empty word sum, no zero coefficient, and keys that
+    # are int lambda powers >= 0 (pairs of them for the (lambda, mu) defects)
+
+    def is_power(k):
+        return type(k) is int and k >= 0
+
+    def canonical(p, key_ok):
+        return all(key_ok(key) and ws and all(sc and all(sc.values()) for sc in ws.values())
+                   for key, ws in p.items())
+
+    assert not [val for val in values if not canonical(val, is_power)]
+    assert defects and not [d for d in defects if not canonical(
+        d, lambda key: type(key) is tuple and len(key) == 2 and all(map(is_power, key)))]

@@ -24,7 +24,6 @@ from celalg.lambdacalc import (
     format_lambda_poly,
     integrate_commutator,
     is_canonical,
-    lp_equal,
     normal_order,
     normal_order_poly,
     nproduct,
@@ -88,17 +87,17 @@ def test_total_derivative_leibniz_two_letters():
 
 
 def test_skew_lambda_free_word():
-    p = {(0, 0): {(I(0, 0, 0),): UNIT}}
-    assert skew(p) == {(0, 0): {(I(0, 0, 0),): s_rational(-1)}}
+    p = {0: {(I(0, 0, 0),): UNIT}}
+    assert skew(p) == {0: {(I(0, 0, 0),): s_rational(-1)}}
 
 
 def test_skew_linear_term():
     # skew(lambda * I_c) = lambda * I_c + dI_c
-    p = {(1, 0): {(I(0, 0, 0),): UNIT}}
+    p = {1: {(I(0, 0, 0),): UNIT}}
     out = skew(p)
     assert out == {
-        (1, 0): {(I(0, 0, 0),): UNIT},
-        (0, 0): {(I(0, 0, 0, 1),): UNIT},
+        1: {(I(0, 0, 0),): UNIT},
+        0: {(I(0, 0, 0, 1),): UNIT},
     }
 
 
@@ -112,21 +111,21 @@ def test_skew_is_involution_500_random():
     rng = random.Random("skew-involution")
     for _ in range(500):
         p = _random_poly(rng)
-        assert lp_equal(skew(skew(p)), p)
+        assert skew(skew(p)) == p
 
 
 def test_integrate_commutator_examples():
     # lambda-free c -> T(c); lambda * c -> -T^2(c)/2; zero -> zero
     word = (I(0, 0, 0),)
-    assert integrate_commutator({(0, 0): {word: UNIT}}) == {(I(0, 0, 0, 1),): UNIT}
-    out = integrate_commutator({(1, 0): {word: UNIT}})
+    assert integrate_commutator({0: {word: UNIT}}) == {(I(0, 0, 0, 1),): UNIT}
+    out = integrate_commutator({1: {word: UNIT}})
     assert out == {(I(0, 0, 0, 2),): {(0, 0, 0): Fraction(-1, 2)}}
     assert integrate_commutator({}) == {}
 
 
 def test_substitute_lambda_plus_mu_binomial():
     word = (I(0, 0, 0),)
-    out = substitute_lambda_plus_mu({(2, 0): {word: UNIT}})
+    out = substitute_lambda_plus_mu({2: {word: UNIT}})
     assert out == {
         (2, 0): {word: UNIT},
         (1, 1): {word: s_rational(2)},
@@ -145,9 +144,9 @@ def test_sesquilinearity_left_derivative(base):
         plain = atomic_bracket(base, a, b)
         shifted = atomic_bracket(base, a.d(), b)
         expect = {}
-        for (k, _), ws in plain.items():
-            lc.lp_iadd(expect, (k + 1, 0), ws, -1)
-        assert lp_equal(shifted, lc.lp_cleanup(expect))
+        for k, ws in plain.items():
+            lc.lp_iadd(expect, k + 1, ws, -1)
+        assert shifted == expect
 
 
 def test_sesquilinearity_right_derivative(base):
@@ -161,10 +160,10 @@ def test_sesquilinearity_right_derivative(base):
         plain = atomic_bracket(base, a, b)
         shifted = atomic_bracket(base, a, b.d())
         expect = {}
-        for (k, _), ws in plain.items():
-            lc.lp_iadd(expect, (k + 1, 0), ws)
-            lc.lp_iadd(expect, (k, 0), total_derivative(ws))
-        assert lp_equal(shifted, normal_order_poly(base, lc.lp_cleanup(expect)))
+        for k, ws in plain.items():
+            lc.lp_iadd(expect, k + 1, ws)
+            lc.lp_iadd(expect, k, total_derivative(ws))
+        assert shifted == normal_order_poly(base, expect)
 
 
 def test_wick_unit_and_single_letter(base):
@@ -173,7 +172,7 @@ def test_wick_unit_and_single_letter(base):
     assert bracket_words(base, (), (a,)) == {}
     got = bracket_words(base, (a,), (J(1, 0, 0),))
     # [J_h J_e] = 2 J_e[0,0] in sl2 basis order (h, e, f)
-    assert got == {(0, 0): {(J(1, 0, 0),): s_rational(2)}}
+    assert got == {0: {(J(1, 0, 0),): s_rational(2)}}
 
 
 def test_wick_two_letter_hand_value(base):
@@ -181,18 +180,18 @@ def test_wick_two_letter_hand_value(base):
     #   [e,f] = h, [e,h] = -2e, [[e,f],h] = 0
     # = J_h I_h - 2 J_f I_e + 0
     got = bracket_words(base, (J(1, 0, 0),), (J(2, 0, 0), I(0, 0, 0)))
-    expect = {(0, 0): {
+    expect = {0: {
         (J(0, 0, 0), I(0, 0, 0)): UNIT,
         (J(2, 0, 0), I(1, 0, 0)): s_rational(-2),
     }}
-    assert lp_equal(got, expect)
+    assert got == expect
 
 
 def test_wick_integral_term_hand_value(base):
     # [J_h[0,0]_l (J_e[0,0] I_f[0,0])]: tensor terms cancel (2 - 2),
     # integral term survives: lambda * I_{[[h,e],f]} = 2 lambda I_h
     got = bracket_words(base, (J(0, 0, 0),), (J(1, 0, 0), I(2, 0, 0)))
-    assert lp_equal(got, {(1, 0): {(I(0, 0, 0),): s_rational(2)}})
+    assert got == {1: {(I(0, 0, 0),): s_rational(2)}}
 
 
 def test_left_bracket_unit_is_zero(base):
@@ -270,6 +269,10 @@ def test_format_stable_ordering(base):
     text = format_lambda_poly(p)
     assert text == format_lambda_poly(p)
     assert "J_1[1,1]" in text
+    # [J_0[1,0] F[0,0]]: k = 1/2, so -(3/2) beta lambda I - (1/2) beta dI,
+    # the lambda-free line first
+    text = format_lambda_poly(bracket_words(base, (J(0, 1, 0),), (F(0, 0),)))
+    assert text == "1 | d.I_0[1,0] | -1/2*beta\nlambda | I_0[1,0] | -3/2*beta"
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,8 +314,7 @@ def test_skew_symmetry_of_letters_on_extended_a2(extended_a2, a, b):
     # identities that let the Jacobi grid compute sorted triples only
     rules = extended_a2
     forward = bracket_words(rules, (a,), (b,))
-    assert lp_equal(bracket_words(rules, (b,), (a,)),
-                    normal_order_poly(rules, skew(forward)))
+    assert bracket_words(rules, (b,), (a,)) == normal_order_poly(rules, skew(forward))
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,13 +325,12 @@ def test_sesquilinearity_of_letters_on_extended_a2(extended_a2, rng):
     rules = extended_a2
     a, b = random_letter(rng, dim=8), random_letter(rng, dim=8)
     left, right = {}, {}
-    for (k, _), ws in bracket_words(rules, (a,), (b,)).items():
-        lc.lp_iadd(left, (k + 1, 0), ws, -1)
-        lc.lp_iadd(right, (k + 1, 0), ws)
-        lc.lp_iadd(right, (k, 0), total_derivative(ws))
-    assert lp_equal(bracket_words(rules, (a.d(),), (b,)), left)
-    assert lp_equal(bracket_words(rules, (a,), (b.d(),)),
-                    normal_order_poly(rules, right))
+    for k, ws in bracket_words(rules, (a,), (b,)).items():
+        lc.lp_iadd(left, k + 1, ws, -1)
+        lc.lp_iadd(right, k + 1, ws)
+        lc.lp_iadd(right, k, total_derivative(ws))
+    assert bracket_words(rules, (a.d(),), (b,)) == left
+    assert bracket_words(rules, (a,), (b.d(),)) == normal_order_poly(rules, right)
 
 
 @settings(max_examples=300, deadline=None)
@@ -354,8 +355,8 @@ def test_left_extension_matches_skewed_wick_on_extended_a1(extended, rng):
     # Wick expansion [c_l W], which bracket_words compares at run time
     left = tuple(random_letter(rng) for _ in range(rng.randint(2, 3)))
     c = random_letter(rng)
-    assert lp_equal(lc._left_extension(extended, left, (c,)),
-                    normal_order_poly(extended, skew(lc._wick(extended, c, left))))
+    assert lc._left_extension(extended, left, (c,)) == normal_order_poly(
+        extended, skew(lc._wick(extended, c, left)))
 
 
 def test_single_generator_word_brackets(base):
@@ -365,7 +366,7 @@ def test_single_generator_word_brackets(base):
     assert bracket_words(base, (a,), ()) == {}
     assert bracket_words(base, (), (a,)) == {}
     single = bracket_words(base, (J(1, 0, 0),), (J(2, 0, 0),))
-    assert single == {(0, 0): {(J(0, 0, 0),): s_rational(1)}}
+    assert single == {0: {(J(0, 0, 0),): s_rational(1)}}
 
 
 def test_format_lambda_poly_golden_deformed_value():
@@ -386,3 +387,22 @@ def test_format_lambda_poly_golden_deformed_value():
         "lambda | E[1,1] | -2*beta",
     ])
     assert format_lambda_poly({}) == "0"
+
+
+def test_dual_route_disagreement_message_is_pinned(sl2, monkeypatch):
+    # one extra lambda^5 term on the shift route, on a fresh table so no
+    # memo keeps a planted value
+    rules = rules_extended(sl2)
+    left_extension = lc._left_extension
+    monkeypatch.setattr(lc, "_left_extension", lambda rs, left, right: {
+        **left_extension(rs, left, right), 5: {(J(0, 0, 0),): UNIT}})
+    with pytest.raises(lc.InternalConsistencyError) as exc:
+        bracket_words(rules, (J(1, 0, 0), I(2, 0, 0)), (J(0, 0, 0),))
+    assert str(exc.value) == "\n".join([
+        "left bracket routes disagree for J_1[0,0]*I_2[0,0] vs J_0[0,0]:",
+        "  shift route: 1 | d.I_0[0,0] | 2",
+        "lambda | I_0[0,0] | 2",
+        "lambda^5 | J_0[0,0] | 1",
+        "  skew route:  1 | d.I_0[0,0] | 2",
+        "lambda | I_0[0,0] | 2",
+    ])

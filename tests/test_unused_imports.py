@@ -1,8 +1,10 @@
-"""Every module-level import under src/celalg is named by its module.
+"""Every module-level import under src/celalg, tests and tools is named by
+its module.
 
-The __init__.py re-exports and `from __future__ import annotations` are
-exempt.  An import counts as named when its bound name occurs as a name
-anywhere in the module, annotations included.  Standard library only.
+The src/celalg/__init__.py re-exports and `from __future__ import
+annotations` are exempt.  An import counts as named when its bound name
+occurs as a name anywhere in the module, annotations included.  Standard
+library only.
 """
 
 import ast
@@ -10,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "celalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "celalg"
+# the package modules by file name, then tests/ and tools/ by relative path
+MODULES = [pytest.param(p, id=p.name) for p in sorted(SRC.glob("*.py"))
+           if p.name != "__init__.py"] + [
+    pytest.param(p, id=f"{folder}/{p.name}")
+    for folder in ("tests", "tools") for p in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(text):
@@ -35,7 +43,6 @@ def test_unused_imports_names_exactly_the_unused_ones():
     assert unused_imports(text) == ["regex", "Dict"]
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
-def test_module_names_every_import(name):
-    assert unused_imports((SRC / name).read_text()) == []
+@pytest.mark.parametrize("path", MODULES)
+def test_module_names_every_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -30,7 +30,7 @@ def random_word(rng, dim=3, max_len=3):
 def random_poly(rng, dim=3):
     p = {}
     for _ in range(rng.randint(1, 3)):
-        key = (rng.randrange(3), 0)
+        key = rng.randrange(3)
         word = random_word(rng, dim)
         sc = s_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         if sc:

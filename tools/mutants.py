@@ -147,9 +147,15 @@ CATALOGUE = [
            ("tests/test_celestial.py::test_seeded_triple_draws_are_stable",)),
     # the bracket engine's dual-route assert
     Mutant("dual-route-comparison-disabled", "lambdacalc.py",
-           "        if not lp_equal(result, alt):\n",
+           "        if result != alt:\n",
            "        if False:\n",
            ("tests/test_acceptance.py::test_criterion_7_engine_self_consistency",)),
+    # the canonical values that == compares
+    Mutant("lp-iadd-keeps-empty-slot", "lambdacalc.py",
+           "        del acc[key]\n",
+           "        pass\n",
+           ("tests/test_celestial.py::test_memo_scalars_hold_integral_values_as_ints"
+            "[grid A1]",)),
     # the engine's variable substitutions
     Mutant("lambda-plus-mu-sign-flipped", "lambdacalc.py",
            "lp_iadd(out, (i, k - i), ws, comb(k, i))",
